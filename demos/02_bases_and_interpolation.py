@@ -17,7 +17,7 @@ from hamrom.wave import WaveConfig, assemble_wave_fom, initial_state, make_wave_
 cfg = WaveConfig(n=128)
 n = cfg.n
 fom = assemble_wave_fom(cfg)
-G = fom.H.G
+G = fom.G
 
 traj = integrate(make_wave_rhs(cfg), initial_state(cfg), IntegratorConfig(dt=0.01, t_final=10.0))
 print(f"trajectory: {traj.steps} steps of dimension {traj.dim}")

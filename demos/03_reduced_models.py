@@ -19,19 +19,17 @@ from hamrom.wave import (
     WaveConfig,
     assemble_wave_fom,
     initial_state,
-    make_wave_energy,
     make_wave_step,
 )
 
 cfg = WaveConfig(n=128)
 n, r = cfg.n, 8
 fom = assemble_wave_fom(cfg)
-energy = make_wave_energy(cfg)
 icfg = IntegratorConfig(dt=0.01, t_final=10.0)
 
 traj = integrate_steps(make_wave_step(cfg, icfg), initial_state(cfg), icfg)
 z0 = traj.states[0]
-G = fom.H.G
+G = fom.G
 
 set_u = collect(traj, 50, lambda z: z[:n], "state-u")
 set_v = collect(traj, 50, lambda z: z[n:], "state-v")
@@ -49,7 +47,7 @@ deims = {
     True: build_deim(compute_pod(shift(set_g, G(z0[:n])), 2 * r), np.ones(n)),
 }
 
-fom_series = cfg.dx * np.array([energy(z) for z in traj.states])
+fom_series = cfg.dx * np.array([fom.energy(z) for z in traj.states])
 
 print(f"reduced dimension r={r}, interpolation points s={2 * r}, n={n}\n")
 print(f"{'model':<10} {'E_inf':>10} {'energy offset':>14} {'energy drift':>13}")
@@ -60,7 +58,6 @@ for tag in ("g-rom", "sp-pod-1", "sp-pod-2", "sp-deim-1", "sp-deim-2"):
         *bases[variant.shifted],
         fom,
         deim=deims[variant.shifted] if variant.kind == "sp-deim" else None,
-        state_energy=energy,
     )
     rom_traj = integrate_steps(model.make_step(icfg), model.initial_coefficients(z0), icfg)
     _, offset, drift = hamiltonian_series(model, rom_traj, cfg.dx, fom_series)

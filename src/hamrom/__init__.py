@@ -6,15 +6,7 @@ The `wave` module provides the nonlinear-wave benchmark the package is
 validated on; the `cli` module exposes the reproduction pipeline.
 """
 
-from .core import (
-    HamiltonianSystem,
-    SkewOperator,
-    SplitHamiltonian,
-    check_skew,
-    eval_gradient,
-    eval_hamiltonian,
-    rhs,
-)
+from .core import TwoBlockSystem
 from .deim import DeimModel, build_deim, deim_apply, deim_select, precompute_weights
 from .integrator import (
     IntegratorConfig,

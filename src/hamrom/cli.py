@@ -15,7 +15,7 @@ config file (--config), overridden by command-line flags.  Exit codes:
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,19 +105,7 @@ class PipelineConfig:
 
     def benchmark_dict(self) -> dict:
         """Numeric parameters only (no paths), for deterministic reports."""
-        return {
-            "n": self.n,
-            "c_speed": self.c_speed,
-            "length": self.length,
-            "dt": self.dt,
-            "t_final": self.t_final,
-            "stride": self.stride,
-            "r_list": list(self.r_list),
-            "deim_mult": self.deim_mult,
-            "variants": list(self.variants),
-            "picard_tol": self.picard_tol,
-            "picard_max_iter": self.picard_max_iter,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "out"}
 
 
 def _parse_int_list(text):
@@ -185,28 +173,10 @@ def build_config(args) -> PipelineConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    flag_fields = {
-        "n": "n",
-        "c_speed": "c_speed",
-        "length": "length",
-        "dt": "dt",
-        "t_final": "t_final",
-        "stride": "stride",
-        "r": "r_list",
-        "deim_mult": "deim_mult",
-        "variants": "variants",
-        "picard_tol": "picard_tol",
-        "picard_max_iter": "picard_max_iter",
-        "out": "out",
-    }
-    for flag, field in flag_fields.items():
-        value = getattr(args, flag, None)
+    for key, parse in _CONFIG_PARSERS.items():
+        value = getattr(args, key, None)
         if value is not None:
-            if flag == "r":
-                value = _parse_int_list(value)
-            elif flag == "variants":
-                value = _parse_variants(value)
-            values[field] = value
+            values[_KEY_TO_FIELD.get(key, key)] = parse(value)
     try:
         cfg = PipelineConfig(**values)
         cfg.wave_config()
@@ -271,9 +241,8 @@ def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
             f"trajectory dimension {traj.dim} does not match 2*n = {2 * n}"
         )
     fom = assemble_wave_fom(wcfg)
-    energy = make_wave_energy(wcfg)
-    G_fn = fom.H.G
-    c_u = fom.H.c[:n]
+    G_fn = fom.G
+    c_u = fom.c_u
     u0 = traj.states[0, :n]
     v0 = traj.states[0, n:]
 
@@ -322,7 +291,6 @@ def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
                 bases[variant.shifted][1],
                 fom,
                 deim=deims.get(variant.shifted) if variant.kind == "sp-deim" else None,
-                state_energy=energy,
             )
             save_rom(model, out / f"rom_{tag}_r{r}.bin")
         log[f"r{r}"] = entry
@@ -376,7 +344,7 @@ def cmd_online(cfg: PipelineConfig, rom_path, traj_path=None) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
     wcfg = cfg.wave_config()
     fom = assemble_wave_fom(wcfg)
-    model = load_rom(rom_path, fom, state_energy=make_wave_energy(wcfg))
+    model = load_rom(rom_path, fom)
     fom_traj = load_trajectory(traj_path or out / "fom_trajectory.bin")
     if fom_traj.dim != 2 * wcfg.n:
         raise ConfigError(
@@ -428,7 +396,7 @@ def cmd_reproduce(cfg: PipelineConfig) -> dict:
     reports = []
     for r in cfg.r_list:
         for tag in cfg.variants:
-            model = load_rom(out / f"rom_{tag}_r{r}.bin", fom, state_energy=energy)
+            model = load_rom(out / f"rom_{tag}_r{r}.bin", fom)
             report, rom_traj, series = _online_run(cfg, model, fom_traj, fom_series)
             _write_report(out, report, rom_traj.times, series)
             reports.append(report)

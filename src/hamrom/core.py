@@ -1,83 +1,45 @@
-"""Finite-dimensional Hamiltonian ODE systems with split Hamiltonians.
+"""Canonical two-block Hamiltonian systems with a sparse linear part.
 
-A system has the form
+A state z = (u, v) of length 2n evolves by
 
-    du/dt = D * grad H(u),    D skew-symmetric,
+    u' = v,    v' = A u - c_u * g(u),
 
-with the Hamiltonian stored in split form
+which is z' = D grad H(z) with the canonical skew coupling
+D = [[0, I], [-I, 0]] and the energy
 
-    H(u) = 0.5 * u^T Q u + sum_i c_i * G(u_i),
+    H(z) = 0.5 v^T v - 0.5 u^T A u + sum_i c_u[i] G(u_i).
 
-where Q is a constant symmetric matrix, G is an elementwise scalar
-nonlinearity with derivative g = G', and c is a weight vector.  The
-gradient is then Q u + c * g(u); the diagonal Jacobian of the nonlinear
-part is never materialized.
+A is a sparse symmetric n x n matrix, G an elementwise scalar
+nonlinearity with derivative g = G', and c_u a weight vector.  No dense
+n x n (or 2n x 2n) operator is ever formed.
 
-All objects are immutable after construction and all operations are pure.
+The record is immutable after construction and its methods are pure.
 """
 
+from dataclasses import dataclass
+from typing import Callable, Optional
+
 import numpy as np
+import scipy.sparse as sparse
 
-__all__ = [
-    "SkewOperator",
-    "SplitHamiltonian",
-    "HamiltonianSystem",
-    "check_skew",
-    "eval_hamiltonian",
-    "eval_gradient",
-    "rhs",
-]
+__all__ = ["TwoBlockSystem"]
 
 
-def check_skew(matrix, tol):
-    """Return True iff ||M^T + M||_max <= tol.
-
-    Raises ValueError if the matrix is not square.
-    """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return float(np.max(np.abs(m + m.T))) <= tol
-
-
-def _as_vector(u, n, what="state"):
-    u = np.asarray(u, dtype=float)
-    if u.shape != (n,):
-        raise ValueError(f"{what} has shape {u.shape}, expected ({n},)")
-    return u
-
-
-class SkewOperator:
-    """Constant skew-symmetric coefficient matrix of a Hamiltonian ODE."""
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-        if not check_skew(m, 1e-12 * scale):
-            raise ValueError("matrix is not skew-symmetric within tolerance")
-        self.matrix = m
-        self.dim = m.shape[0]
-
-    def apply(self, u):
-        return self.matrix @ _as_vector(u, self.dim)
-
-
-class SplitHamiltonian:
-    """Split Hamiltonian H(u) = 0.5 u^T Q u + sum_i c_i G(u_i).
+@dataclass(frozen=True, eq=False)
+class TwoBlockSystem:
+    """Two-block Hamiltonian system u' = v, v' = A u - c_u g(u).
 
     Parameters
     ----------
-    Q : (n, n) array_like
-        Symmetric quadratic part.
+    A : (n, n) sparse matrix
+        Symmetric linear part; stored as CSR.
+    c_u : (n,) array_like
+        Weight vector of the nonlinear part.
     G : callable
         Elementwise scalar nonlinearity, vectorized over numpy arrays.
     g : callable
         Derivative of G, also vectorized.  Spot-checked against central
         finite differences of G at construction.
-    c : (n,) array_like
-        Weight vector of the nonlinear part.
     g_avg : callable, optional
         Segment mean (x0, x1) -> (G(x1) - G(x0)) / (x1 - x0), elementwise,
         in a form exact also where x1 = x0: the discrete gradient of the
@@ -85,27 +47,49 @@ class SplitHamiltonian:
         against G at construction.
     """
 
-    def __init__(self, Q, G, g, c, check_derivative=True, g_avg=None):
-        Q = np.asarray(Q, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise ValueError(f"Q must be square, got shape {Q.shape}")
-        if float(np.max(np.abs(Q - Q.T))) > 1e-12:
-            raise ValueError("Q is not symmetric within 1e-12")
-        c = np.asarray(c, dtype=float)
-        if c.shape != (Q.shape[0],):
+    A: sparse.csr_matrix
+    c_u: np.ndarray
+    G: Callable
+    g: Callable
+    g_avg: Optional[Callable] = None
+
+    def __post_init__(self):
+        A = sparse.csr_matrix(self.A, dtype=float)
+        if A.shape[0] != A.shape[1]:
+            raise ValueError(f"A must be square, got shape {A.shape}")
+        if abs(A - A.T).max() > 1e-12:
+            raise ValueError("A is not symmetric within 1e-12")
+        c_u = np.asarray(self.c_u, dtype=float)
+        if c_u.shape != (A.shape[0],):
             raise ValueError(
-                f"weight vector has shape {c.shape}, expected ({Q.shape[0]},)"
+                f"weight vector has shape {c_u.shape}, expected ({A.shape[0]},)"
             )
-        if check_derivative:
-            _check_elementwise_derivative(G, g)
-            if g_avg is not None:
-                _check_segment_mean(G, g, g_avg)
-        self.Q = Q
-        self.G = G
-        self.g = g
-        self.g_avg = g_avg
-        self.c = c
-        self.dim = Q.shape[0]
+        _check_elementwise_derivative(self.G, self.g)
+        if self.g_avg is not None:
+            _check_segment_mean(self.G, self.g, self.g_avg)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "c_u", c_u)
+
+    @property
+    def n(self) -> int:
+        """Block dimension; states have length 2n."""
+        return self.A.shape[0]
+
+    def _blocks(self, z):
+        z = np.asarray(z, dtype=float)
+        if z.shape != (2 * self.n,):
+            raise ValueError(f"state has shape {z.shape}, expected ({2 * self.n},)")
+        return z[: self.n], z[self.n :]
+
+    def energy(self, z) -> float:
+        """H(z) = 0.5 v^T v - 0.5 u^T A u + c_u . G(u)."""
+        u, v = self._blocks(z)
+        return float(0.5 * v @ v - 0.5 * u @ (self.A @ u) + self.c_u @ self.G(u))
+
+    def rhs(self, z) -> np.ndarray:
+        """Right-hand side D grad H(z) = (v, A u - c_u * g(u))."""
+        u, v = self._blocks(z)
+        return np.concatenate([v, self.A @ u - self.c_u * self.g(u)])
 
 
 def _check_elementwise_derivative(G, g, step=1e-6):
@@ -129,31 +113,3 @@ def _check_segment_mean(G, g, g_avg):
         raise ValueError("g_avg is not the segment mean of g")
     if not np.allclose(g_avg(x0, x0), g(x0), rtol=1e-9, atol=1e-12):
         raise ValueError("g_avg does not reduce to g on a zero-length segment")
-
-
-class HamiltonianSystem:
-    """Pair of a skew operator D and a split Hamiltonian of equal dimension."""
-
-    def __init__(self, D: SkewOperator, H: SplitHamiltonian):
-        if D.dim != H.dim:
-            raise ValueError(f"dimension mismatch: D is {D.dim}, H is {H.dim}")
-        self.D = D
-        self.H = H
-        self.dim = D.dim
-
-
-def eval_hamiltonian(ham: SplitHamiltonian, u) -> float:
-    """Evaluate H(u) = 0.5 u^T Q u + sum_i c_i G(u_i)."""
-    u = _as_vector(u, ham.dim)
-    return float(0.5 * u @ (ham.Q @ u) + ham.c @ ham.G(u))
-
-
-def eval_gradient(ham: SplitHamiltonian, u) -> np.ndarray:
-    """Evaluate grad H(u) = Q u + c * g(u)."""
-    u = _as_vector(u, ham.dim)
-    return ham.Q @ u + ham.c * ham.g(u)
-
-
-def rhs(system: HamiltonianSystem, u) -> np.ndarray:
-    """Right-hand side D * grad H(u) of the Hamiltonian ODE."""
-    return system.D.matrix @ eval_gradient(system.H, u)

@@ -21,6 +21,7 @@ Every step solves with `picard_solve`: convergence is measured on the
 iterate update in max-norm, relative with absolute floor 1.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -198,8 +199,14 @@ def _read_traj_header(fh, path):
         raise FileFormatError(f"{path}: bad magic {magic!r}")
     if version != 1:
         raise FileFormatError(f"{path}: unsupported version {version}")
-    if dim == 0 or count == 0 or dim * count > 1 << 40:
+    if dim == 0 or count == 0:
         raise FileFormatError(f"{path}: implausible dimensions {dim} x {count}")
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if 8 * dim * count > remaining:
+        raise FileFormatError(
+            f"{path}: header claims {dim} x {count} states ({8 * dim * count} bytes "
+            f"of state data), but only {remaining} bytes follow"
+        )
     return dim, count, dt, t0
 
 

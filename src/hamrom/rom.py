@@ -1,10 +1,7 @@
-"""Assembly of the five reduced models for canonical two-block wave systems.
+"""Assembly of the five reduced models for two-block wave systems.
 
-The full-order system must have the canonical block structure
-
-    z = (u, v),  D = [[0, I], [-I, 0]],  Q = blkdiag(Q_u, I),  c = (c_u, 0),
-
-which covers the nonlinear-wave benchmark with Q_u = -A.  Separate bases
+The full-order system is a `core.TwoBlockSystem`: z = (u, v) with
+u' = v, v' = A u - c_u g(u), A sparse and symmetric.  Separate bases
 phi_u, phi_v reduce the two blocks; all offline products are precomputed
 so that the online right-hand side costs O(r^2) plus the nonlinear term:
 an O(n r) projection for Galerkin and plain structure-preserving models,
@@ -27,7 +24,12 @@ and differs from the others only in L, c, M, P and x_ref.  `make_rhs`
 evaluates that form; `make_step` advances it with the average-vector-field
 (AVF) discrete gradient, which conserves the reduced energy of the
 structure-preserving variants exactly (up to the fixed-point tolerance
-and rounding).
+and rounding).  Every variant also has one energy form,
+
+    H_r = -a'A_r a/2 - a'lin_u + b'b/2 + b'lin_v + W . G(P a + x_ref) + C,
+
+with the same P and x_ref, sampling weights W and a constant C fixed by
+H_r(0) = H(z_ref).  Its cost is O(r^2) plus the nonlinear term.
 """
 
 import struct
@@ -35,7 +37,6 @@ import struct
 import numpy as np
 
 from ._binio import FileFormatError, read_array, read_exact, write_array
-from .core import eval_hamiltonian
 from .integrator import IntegratorConfig, picard_solve
 
 __all__ = [
@@ -99,13 +100,19 @@ class ReducedModel:
     The reduced state is the concatenation (a, b) of the u- and v-block
     coefficients.  Use `make_step()` to time-step the model, `make_rhs()`
     for the online right-hand side and `hamiltonian()` for the reduced
-    energy.  `g_avg` is the segment mean of g that `make_step` needs
-    (see `core.SplitHamiltonian`).
+    energy.  The full-order `fom` (a `core.TwoBlockSystem`) supplies the
+    nonlinearity G, its derivative g, its segment mean g_avg (which
+    `make_step` needs) and the energy of the reference state.
+
+    Every variant samples the nonlinearity through one triple (P, W,
+    x_ref): the rows phi_u[idx], the interpolation weights and u_ref[idx]
+    for sp-deim, and phi_u, c_u, u_ref otherwise.
     """
 
     def __init__(
         self,
         variant: RomVariant,
+        fom,
         cuv,
         a_red,
         lin_u,
@@ -115,13 +122,9 @@ class ReducedModel:
         u_ref,
         v_ref,
         c_u,
-        G_fn,
-        g_fn,
-        state_energy,
         bvu=None,
         deim_indices=None,
         deim_weights=None,
-        g_avg=None,
     ):
         self.variant = variant
         self.cuv = np.asarray(cuv, dtype=float)
@@ -133,10 +136,9 @@ class ReducedModel:
         self.u_ref = np.asarray(u_ref, dtype=float)
         self.v_ref = np.asarray(v_ref, dtype=float)
         self.c_u = np.asarray(c_u, dtype=float)
-        self.G_fn = G_fn
-        self.g_fn = g_fn
-        self.g_avg = g_avg
-        self.state_energy = state_energy
+        self.G_fn = fom.G
+        self.g_fn = fom.g
+        self.g_avg = fom.g_avg
         self.bvu = None if bvu is None else np.asarray(bvu, dtype=float)
         self.n = self.phi_u.shape[0]
         self.r_u = self.phi_u.shape[1]
@@ -145,30 +147,22 @@ class ReducedModel:
         if variant.kind == "g-rom" and self.bvu is None:
             raise ValueError("g-rom requires the cross projection phi_v^T A phi_u")
 
-        # Weighted projection rows; exact for the all-ones wave weights and
-        # general enough for arbitrary c_u.
-        self._proj_u = (self.phi_u * self.c_u[:, None]).T
-        self._proj_v = (self.phi_v * self.c_u[:, None]).T
-
         if variant.kind == "sp-deim":
             if deim_indices is None or deim_weights is None:
                 raise ValueError("sp-deim requires interpolation indices and weights")
             self.deim_indices = np.asarray(deim_indices, dtype=np.int64)
             self.deim_weights = np.asarray(deim_weights, dtype=float)
             self.s = self.deim_indices.shape[0]
-            self._rows = self.phi_u[self.deim_indices, :]
-            self._u_ref_s = self.u_ref[self.deim_indices]
-            self._wmat = self._rows.T * self.deim_weights
-            z_ref = np.concatenate([self.u_ref, self.v_ref])
-            self._h_const = float(
-                state_energy(z_ref) - self.deim_weights @ G_fn(self._u_ref_s)
-            )
+            self._P = self.phi_u[self.deim_indices, :]
+            self._W = self.deim_weights
+            self._x_ref = self.u_ref[self.deim_indices]
         else:
             if deim_indices is not None or deim_weights is not None:
                 raise ValueError(f"{variant.tag} does not take interpolation data")
             self.deim_indices = None
             self.deim_weights = None
             self.s = 0
+            self._P, self._W, self._x_ref = self.phi_u, self.c_u, self.u_ref
 
         # The affine form z' = L z + c + [0; m_b g(P a + x_ref)].
         ru, rv = self.r_u, self.r_v
@@ -177,16 +171,13 @@ class ReducedModel:
         self._c = np.concatenate([self.cuv @ self.lin_v, self.cuv.T @ self.lin_u])
         if variant.kind == "g-rom":
             self._L[ru:, :ru] = self.bvu
-            self._m_b = -self._proj_v
+            self._m_b = -(self.phi_v.T * self.c_u)
         else:
             self._L[ru:, :ru] = self.cuv.T @ self.a_red
-            self._m_b = -self.cuv.T @ (
-                self._wmat if variant.kind == "sp-deim" else self._proj_u
-            )
-        if variant.kind == "sp-deim":
-            self._P, self._x_ref = self._rows, self._u_ref_s
-        else:
-            self._P, self._x_ref = self.phi_u, self.u_ref
+            self._m_b = -self.cuv.T @ (self._P.T * self._W)
+        # H_r(0) = H(z_ref): the sampled term at the origin is cancelled
+        z_ref = np.concatenate([self.u_ref, self.v_ref])
+        self._energy_shift = fom.energy(z_ref) - self._W @ self.G_fn(self._x_ref)
 
     @property
     def tag(self) -> str:
@@ -250,40 +241,36 @@ class ReducedModel:
     def rhs(self, z) -> np.ndarray:
         return self.make_rhs()(z)
 
-    def hamiltonian(self, z) -> float:
-        """Reduced energy at a reduced state (a, b).
+    def hamiltonian(self, z):
+        """Reduced energy of a reduced state (a, b), or of each row of a stack.
 
-        Interpolation models evaluate the nonlinearity at the s sampled
-        entries only (plus an offline constant); the others evaluate the
-        full-order energy of the reconstruction.
+            H_r = -a'A_r a/2 - a'lin_u + b'b/2 + b'lin_v + W . G(P a + x_ref) + C,
+
+        with C = H(z_ref) - W . G(x_ref).  Sampling all n rows (P = phi_u,
+        W = c_u) gives the full-order energy of the reconstruction, since
+        phi_v is orthonormal.
         """
         z = np.asarray(z, dtype=float)
-        a = z[: self.r_u]
-        b = z[self.r_u :]
-        if self.variant.kind == "sp-deim":
-            return float(
-                -0.5 * a @ (self.a_red @ a)
-                - a @ self.lin_u
-                + 0.5 * b @ b
-                + b @ self.lin_v
-                + self.deim_weights @ self.G_fn(self._rows @ a + self._u_ref_s)
-                + self._h_const
-            )
-        full = np.concatenate(
-            [self.phi_u @ a + self.u_ref, self.phi_v @ b + self.v_ref]
+        a = z[..., : self.r_u]
+        b = z[..., self.r_u :]
+        return (
+            -0.5 * np.sum(a * (a @ self.a_red), axis=-1)
+            - a @ self.lin_u
+            + 0.5 * np.sum(b * b, axis=-1)
+            + b @ self.lin_v
+            + self.G_fn(a @ self._P.T + self._x_ref) @ self._W
+            + self._energy_shift
         )
-        return float(self.state_energy(full))
 
-    def initial_coefficients(self, z0) -> np.ndarray:
-        """Reduced initial state: zeros for shifted models, block projections
-        of the full initial state otherwise."""
-        z0 = np.asarray(z0, dtype=float)
-        if z0.shape != (2 * self.n,):
-            raise ValueError(f"state has shape {z0.shape}, expected ({2 * self.n},)")
-        if self.variant.shifted:
-            return np.zeros(self.r_u + self.r_v)
+    def initial_coefficients(self, z) -> np.ndarray:
+        """Reduced coordinates phi^T (z - ref) of a full state, block by
+        block; the reference state of a shifted model maps to zeros."""
+        z = np.asarray(z, dtype=float)
+        n = self.n
+        if z.shape != (2 * n,):
+            raise ValueError(f"state has shape {z.shape}, expected ({2 * n},)")
         return np.concatenate(
-            [self.phi_u.T @ z0[: self.n], self.phi_v.T @ z0[self.n :]]
+            [self.phi_u.T @ (z[:n] - self.u_ref), self.phi_v.T @ (z[n:] - self.v_ref)]
         )
 
     def reconstruct_blocks(self, coeffs):
@@ -294,31 +281,7 @@ class ReducedModel:
         return U, V
 
 
-def _split_fom(fom):
-    """Validate the canonical two-block structure and extract (n, A, c_u)."""
-    if fom.dim % 2 != 0:
-        raise ValueError("full-order system dimension must be even")
-    n = fom.dim // 2
-    D = fom.D.matrix
-    eye = np.eye(n)
-    if (
-        np.max(np.abs(D[:n, :n])) > 1e-14
-        or np.max(np.abs(D[n:, n:])) > 1e-14
-        or np.max(np.abs(D[:n, n:] - eye)) > 1e-14
-        or np.max(np.abs(D[n:, :n] + eye)) > 1e-14
-    ):
-        raise ValueError("coefficient matrix is not the canonical block [[0,I],[-I,0]]")
-    Q = fom.H.Q
-    if np.max(np.abs(Q[:n, n:])) > 1e-12 or np.max(np.abs(Q[n:, :n])) > 1e-12:
-        raise ValueError("quadratic part couples the u- and v-blocks")
-    if np.max(np.abs(Q[n:, n:] - eye)) > 1e-12:
-        raise ValueError("v-block quadratic part must be the identity")
-    if np.max(np.abs(fom.H.c[n:])) > 0:
-        raise ValueError("nonlinear weights must vanish on the v-block")
-    return n, -Q[:n, :n], fom.H.c[:n]
-
-
-def build_rom(variant, basis_u, basis_v, fom, deim=None, state_energy=None):
+def build_rom(variant, basis_u, basis_v, fom, deim=None):
     """Assemble a reduced model from block bases and the full-order system.
 
     Parameters
@@ -326,15 +289,12 @@ def build_rom(variant, basis_u, basis_v, fom, deim=None, state_energy=None):
     variant : RomVariant
     basis_u, basis_v : PodBasis
         Block bases; for shifted variants both must carry shift references.
-    fom : HamiltonianSystem
-        Canonical two-block system (see module docstring).
+    fom : TwoBlockSystem
+        Full-order system (see `core`).
     deim : DeimModel, optional
         Required for (and only for) sp-deim variants.
-    state_energy : callable, optional
-        Fast full-state energy z -> float; defaults to the dense evaluation
-        through the system's split Hamiltonian.
     """
-    n, A, c_u = _split_fom(fom)
+    n, A = fom.n, fom.A
     if basis_u.n != n or basis_v.n != n:
         raise ValueError("basis row count does not match the block dimension")
     if basis_u.shifted != variant.shifted or basis_v.shifted != variant.shifted:
@@ -350,9 +310,6 @@ def build_rom(variant, basis_u, basis_v, fom, deim=None, state_energy=None):
             raise ValueError("DEIM shift flag does not match the model variant")
     elif deim is not None:
         raise ValueError(f"{variant.tag} does not take a DEIM model")
-
-    if state_energy is None:
-        state_energy = lambda z: eval_hamiltonian(fom.H, z)  # noqa: E731
 
     phi_u, phi_v = basis_u.phi, basis_v.phi
     if variant.shifted:
@@ -370,6 +327,7 @@ def build_rom(variant, basis_u, basis_v, fom, deim=None, state_energy=None):
 
     return ReducedModel(
         variant,
+        fom,
         cuv,
         a_red,
         lin_u,
@@ -378,14 +336,10 @@ def build_rom(variant, basis_u, basis_v, fom, deim=None, state_energy=None):
         phi_v,
         u_ref,
         v_ref,
-        c_u,
-        fom.H.G,
-        fom.H.g,
-        state_energy,
+        fom.c_u,
         bvu=bvu,
         deim_indices=None if deim is None else deim.indices,
         deim_weights=None if deim is None else deim.weights,
-        g_avg=fom.H.g_avg,
     )
 
 
@@ -430,8 +384,12 @@ def save_rom(model: ReducedModel, path):
 def load_rom(path, fom, state_energy=None) -> ReducedModel:
     """Load a reduced-model artifact.
 
-    The full-order system supplies the nonlinearity and (by default) the
-    state-energy evaluator; its dimensions are validated against the file.
+    The full-order system supplies the nonlinearity and the energy of the
+    reference state; its dimension is validated against the file.  The
+    `state_energy` keyword is accepted for backward compatibility and
+    ignored.  Raises FileFormatError for a malformed file, including
+    non-finite values and interpolation indices that are out of range or
+    repeated.
     """
     with open(path, "rb") as fh:
         head = read_exact(fh, struct.calcsize("<8sIIBQQQQ"), "artifact header")
@@ -446,7 +404,12 @@ def load_rom(path, fom, state_energy=None) -> ReducedModel:
             raise FileFormatError(f"{path}: unknown variant code {kind_code}")
         if max(n, r_u, r_v, s) > 1 << 32:
             raise FileFormatError(f"{path}: implausible dimensions")
-        variant = RomVariant(_KIND_NAMES[kind_code], bool(shifted))
+        try:
+            variant = RomVariant(_KIND_NAMES[kind_code], bool(shifted))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: {exc}") from None
+        if (s > 0) != (variant.kind == "sp-deim"):
+            raise FileFormatError(f"{path}: {variant.tag} with {s} interpolation points")
         cuv = read_array(fh, (r_u, r_v), "coupling block")
         a_red = read_array(fh, (r_u, r_u), "reduced quadratic block")
         lin_u = read_array(fh, (r_u,), "u-block offset")
@@ -456,23 +419,28 @@ def load_rom(path, fom, state_energy=None) -> ReducedModel:
         u_ref = read_array(fh, (n,), "u reference")
         v_ref = read_array(fh, (n,), "v reference")
         c_u = read_array(fh, (n,), "nonlinear weights")
-        bvu = (
-            read_array(fh, (r_v, r_u), "cross projection")
-            if variant.kind == "g-rom"
-            else None
-        )
-        indices = weights = None
+        floats = [cuv, a_red, lin_u, lin_v, phi_u, phi_v, u_ref, v_ref, c_u]
+        bvu = indices = weights = None
+        if variant.kind == "g-rom":
+            bvu = read_array(fh, (r_v, r_u), "cross projection")
+            floats.append(bvu)
         if s:
             indices = read_array(fh, (s,), "interpolation indices", dtype="<u8")
             weights = read_array(fh, (s,), "interpolation weights")
-    if fom.dim != 2 * n:
-        raise ValueError(
-            f"artifact dimension 2x{n} does not match the system dimension {fom.dim}"
+            floats.append(weights)
+    if not all(np.all(np.isfinite(arr)) for arr in floats):
+        raise FileFormatError(f"{path}: non-finite values")
+    if s and (int(indices.max()) >= n or np.unique(indices).shape[0] != s):
+        raise FileFormatError(
+            f"{path}: interpolation indices must be distinct and below n = {n}"
         )
-    if state_energy is None:
-        state_energy = lambda z: eval_hamiltonian(fom.H, z)  # noqa: E731
+    if fom.n != n:
+        raise ValueError(
+            f"artifact block dimension {n} does not match the system's {fom.n}"
+        )
     return ReducedModel(
         variant,
+        fom,
         cuv,
         a_red,
         lin_u,
@@ -482,11 +450,7 @@ def load_rom(path, fom, state_energy=None) -> ReducedModel:
         u_ref,
         v_ref,
         c_u,
-        fom.H.G,
-        fom.H.g,
-        state_energy,
         bvu=bvu,
         deim_indices=indices,
         deim_weights=weights,
-        g_avg=fom.H.g_avg,
     )

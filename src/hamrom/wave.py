@@ -2,12 +2,9 @@
 
 The PDE u_tt = c^2 u_xx - sin(u) on a periodic domain [0, l] is
 semi-discretized with a three-point stencil on n grid points x_i = i*dx.
-In first-order form z = (u, v) the system is Hamiltonian with
-
-    D = [[0, I], [-I, 0]],   Q = blkdiag(-A, I),   G(x) = 1 - cos(x),
-
-and the nonlinear weights equal one on the u-block and zero on the
-v-block, so that H(z) = 0.5 v^T v - 0.5 u^T A u + sum_i (1 - cos u_i).
+In first-order form z = (u, v) it is a `core.TwoBlockSystem` with the
+sparse periodic Laplacian A, weights c_u = 1 and G(x) = 1 - cos(x), so
+that H(z) = 0.5 v^T v - 0.5 u^T A u + sum_i (1 - cos u_i).
 
 `make_wave_step` advances the system with the average-vector-field (AVF)
 discrete gradient, which conserves H exactly (up to the fixed-point
@@ -21,12 +18,11 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
-from .core import HamiltonianSystem, SkewOperator, SplitHamiltonian
+from .core import TwoBlockSystem
 from .integrator import IntegratorConfig, picard_solve
 
 __all__ = [
     "WaveConfig",
-    "LaplacianOperator",
     "build_laplacian",
     "bump_spline",
     "spline_initial_condition",
@@ -61,28 +57,16 @@ class WaveConfig:
         return self.dx * np.arange(self.n)
 
 
-class LaplacianOperator:
-    """Scaled periodic second-difference operator c^2/dx^2 * (1, -2, 1)."""
-
-    def __init__(self, cfg: WaveConfig):
-        n = cfg.n
-        k = cfg.c_speed**2 / cfg.dx**2
-        mat = np.zeros((n, n))
-        idx = np.arange(n)
-        mat[idx, idx] = -2.0 * k
-        mat[idx, (idx + 1) % n] = k
-        mat[idx, (idx - 1) % n] = k
-        self.coeff = k
-        self.matrix = mat
-        self.csr = sparse.csr_matrix(mat)
-
-    def apply(self, u):
-        return self.csr @ u
-
-
-def build_laplacian(cfg: WaveConfig) -> LaplacianOperator:
-    """Assemble the periodic Laplacian for the given grid."""
-    return LaplacianOperator(cfg)
+def build_laplacian(cfg: WaveConfig) -> sparse.csr_matrix:
+    """Periodic second-difference matrix c^2/dx^2 * (1, -2, 1), as CSR
+    with sorted column indices."""
+    n = cfg.n
+    k = cfg.c_speed**2 / cfg.dx**2
+    rows = np.arange(n)[:, None]
+    cols = np.sort(np.hstack([(rows - 1) % n, rows, (rows + 1) % n]), axis=1)
+    data = np.where(cols == rows, -2.0 * k, k)
+    indptr = 3 * np.arange(n + 1)
+    return sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))
 
 
 def bump_spline(s):
@@ -106,47 +90,22 @@ def initial_state(cfg: WaveConfig) -> np.ndarray:
     return np.concatenate([spline_initial_condition(cfg), np.zeros(cfg.n)])
 
 
-def assemble_wave_fom(cfg: WaveConfig) -> HamiltonianSystem:
-    """Assemble the 2n-dimensional wave system with dense operators.
-
-    This is the reference path; `make_wave_rhs` / `make_wave_energy`
-    provide equivalent matrix-free evaluation for time stepping.
-    """
-    n = cfg.n
-    lap = build_laplacian(cfg)
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    D = SkewOperator(np.block([[zero, eye], [-eye, zero]]))
-    Q = np.block([[-lap.matrix, zero], [zero, eye]])
-    c = np.concatenate([np.ones(n), np.zeros(n)])
-    H = SplitHamiltonian(Q, lambda x: 1.0 - np.cos(x), np.sin, c, g_avg=sin_average)
-    return HamiltonianSystem(D, H)
+def assemble_wave_fom(cfg: WaveConfig) -> TwoBlockSystem:
+    """The 2n-dimensional wave system: sparse Laplacian, unit weights,
+    G = 1 - cos with its AVF segment mean `sin_average`."""
+    return TwoBlockSystem(
+        build_laplacian(cfg), np.ones(cfg.n), lambda x: 1.0 - np.cos(x), np.sin, sin_average
+    )
 
 
 def make_wave_rhs(cfg: WaveConfig):
-    """Matrix-free right-hand side z -> (v, A u - sin u) for time stepping."""
-    n = cfg.n
-    A = build_laplacian(cfg).csr
-
-    def f(z):
-        u = z[:n]
-        v = z[n:]
-        return np.concatenate([v, A @ u - np.sin(u)])
-
-    return f
+    """Right-hand side z -> (v, A u - sin u) of the assembled system."""
+    return assemble_wave_fom(cfg).rhs
 
 
 def make_wave_energy(cfg: WaveConfig):
-    """Matrix-free Hamiltonian z -> 0.5 v'v - 0.5 u'Au + sum(1 - cos u)."""
-    n = cfg.n
-    A = build_laplacian(cfg).csr
-
-    def energy(z):
-        u = z[:n]
-        v = z[n:]
-        return float(0.5 * v @ v - 0.5 * u @ (A @ u) + np.sum(1.0 - np.cos(u)))
-
-    return energy
+    """Hamiltonian z -> 0.5 v'v - 0.5 u'Au + sum(1 - cos u) of the assembled system."""
+    return assemble_wave_fom(cfg).energy
 
 
 def sin_average(x0, x1):
@@ -176,7 +135,7 @@ def make_wave_step(cfg: WaveConfig, config: IntegratorConfig, g_avg=sin_average)
     n = cfg.n
     dt = config.dt
     q = 0.25 * dt * dt
-    A = build_laplacian(cfg).csr
+    A = build_laplacian(cfg)
     solve = splu(sparse.csc_matrix(sparse.identity(n) - q * A)).solve
 
     def step(z):

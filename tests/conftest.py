@@ -25,3 +25,34 @@ def small_wave():
     """Tiny wave system shared by read-only tests."""
     cfg = WaveConfig(n=24)
     return {"cfg": cfg, "fom": assemble_wave_fom(cfg), "z0": initial_state(cfg)}
+
+
+def check_skew(matrix, tol):
+    """Return True iff ||M^T + M||_max <= tol; ValueError if not square."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return float(np.max(np.abs(m + m.T))) <= tol
+
+
+def dense_operators(fom):
+    """Dense reference form z' = D (Q z + c * g(z)) of a two-block system:
+    D = [[0, I], [-I, 0]], Q = blkdiag(-A, I), c = (c_u, 0)."""
+    n = fom.n
+    eye, zero = np.eye(n), np.zeros((n, n))
+    D = np.block([[zero, eye], [-eye, zero]])
+    Q = np.block([[-fom.A.toarray(), zero], [zero, eye]])
+    c = np.concatenate([fom.c_u, np.zeros(n)])
+    return D, Q, c
+
+
+def dense_energy(fom, z):
+    """H(z) = 0.5 z^T Q z + sum_i c_i G(z_i) through the dense operators."""
+    _, Q, c = dense_operators(fom)
+    return float(0.5 * z @ (Q @ z) + c @ fom.G(z))
+
+
+def dense_rhs(fom, z):
+    """D grad H(z) through the dense operators."""
+    D, Q, c = dense_operators(fom)
+    return D @ (Q @ z + c * fom.g(z))

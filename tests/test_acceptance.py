@@ -39,7 +39,6 @@ from hamrom.wave import (
     assemble_wave_fom,
     build_laplacian,
     initial_state,
-    make_wave_energy,
     make_wave_rhs,
 )
 
@@ -77,7 +76,7 @@ def small_pipe():
         make_wave_rhs(cfg), initial_state(cfg), IntegratorConfig(dt=0.01, t_final=2.0)
     )
     z0 = traj.states[0]
-    G = fom.H.G
+    G = fom.G
     set_u = collect(traj, 10, lambda z: z[:n], "state-u")
     set_v = collect(traj, 10, lambda z: z[n:], "state-v")
     set_g = collect(traj, 10, lambda z: G(z[:n]), "nonlinear-G")
@@ -106,7 +105,7 @@ def small_pipe():
         "cfg": cfg,
         "fom": fom,
         "z0": z0,
-        "A": build_laplacian(cfg).matrix,
+        "A": build_laplacian(cfg).toarray(),
         "deims": deims,
         "models": models,
     }
@@ -221,11 +220,10 @@ def test_c5_sampled_evaluation_counts(bench):
     cfg = PipelineConfig(t_final=0.2)
     wcfg = cfg.wave_config()
     fom = assemble_wave_fom(wcfg)
-    energy = make_wave_energy(wcfg)
     z0 = initial_state(wcfg)
     counts = {}
     for tag in ("sp-deim-1", "sp-pod-1"):
-        model = load_rom(bench["outs"][0] / f"rom_{tag}_r10.bin", fom, state_energy=energy)
+        model = load_rom(bench["outs"][0] / f"rom_{tag}_r10.bin", fom)
         counter = EvalCounter(np.sin)
         integrate(model.make_rhs(g=counter), model.initial_coefficients(z0),
                   cfg.integrator_config())
@@ -357,11 +355,11 @@ def test_c7_second_order_convergence():
     lap = build_laplacian(WaveConfig(n=n))
 
     def f(z):
-        return np.concatenate([z[n:], lap.csr @ z[:n]])
+        return np.concatenate([z[n:], lap @ z[:n]])
 
     gen = np.zeros((2 * n, 2 * n))
     gen[:n, n:] = np.eye(n)
-    gen[n:, :n] = lap.matrix
+    gen[n:, :n] = lap.toarray()
     z0 = initial_state(WaveConfig(n=n))
     exact = scipy.linalg.expm(gen) @ z0
     errs = [

@@ -1,9 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from hamrom.cli import (
+    _CONFIG_PARSERS,
     ConfigError,
     PipelineConfig,
     build_config,
@@ -193,3 +195,76 @@ def test_main_happy_path(tmp_path):
     assert main(["online", "--rom", str(out / "rom_sp-pod-1_r2.bin"), *argv_tail]) == 0
     report = json.loads((out / "report_sp-pod-1_r2.json").read_text())
     assert report["variant"] == "sp-pod-1"
+
+
+CONFIG_VALUES = {
+    "n": "64",
+    "c_speed": "0.2",
+    "length": "2.0",
+    "dt": "0.02",
+    "t_final": "1.0",
+    "stride": "5",
+    "r": "3,5",
+    "deim_mult": "3",
+    "variants": "sp-pod-1,g-rom",
+    "picard_tol": "1e-10",
+    "picard_max_iter": "50",
+    "out": "elsewhere",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_PARSERS))
+def test_config_file_key_matches_flag(tmp_path, key):
+    conf = tmp_path / "one.conf"
+    conf.write_text(f"{key} = {CONFIG_VALUES[key]}\n")
+    from_file = build_config(build_parser().parse_args(["fom", "--config", str(conf)]))
+    flag = "--" + key.replace("_", "-")
+    from_flag = build_config(build_parser().parse_args(["fom", flag, CONFIG_VALUES[key]]))
+    assert from_file == from_flag != PipelineConfig()
+
+
+@pytest.fixture(scope="module")
+def deim_run(tmp_path_factory):
+    """Trajectory and one sp-deim-1 artifact at n=32, r=2."""
+    out = tmp_path_factory.mktemp("deim")
+    tail = ["--n", "32", "--t-final", "0.5", "--stride", "10", "--r", "2",
+            "--variants", "sp-deim-1", "--out", str(out)]
+    assert main(["fom", *tail]) == 0
+    assert main(["offline", *tail]) == 0
+    return out, tail
+
+
+@pytest.mark.parametrize(
+    "case",
+    ("index-out-of-range", "duplicate-index", "nan-weight", "pod-with-points", "shifted-galerkin"),
+)
+def test_online_rejects_malformed_artifact(deim_run, tmp_path, case):
+    out, tail = deim_run
+    rom = out / "rom_sp-deim-1_r2.bin"
+    assert main(["online", "--rom", str(rom), *tail]) == 0
+    data = bytearray(rom.read_bytes())
+    (s,) = struct.unpack_from("<Q", data, 41)  # last header field
+    at = len(data) - 16 * s  # indices, then weights, close the file
+    if case == "index-out-of-range":
+        data[at : at + 8] = struct.pack("<Q", 10**6)
+    elif case == "duplicate-index":
+        data[at + 8 : at + 16] = data[at : at + 8]
+    elif case == "nan-weight":
+        data[-8:] = struct.pack("<d", float("nan"))
+    elif case == "pod-with-points":
+        data[12:16] = struct.pack("<I", 1)  # variant code of sp-pod
+    else:
+        data[12:17] = struct.pack("<IB", 0, 1)  # g-rom with the shift flag
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(data))
+    assert main(["online", "--rom", str(bad), *tail]) == 4
+
+
+def test_online_rejects_oversized_trajectory_header(deim_run, tmp_path):
+    out, tail = deim_run
+    data = bytearray((out / "fom_trajectory.bin").read_bytes())
+    data[12:28] = struct.pack("<QQ", 1 << 18, 1 << 18)  # dim and count
+    bad = tmp_path / "traj.bin"
+    bad.write_bytes(bytes(data))
+    rom = str(out / "rom_sp-deim-1_r2.bin")
+    assert main(["online", "--rom", rom, "--traj", str(bad), *tail]) == 4

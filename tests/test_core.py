@@ -1,104 +1,105 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from numpy.testing import assert_allclose
 
-from conftest import random_orthonormal, random_skew
-from hamrom.core import (
-    HamiltonianSystem,
-    SkewOperator,
-    SplitHamiltonian,
-    check_skew,
-    eval_gradient,
-    eval_hamiltonian,
-    rhs,
-)
+from conftest import check_skew, dense_operators, random_orthonormal, random_skew
+from hamrom.core import TwoBlockSystem
 
 COS_SPLIT = dict(G=lambda x: 1.0 - np.cos(x), g=np.sin)
 
 
 def quadratic_only(n):
-    return SplitHamiltonian(np.eye(n), lambda x: 0.0 * x, lambda x: 0.0 * x, np.zeros(n))
+    # A = -I and no nonlinearity: H(z) = 0.5 |z|^2, z' = (v, -u)
+    return TwoBlockSystem(-sparse.identity(n), np.zeros(n), lambda x: 0.0 * x, lambda x: 0.0 * x)
+
+
+def random_symmetric(rng, n):
+    m = rng.standard_normal((n, n))
+    return m + m.T
 
 
 def test_hamiltonian_quadratic_identity():
-    ham = quadratic_only(2)
-    assert eval_hamiltonian(ham, np.array([1.0, 0.0])) == 0.5
+    system = quadratic_only(1)
+    assert system.energy(np.array([1.0, 0.0])) == 0.5
 
 
 def test_hamiltonian_matches_scalar_loop_oracle(rng):
     n = 5
-    m = rng.standard_normal((n, n))
-    Q = m + m.T
-    c = np.ones(n)
-    ham = SplitHamiltonian(Q, **COS_SPLIT, c=c)
-    u = rng.standard_normal(n)
+    A = random_symmetric(rng, n)
+    system = TwoBlockSystem(A, np.ones(n), **COS_SPLIT)
+    z = rng.standard_normal(2 * n)
+    u, v = z[:n], z[n:]
     # independent elementwise accumulation
     expected = 0.0
     for i in range(n):
+        expected += 0.5 * v[i] * v[i]
         for j in range(n):
-            expected += 0.5 * u[i] * Q[i, j] * u[j]
+            expected -= 0.5 * u[i] * A[i, j] * u[j]
         expected += 1.0 - np.cos(u[i])
-    assert_allclose(eval_hamiltonian(ham, u), expected, rtol=1e-14)
+    assert_allclose(system.energy(z), expected, rtol=1e-14)
 
 
 def test_gradient_identity_and_zero_cases():
-    ham = quadratic_only(3)
-    u = np.array([0.3, -1.2, 2.0])
-    assert_allclose(eval_gradient(ham, u), u)
-    ham_cos = SplitHamiltonian(np.eye(3), **COS_SPLIT, c=np.ones(3))
-    assert_allclose(eval_gradient(ham_cos, np.zeros(3)), np.zeros(3))
+    system = quadratic_only(3)
+    z = np.array([0.3, -1.2, 2.0, 0.5, 0.1, -0.7])
+    assert_allclose(system.rhs(z), np.concatenate([z[3:], -z[:3]]))
+    cos_system = TwoBlockSystem(-sparse.identity(3), np.ones(3), **COS_SPLIT)
+    assert_allclose(cos_system.rhs(np.zeros(6)), np.zeros(6))
+
+
+def fd_skew_gradient(system, z, indices, step=1e-6):
+    """Components of D grad H(z) from central differences of the energy."""
+    n = system.n
+    out = np.empty(len(indices))
+    for k, i in enumerate(indices):
+        j = i + n if i < n else i - n  # (D w)_i = w_{i+n} on u, -w_{i-n} on v
+        e = np.zeros(2 * n)
+        e[j] = step
+        fd = (system.energy(z + e) - system.energy(z - e)) / (2 * step)
+        out[k] = fd if i < n else -fd
+    return out
 
 
 def test_gradient_matches_finite_differences(rng):
     n = 8
-    m = rng.standard_normal((n, n))
-    ham = SplitHamiltonian(m + m.T, **COS_SPLIT, c=rng.standard_normal(n))
-    u = rng.standard_normal(n)
-    step = 1e-6
-    fd = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        fd[i] = (eval_hamiltonian(ham, u + e) - eval_hamiltonian(ham, u - e)) / (2 * step)
-    assert_allclose(eval_gradient(ham, u), fd, rtol=1e-6)
+    system = TwoBlockSystem(random_symmetric(rng, n), rng.standard_normal(n), **COS_SPLIT)
+    z = rng.standard_normal(2 * n)
+    fd = fd_skew_gradient(system, z, range(2 * n))
+    assert_allclose(system.rhs(z), fd, rtol=1e-6)
 
 
 def test_gradient_fd_property_across_dimensions(rng):
     for _ in range(50):
         n = int(rng.integers(2, 51))
-        m = rng.standard_normal((n, n))
-        ham = SplitHamiltonian(m + m.T, **COS_SPLIT, c=rng.standard_normal(n))
-        u = rng.standard_normal(n)
-        step = 1e-6
-        grad = eval_gradient(ham, u)
-        idx = int(rng.integers(n))  # one random component per draw keeps this fast
-        e = np.zeros(n)
-        e[idx] = step
-        fd = (eval_hamiltonian(ham, u + e) - eval_hamiltonian(ham, u - e)) / (2 * step)
-        assert_allclose(grad[idx], fd, rtol=1e-6, atol=1e-8 * max(1, abs(fd)))
+        system = TwoBlockSystem(
+            random_symmetric(rng, n), rng.standard_normal(n), **COS_SPLIT
+        )
+        z = rng.standard_normal(2 * n)
+        idx = int(rng.integers(2 * n))  # one random component per draw keeps this fast
+        fd = fd_skew_gradient(system, z, [idx])[0]
+        assert_allclose(system.rhs(z)[idx], fd, rtol=1e-6, atol=1e-8 * max(1, abs(fd)))
 
 
 def test_hamiltonian_permutation_invariance(rng):
     n = 7
-    m = rng.standard_normal((n, n))
-    Q = m + m.T
+    A = random_symmetric(rng, n)
     c = rng.standard_normal(n)
-    u = rng.standard_normal(n)
+    z = rng.standard_normal(2 * n)
     perm = rng.permutation(n)
     P = np.eye(n)[perm]
-    ham = SplitHamiltonian(Q, **COS_SPLIT, c=c)
-    ham_p = SplitHamiltonian(P @ Q @ P.T, **COS_SPLIT, c=P @ c)
-    assert_allclose(
-        eval_hamiltonian(ham_p, P @ u), eval_hamiltonian(ham, u), rtol=1e-13
-    )
+    system = TwoBlockSystem(A, c, **COS_SPLIT)
+    permuted = TwoBlockSystem(P @ A @ P.T, P @ c, **COS_SPLIT)
+    zp = np.concatenate([P @ z[:n], P @ z[n:]])
+    assert_allclose(permuted.energy(zp), system.energy(z), rtol=1e-13)
 
 
 def test_rhs_zero_operator_and_oscillator():
-    ham = quadratic_only(2)
-    system = HamiltonianSystem(SkewOperator(np.zeros((2, 2))), ham)
-    assert_allclose(rhs(system, np.array([3.0, -4.0])), np.zeros(2))
-    osc = HamiltonianSystem(SkewOperator(np.array([[0.0, 1.0], [-1.0, 0.0]])), ham)
-    assert_allclose(rhs(osc, np.array([1.0, 0.0])), np.array([0.0, -1.0]))
+    # a zero linear part without nonlinearity leaves v constant
+    free = TwoBlockSystem(sparse.csr_matrix((1, 1)), np.zeros(1), **COS_SPLIT)
+    assert_allclose(free.rhs(np.array([3.0, -4.0])), np.array([-4.0, 0.0]))
+    osc = quadratic_only(1)
+    assert_allclose(osc.rhs(np.array([1.0, 0.0])), np.array([0.0, -1.0]))
 
 
 def test_check_skew_examples():
@@ -124,27 +125,31 @@ def test_skew_quadratic_form_vanishes(rng):
 
 
 def test_skew_operator_rejects_non_skew():
-    with pytest.raises(ValueError):
-        SkewOperator(np.eye(2))
-    with pytest.raises(ValueError):
-        SkewOperator(np.zeros((2, 3)))
+    # the coupling [[0, I], [-I, 0]] is fixed; what the record checks is A
+    with pytest.raises(ValueError):  # not symmetric
+        TwoBlockSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), **COS_SPLIT)
+    with pytest.raises(ValueError):  # not square
+        TwoBlockSystem(np.zeros((2, 3)), np.ones(2), **COS_SPLIT)
+    D, _, _ = dense_operators(quadratic_only(2))
+    assert check_skew(D, 0.0)
+    assert not check_skew(np.eye(2), 1e-14)
 
 
 def test_split_hamiltonian_validation():
     with pytest.raises(ValueError):
-        SplitHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), **COS_SPLIT, c=np.ones(2))
+        TwoBlockSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), **COS_SPLIT)
     with pytest.raises(ValueError):  # g is not the derivative of G
-        SplitHamiltonian(np.eye(2), G=lambda x: 1.0 - np.cos(x), g=np.cos, c=np.ones(2))
+        TwoBlockSystem(np.eye(2), np.ones(2), G=lambda x: 1.0 - np.cos(x), g=np.cos)
     with pytest.raises(ValueError):  # weight length mismatch
-        SplitHamiltonian(np.eye(2), **COS_SPLIT, c=np.ones(3))
+        TwoBlockSystem(np.eye(2), np.ones(3), **COS_SPLIT)
     with pytest.raises(ValueError, match="segment mean"):  # sin at the midpoint
-        SplitHamiltonian(np.eye(2), **COS_SPLIT, c=np.ones(2),
-                         g_avg=lambda x0, x1: np.sin(0.5 * (x0 + x1)))
+        TwoBlockSystem(np.eye(2), np.ones(2), **COS_SPLIT,
+                       g_avg=lambda x0, x1: np.sin(0.5 * (x0 + x1)))
 
 
 def test_dimension_mismatch_errors():
-    ham = quadratic_only(3)
+    system = quadratic_only(3)
     with pytest.raises(ValueError):
-        eval_hamiltonian(ham, np.ones(4))
+        system.energy(np.ones(4))
     with pytest.raises(ValueError):
-        eval_gradient(ham, np.ones(2))
+        system.rhs(np.ones(2))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -64,11 +66,11 @@ def _linear_wave(n):
     lap = build_laplacian(WaveConfig(n=n))
 
     def f(z):
-        return np.concatenate([z[n:], lap.csr @ z[:n]])
+        return np.concatenate([z[n:], lap @ z[:n]])
 
     gen = np.zeros((2 * n, 2 * n))
     gen[:n, n:] = np.eye(n)
-    gen[n:, :n] = lap.matrix
+    gen[n:, :n] = lap.toarray()
     return f, gen
 
 
@@ -174,3 +176,16 @@ def test_state_chunks_cover_file(tmp_path, rng):
     save_trajectory(Trajectory(states, np.arange(23.0)), path, dt=1.0)
     seen = np.concatenate([block for _, block in iter_state_chunks(path, chunk=7)])
     assert seen.tobytes() == states.tobytes()
+
+
+def test_oversized_header_rejected_before_allocation(tmp_path, rng):
+    # a header claiming 2^18 x 2^18 states (512 GiB) over a few bytes of data
+    path = tmp_path / "traj.bin"
+    save_trajectory(Trajectory(rng.standard_normal((2, 3)), np.arange(2.0)), path, dt=1.0)
+    data = bytearray(path.read_bytes())
+    data[12:28] = struct.pack("<QQ", 1 << 18, 1 << 18)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FileFormatError, match="state data"):
+        load_trajectory(path)
+    with pytest.raises(FileFormatError, match="state data"):
+        next(iter_state_chunks(path))

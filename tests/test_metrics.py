@@ -91,10 +91,10 @@ def test_linear_energy_series_constant():
     n = cfg.n
 
     def f(z):
-        return np.concatenate([z[n:], lap.csr @ z[:n]])
+        return np.concatenate([z[n:], lap @ z[:n]])
 
     def energy(z):
-        return 0.5 * z[n:] @ z[n:] - 0.5 * z[:n] @ (lap.csr @ z[:n])
+        return 0.5 * z[n:] @ z[n:] - 0.5 * z[:n] @ (lap @ z[:n])
 
     traj = integrate(f, initial_state(cfg), IntegratorConfig(dt=0.01, t_final=1.0))
     series = energy_series_of_states(energy, traj, cfg.dx)

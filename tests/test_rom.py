@@ -1,15 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_orthonormal
-from hamrom.core import (
-    HamiltonianSystem,
-    SplitHamiltonian,
-    check_skew,
-    eval_hamiltonian,
-    rhs as fom_rhs,
-)
+from conftest import check_skew, dense_energy, dense_operators, dense_rhs, random_orthonormal
 from hamrom.deim import build_deim
 from hamrom.integrator import IntegratorConfig, integrate, integrate_steps
 from hamrom.metrics import EvalCounter
@@ -33,7 +28,7 @@ def pipe():
     )
     z0 = traj.states[0]
     u0, v0 = z0[:n], z0[n:]
-    G = fom.H.G
+    G = fom.G
     set_u = collect(traj, 10, lambda z: z[:n], "state-u")
     set_v = collect(traj, 10, lambda z: z[n:], "state-v")
     set_g = collect(traj, 10, lambda z: G(z[:n]), "nonlinear-G")
@@ -58,7 +53,7 @@ def pipe():
     A = None
     from hamrom.wave import build_laplacian
 
-    A = build_laplacian(cfg).matrix
+    A = build_laplacian(cfg).toarray()
     return {
         "cfg": cfg,
         "fom": fom,
@@ -122,7 +117,7 @@ def test_identity_basis_reproduces_fom_rhs(small_wave):
     rng = np.random.default_rng(5)
     for _ in range(5):
         z = rng.standard_normal(2 * n)
-        expected = fom_rhs(fom, z)
+        expected = dense_rhs(fom, z)
         scale = max(1.0, np.max(np.abs(expected)))
         assert np.max(np.abs(model.rhs(z) - expected)) <= 1e-13 * scale
 
@@ -130,6 +125,7 @@ def test_identity_basis_reproduces_fom_rhs(small_wave):
 def test_reduced_skew_matches_dense_reduction(small_wave, rng):
     fom = small_wave["fom"]
     n = small_wave["cfg"].n
+    D, _, _ = dense_operators(fom)
     for _ in range(50):
         ru = int(rng.integers(1, 6))
         rv = int(rng.integers(1, 6))
@@ -139,7 +135,7 @@ def test_reduced_skew_matches_dense_reduction(small_wave, rng):
         block = np.zeros((2 * n, ru + rv))
         block[:n, :ru] = bu.phi
         block[n:, ru:] = bv.phi
-        dense = block.T @ fom.D.matrix @ block
+        dense = block.T @ D @ block
         assert_allclose(model.reduced_skew(), dense, atol=1e-12)
         assert check_skew(model.reduced_skew(), 1e-12)
 
@@ -249,7 +245,7 @@ def test_g_rom_rhs_matches_dense_galerkin(pipe):
 
 
 def test_shifted_models_exact_at_reference(pipe):
-    h0 = eval_hamiltonian(pipe["fom"].H, pipe["z0"])
+    h0 = dense_energy(pipe["fom"], pipe["z0"])
     for tag in ("sp-pod-2", "sp-deim-2"):
         model = pipe["models"][tag]
         zero = np.zeros(model.r_u + model.r_v)
@@ -264,7 +260,7 @@ def test_sp_pod_1_energy_is_projected_ic_energy(pipe):
     coeffs = model.initial_coefficients(pipe["z0"])
     projected = np.concatenate([model.phi_u @ (model.phi_u.T @ u0), np.zeros(model.n)])
     assert_allclose(
-        model.hamiltonian(coeffs), eval_hamiltonian(fom.H, projected), rtol=1e-12
+        model.hamiltonian(coeffs), dense_energy(fom, projected), rtol=1e-12
     )
 
 
@@ -284,6 +280,27 @@ def test_unshifted_initial_coefficients_are_projections(pipe, rng):
     assert np.max(np.abs(model.phi_v.T @ (z_rand[n:] - V[:, 0]))) <= 1e-10
 
 
+def test_hamiltonian_of_a_stack_matches_each_row(pipe):
+    for tag, model in pipe["models"].items():
+        states = random_reduced_states(model, 6)
+        rows = np.array([model.hamiltonian(z) for z in states])
+        assert_allclose(model.hamiltonian(states), rows, rtol=1e-13, err_msg=tag)
+
+
+def test_shifted_initial_coefficients_are_projections(pipe):
+    # away from the reference state a shifted model projects z - ref
+    z = pipe["traj"].states[100]
+    for tag in ("sp-pod-2", "sp-deim-2"):
+        model = pipe["models"][tag]
+        n = model.n
+        expected = np.concatenate(
+            [model.phi_u.T @ (z[:n] - model.u_ref), model.phi_v.T @ (z[n:] - model.v_ref)]
+        )
+        coeffs = model.initial_coefficients(z)
+        assert np.max(np.abs(expected)) > 1e-3
+        assert_allclose(coeffs, expected, rtol=0, atol=1e-14)
+
+
 def test_shifted_rhs_at_origin_reads_off_display(pipe):
     # with v_ref = 0 the u-equation vanishes at the origin and the
     # v-equation carries the projected gradient at the reference state
@@ -293,9 +310,13 @@ def test_shifted_rhs_at_origin_reads_off_display(pipe):
         out = model.rhs(zero)
         assert np.max(np.abs(out[: model.r_u])) == 0.0
         if tag == "sp-pod-2":
-            grad_u = model._proj_u @ np.sin(model.u_ref) - model.lin_u
+            grad_u = model.phi_u.T @ (model.c_u * np.sin(model.u_ref)) - model.lin_u
         else:
-            grad_u = model._wmat @ np.sin(model._u_ref_s) - model.lin_u
+            idx = model.deim_indices
+            grad_u = (
+                model.phi_u[idx].T @ (model.deim_weights * np.sin(model.u_ref[idx]))
+                - model.lin_u
+            )
         assert_allclose(out[model.r_u :], -model.cuv.T @ grad_u, atol=1e-14)
 
 
@@ -378,10 +399,7 @@ def test_g_rom_energy_drift_is_model_level(pipe):
 
 
 def test_make_step_needs_segment_mean(pipe):
-    fom = pipe["fom"]
-    plain = HamiltonianSystem(
-        fom.D, SplitHamiltonian(fom.H.Q, fom.H.G, fom.H.g, fom.H.c)
-    )
+    plain = dataclasses.replace(pipe["fom"], g_avg=None)
     model = build_rom(RomVariant.from_tag("sp-pod-1"), *pipe["bases"][False], plain)
     with pytest.raises(ValueError, match="g_avg"):
         model.make_step(IntegratorConfig())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hamrom.core import check_skew, eval_hamiltonian, rhs
+from conftest import check_skew, dense_energy, dense_operators
 from hamrom.integrator import IntegratorConfig, integrate, integrate_steps, picard_solve
 from hamrom.wave import (
     WaveConfig,
@@ -20,28 +20,28 @@ from hamrom.wave import (
 
 def test_laplacian_default_coefficients():
     lap = build_laplacian(WaveConfig())
-    assert_allclose(lap.coeff, 2500.0)
-    assert_allclose(np.diag(lap.matrix), -5000.0)
+    assert_allclose(lap[0, 1], 2500.0)
+    assert_allclose(lap.diagonal(), -5000.0)
 
 
 def test_laplacian_annihilates_constants():
     lap = build_laplacian(WaveConfig(n=32))
-    assert np.max(np.abs(lap.matrix @ np.ones(32))) <= 1e-9
+    assert np.max(np.abs(lap.toarray() @ np.ones(32))) <= 1e-9
 
 
 def test_laplacian_circulant_eigenvalues():
     cfg = WaveConfig(n=4)
     lap = build_laplacian(cfg)
-    eig = np.sort(np.linalg.eigvalsh(lap.matrix))
+    eig = np.sort(np.linalg.eigvalsh(lap.toarray()))
     j = np.arange(4)
-    expected = np.sort(-4.0 * lap.coeff * np.sin(np.pi * j / 4) ** 2)
+    expected = np.sort(-4.0 * lap[0, 1] * np.sin(np.pi * j / 4) ** 2)
     assert_allclose(eig, expected, atol=1e-9)
 
 
 def test_laplacian_negative_semidefinite():
     for n in (8, 33, 64):
         lap = build_laplacian(WaveConfig(n=n))
-        assert np.max(np.linalg.eigvalsh(lap.matrix)) <= 1e-9
+        assert np.max(np.linalg.eigvalsh(lap.toarray())) <= 1e-9
 
 
 def test_too_few_points_rejected():
@@ -69,9 +69,10 @@ def test_initial_condition_support():
 def test_assembled_operators_structure(small_wave):
     fom = small_wave["fom"]
     n = small_wave["cfg"].n
-    assert check_skew(fom.D.matrix, 1e-14)
-    assert_allclose(fom.H.Q[n:, n:], np.eye(n))
-    assert np.all(fom.H.c[:n] == 1.0) and np.all(fom.H.c[n:] == 0.0)
+    D, Q, c = dense_operators(fom)
+    assert check_skew(D, 1e-14)
+    assert_allclose(Q[n:, n:], np.eye(n))
+    assert np.all(c[:n] == 1.0) and np.all(c[n:] == 0.0)
 
 
 def test_rhs_matches_block_formula(small_wave):
@@ -82,8 +83,8 @@ def test_rhs_matches_block_formula(small_wave):
     for _ in range(5):
         z = rng.standard_normal(2 * n)
         u, v = z[:n], z[n:]
-        expected = np.concatenate([v, lap.matrix @ u - np.sin(u)])
-        assert_allclose(rhs(fom, z), expected, atol=1e-14 * max(1, np.max(np.abs(expected))))
+        expected = np.concatenate([v, lap.toarray() @ u - np.sin(u)])
+        assert_allclose(fom.rhs(z), expected, atol=1e-14 * max(1, np.max(np.abs(expected))))
         assert_allclose(make_wave_rhs(cfg)(z), expected, atol=1e-13)
 
 
@@ -91,10 +92,10 @@ def test_rhs_at_rest_initial_state(small_wave):
     cfg, fom = small_wave["cfg"], small_wave["fom"]
     n = cfg.n
     z0 = small_wave["z0"]
-    out = rhs(fom, z0)
+    out = fom.rhs(z0)
     assert_allclose(out[:n], np.zeros(n))  # u-block carries v = 0
     lap = build_laplacian(cfg)
-    assert_allclose(out[n:], lap.matrix @ z0[:n] - np.sin(z0[:n]), atol=1e-13)
+    assert_allclose(out[n:], lap.toarray() @ z0[:n] - np.sin(z0[:n]), atol=1e-13)
 
 
 def test_energy_matches_literal_formula(small_wave):
@@ -105,8 +106,8 @@ def test_energy_matches_literal_formula(small_wave):
     for _ in range(5):
         z = rng.standard_normal(2 * n)
         u, v = z[:n], z[n:]
-        literal = 0.5 * v @ v - 0.5 * u @ (lap.matrix @ u) + np.sum(1.0 - np.cos(u))
-        assert_allclose(eval_hamiltonian(fom.H, z), literal, rtol=1e-13)
+        literal = 0.5 * v @ v - 0.5 * u @ (lap.toarray() @ u) + np.sum(1.0 - np.cos(u))
+        assert_allclose(dense_energy(fom, z), literal, rtol=1e-13)
         assert_allclose(make_wave_energy(cfg)(z), literal, rtol=1e-13)
 
 
@@ -125,10 +126,10 @@ def test_linear_wave_energy_exactly_conserved():
     n = cfg.n
 
     def f(z):
-        return np.concatenate([z[n:], lap.csr @ z[:n]])
+        return np.concatenate([z[n:], lap @ z[:n]])
 
     def quad_energy(z):
-        return 0.5 * z[n:] @ z[n:] - 0.5 * z[:n] @ (lap.csr @ z[:n])
+        return 0.5 * z[n:] @ z[n:] - 0.5 * z[:n] @ (lap @ z[:n])
 
     icfg = IntegratorConfig(dt=0.01, t_final=1.0)
     traj = integrate(f, initial_state(cfg), icfg)
@@ -162,7 +163,7 @@ def test_wave_step_without_nonlinearity_is_cayley_map():
     lap = build_laplacian(cfg)
     gen = np.zeros((2 * n, 2 * n))
     gen[:n, n:] = np.eye(n)
-    gen[n:, :n] = lap.matrix
+    gen[n:, :n] = lap.toarray()
     eye = np.eye(2 * n)
     cayley = np.linalg.solve(eye - 0.5 * icfg.dt * gen, eye + 0.5 * icfg.dt * gen)
     step = make_wave_step(cfg, icfg, g_avg=lambda x0, x1: np.zeros_like(x0))
@@ -173,7 +174,7 @@ def test_wave_step_without_nonlinearity_is_cayley_map():
         z = z_next
 
     def linear(y):
-        return np.concatenate([y[n:], lap.csr @ y[:n]])
+        return np.concatenate([y[n:], lap @ y[:n]])
 
     factored = integrate_steps(step, initial_state(cfg), icfg)
     picard = integrate(linear, initial_state(cfg), icfg)
@@ -187,7 +188,7 @@ def test_factored_wave_step_matches_unfactored_avf_solve():
     n = cfg.n
     icfg = IntegratorConfig(dt=0.01, t_final=1.0)
     dt = icfg.dt
-    A = build_laplacian(cfg).csr
+    A = build_laplacian(cfg)
 
     def unfactored(z):
         u0 = z[:n]
