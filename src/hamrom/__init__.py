@@ -7,7 +7,7 @@ validated on; the `cli` module exposes the reproduction pipeline.
 """
 
 from .core import TwoBlockSystem
-from .deim import DeimModel, build_deim, deim_apply, deim_select, precompute_weights
+from .deim import DeimModel, build_deim, deim_select, precompute_weights
 from .integrator import (
     IntegratorConfig,
     PicardDivergenceError,
@@ -15,7 +15,6 @@ from .integrator import (
     integrate,
     integrate_steps,
     load_trajectory,
-    midpoint_step,
     save_trajectory,
 )
 from .metrics import RunReport, e_inf, hamiltonian_series, time_online
@@ -25,8 +24,6 @@ from .pod import (
     captured_energy,
     compute_pod,
     load_basis,
-    project,
-    reconstruct,
     save_basis,
 )
 from .rom import ReducedModel, RomVariant, build_rom, load_rom, save_rom

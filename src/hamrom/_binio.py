@@ -1,8 +1,11 @@
 """Shared helpers for the little-endian binary container formats."""
 
+import math
+import os
+
 import numpy as np
 
-__all__ = ["FileFormatError", "read_exact", "write_array", "read_array"]
+__all__ = ["FileFormatError", "read_exact", "check_payload", "write_array", "read_array"]
 
 
 class FileFormatError(RuntimeError):
@@ -19,12 +22,25 @@ def read_exact(fh, nbytes, section):
     return data
 
 
+def check_payload(fh, nbytes, section, path):
+    """Raise unless exactly nbytes follow the current position of fh.
+
+    Called with the payload size a header claims, before anything of that
+    size is allocated, so a corrupt header cannot request a huge buffer.
+    """
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if nbytes != remaining:
+        raise FileFormatError(
+            f"{path}: header claims {nbytes} bytes of {section}, "
+            f"but {remaining} bytes follow"
+        )
+
+
 def write_array(fh, arr, dtype="<f8"):
     fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
 
 def read_array(fh, shape, section, dtype="<f8"):
-    count = int(np.prod(shape)) if shape else 1
     itemsize = np.dtype(dtype).itemsize
-    data = read_exact(fh, itemsize * count, section)
+    data = read_exact(fh, itemsize * math.prod(shape), section)
     return np.frombuffer(data, dtype=dtype).reshape(shape).copy()

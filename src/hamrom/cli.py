@@ -198,14 +198,25 @@ def _write_json(path, payload):
 # Pipeline stages.
 
 
+def _timed_run(run, model):
+    """time_online(run), naming `model` in a Picard failure."""
+    try:
+        return time_online(run)
+    except PicardDivergenceError as exc:
+        raise PicardDivergenceError(
+            exc.iterations, exc.residual, exc.step, model=model
+        ) from None
+
+
 def cmd_fom(cfg: PipelineConfig) -> dict:
     """Run the full-order model (AVF steps) and persist trajectory + energy series."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     wcfg = cfg.wave_config()
     icfg = cfg.integrator_config()
-    traj, seconds = time_online(
-        lambda: integrate_steps(make_wave_step(wcfg, icfg), initial_state(wcfg), icfg)
+    traj, seconds = _timed_run(
+        lambda: integrate_steps(make_wave_step(wcfg, icfg), initial_state(wcfg), icfg),
+        "the full-order model",
     )
     series = energy_series_of_states(make_wave_energy(wcfg), traj, wcfg.dx)
     save_trajectory(traj, out / "fom_trajectory.bin", dt=cfg.dt)
@@ -311,7 +322,7 @@ def _online_run(cfg, model, fom_traj, fom_series):
 
     # the integration is deterministic, so repeats only serve the timing:
     # the minimum is the least contention-polluted estimate of online cost
-    rom_traj, seconds = time_online(run)
+    rom_traj, seconds = _timed_run(run, f"{model.tag} r={model.r_u}")
     for _ in range(_TIMING_REPEATS - 1):
         _, again = time_online(run)
         seconds = min(seconds, again)
@@ -344,7 +355,10 @@ def cmd_online(cfg: PipelineConfig, rom_path, traj_path=None) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
     wcfg = cfg.wave_config()
     fom = assemble_wave_fom(wcfg)
-    model = load_rom(rom_path, fom)
+    try:
+        model = load_rom(rom_path, fom)
+    except ValueError as exc:  # the artifact was built for another n
+        raise ConfigError(str(exc)) from None
     fom_traj = load_trajectory(traj_path or out / "fom_trajectory.bin")
     if fom_traj.dim != 2 * wcfg.n:
         raise ConfigError(

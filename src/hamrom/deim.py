@@ -15,7 +15,7 @@ reduced Hamiltonian and its gradient possible.
 import numpy as np
 import scipy.linalg
 
-__all__ = ["DeimModel", "deim_select", "build_deim", "deim_apply", "precompute_weights"]
+__all__ = ["DeimModel", "deim_select", "build_deim", "precompute_weights"]
 
 
 def deim_select(psi) -> np.ndarray:
@@ -99,12 +99,3 @@ def build_deim(basis, c) -> DeimModel:
     indices = deim_select(basis.phi)
     return DeimModel(basis.phi, indices, c, shift_ref=basis.shift_ref)
 
-
-def deim_apply(model: DeimModel, f_at_points) -> np.ndarray:
-    """Interpolate a full vector from its values at the selected indices."""
-    f_at_points = np.asarray(f_at_points, dtype=float)
-    if f_at_points.shape != (model.s,):
-        raise ValueError(
-            f"sampled values have shape {f_at_points.shape}, expected ({model.s},)"
-        )
-    return model.psi @ scipy.linalg.lu_solve(model.lu, f_at_points)

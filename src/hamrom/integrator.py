@@ -18,28 +18,27 @@ the stiff linear part factored once.  With no nonlinearity AVF is exactly
 the midpoint rule.
 
 Every step solves with `picard_solve`: convergence is measured on the
-iterate update in max-norm, relative with absolute floor 1.
+iterate update in max-norm, relative with absolute floor 1, and a
+non-finite update stops the solve at once.
 """
 
-import os
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._binio import FileFormatError, read_exact
+from ._binio import FileFormatError, check_payload, read_exact
 
 __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "PicardDivergenceError",
     "picard_solve",
-    "midpoint_step",
     "integrate",
     "integrate_steps",
     "save_trajectory",
     "load_trajectory",
-    "iter_state_chunks",
 ]
 
 _TRAJ_MAGIC = b"HRTRAJ01"
@@ -71,13 +70,19 @@ class IntegratorConfig:
 
 
 class PicardDivergenceError(RuntimeError):
-    """Fixed-point iteration failed to reach the update tolerance."""
+    """Fixed-point iteration failed to reach the update tolerance.
 
-    def __init__(self, iterations, residual, step=None):
+    `step` is the failing step of an integration and `model` names what
+    was integrated (for example "sp-deim-1 r=10"), when known.
+    """
+
+    def __init__(self, iterations, residual, step=None, model=None):
         self.iterations = iterations
         self.residual = residual
         self.step = step
-        where = "" if step is None else f" at step {step}"
+        self.model = model
+        where = "" if model is None else f" in {model}"
+        where += "" if step is None else f" at step {step}"
         super().__init__(
             f"Picard iteration did not converge{where}: "
             f"residual {residual:.3e} after {iterations} iterations"
@@ -109,14 +114,16 @@ def picard_solve(phi, x, config: IntegratorConfig):
     """Fixed point of phi by plain iteration from x; returns (x, iterations).
 
     Stops once the max-norm update is at most
-    picard_tol * max(1, max|x|); raises PicardDivergenceError after
-    picard_max_iter updates.
+    picard_tol * max(1, max|x|); raises PicardDivergenceError at the first
+    non-finite update, or after picard_max_iter updates.
     """
-    tol = config.picard_tol
+    tol, inf = config.picard_tol, math.inf
     for it in range(1, config.picard_max_iter + 1):
         x_next = phi(x)
         residual = float(np.max(np.abs(x_next - x)))
         x = x_next
+        if not residual < inf:  # NaN or infinite update
+            raise PicardDivergenceError(it, residual)
         if residual <= tol * max(1.0, float(np.max(np.abs(x)))):
             return x, it
     raise PicardDivergenceError(config.picard_max_iter, residual)
@@ -131,11 +138,6 @@ def _midpoint_step_map(f, config: IntegratorConfig):
         return picard_solve(lambda z_new: z + dt * f(half + 0.5 * z_new), z, config)
 
     return step
-
-
-def midpoint_step(f, z, config: IntegratorConfig) -> np.ndarray:
-    """Advance one implicit midpoint step of size config.dt."""
-    return _midpoint_step_map(f, config)(np.asarray(z, dtype=float))[0]
 
 
 def integrate(f, z0, config: IntegratorConfig, observer=None) -> Trajectory:
@@ -192,40 +194,18 @@ def save_trajectory(traj: Trajectory, path, dt=None):
         fh.write(np.ascontiguousarray(traj.states, dtype="<f8").tobytes())
 
 
-def _read_traj_header(fh, path):
-    head = read_exact(fh, struct.calcsize("<8sIQQdd"), "trajectory header")
-    magic, version, dim, count, dt, t0 = struct.unpack("<8sIQQdd", head)
-    if magic != _TRAJ_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}")
-    if version != 1:
-        raise FileFormatError(f"{path}: unsupported version {version}")
-    if dim == 0 or count == 0:
-        raise FileFormatError(f"{path}: implausible dimensions {dim} x {count}")
-    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-    if 8 * dim * count > remaining:
-        raise FileFormatError(
-            f"{path}: header claims {dim} x {count} states ({8 * dim * count} bytes "
-            f"of state data), but only {remaining} bytes follow"
-        )
-    return dim, count, dt, t0
-
-
 def load_trajectory(path) -> Trajectory:
     with open(path, "rb") as fh:
-        dim, count, dt, t0 = _read_traj_header(fh, path)
+        head = read_exact(fh, struct.calcsize("<8sIQQdd"), "trajectory header")
+        magic, version, dim, count, dt, t0 = struct.unpack("<8sIQQdd", head)
+        if magic != _TRAJ_MAGIC:
+            raise FileFormatError(f"{path}: bad magic {magic!r}")
+        if version != 1:
+            raise FileFormatError(f"{path}: unsupported version {version}")
+        if dim == 0 or count == 0:
+            raise FileFormatError(f"{path}: implausible dimensions {dim} x {count}")
+        check_payload(fh, 8 * dim * count, "state data", path)
         payload = read_exact(fh, 8 * dim * count, "state data")
     states = np.frombuffer(payload, dtype="<f8").reshape(count, dim).copy()
     times = t0 + np.arange(count) * dt
     return Trajectory(states, times)
-
-
-def iter_state_chunks(path, chunk=1024):
-    """Stream (start_index, block) pairs of states from a trajectory file."""
-    with open(path, "rb") as fh:
-        dim, count, _, _ = _read_traj_header(fh, path)
-        start = 0
-        while start < count:
-            m = min(chunk, count - start)
-            payload = read_exact(fh, 8 * dim * m, "state data")
-            yield start, np.frombuffer(payload, dtype="<f8").reshape(m, dim)
-            start += m

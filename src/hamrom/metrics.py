@@ -5,11 +5,11 @@ point of the Euclidean mismatch in the (u, v) pair,
 
     e_inf = max_k max_i sqrt((u_h - u_r)_i^2 + (v_h - v_r)_i^2),
 
-evaluated against the stored full-order trajectory (optionally streamed
-from disk).  Energy series are reported scaled by the mesh size dx, which
-makes them consistent approximations of the continuum Hamiltonian; the
-reduced series takes one batched `ReducedModel.hamiltonian` call per
-block of states.
+evaluated against the full-order trajectory in blocks of states.
+Energy series are reported scaled by the mesh size dx, which makes them
+consistent approximations of the continuum Hamiltonian; the reduced
+series takes one batched `ReducedModel.hamiltonian` call per block of
+states.
 """
 
 import json
@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .integrator import Trajectory, iter_state_chunks
+from .integrator import Trajectory
 
 __all__ = [
     "RunReport",
@@ -52,10 +52,6 @@ class RunReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=1)
 
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
-
 
 class EvalCounter:
     """Wrap a vectorized scalar map and count calls and scalar evaluations."""
@@ -72,36 +68,22 @@ class EvalCounter:
         return self.fn(x)
 
 
-def _fom_chunks(fom_traj, chunk):
-    if isinstance(fom_traj, Trajectory):
-        for start in range(0, len(fom_traj), chunk):
-            yield start, fom_traj.states[start : start + chunk]
-    else:
-        yield from iter_state_chunks(fom_traj, chunk)
-
-
-def e_inf(fom_traj, rom_traj: Trajectory, model, chunk=1024) -> float:
+def e_inf(fom_traj: Trajectory, rom_traj: Trajectory, model, chunk=1024) -> float:
     """Spatio-temporal max error of a reduced run against the full one.
 
-    `fom_traj` is a Trajectory or a path to a stored trajectory file,
-    compared at every stored step against the reconstruction of the
-    reduced coefficients.
+    Every stored full-order state is compared against the reconstruction
+    of the reduced coefficients of the same step, `chunk` steps at a time.
     """
+    if len(fom_traj) != len(rom_traj):
+        raise ValueError("trajectories have different step counts")
     n = model.n
-    total = 0
     worst = 0.0
-    for start, block in _fom_chunks(fom_traj, chunk):
-        m = block.shape[0]
-        coeffs = rom_traj.states[start : start + m]
-        if coeffs.shape[0] != m:
-            raise ValueError("trajectories have different step counts")
-        U, V = model.reconstruct_blocks(coeffs)
+    for start in range(0, len(fom_traj), chunk):
+        block = fom_traj.states[start : start + chunk]
+        U, V = model.reconstruct_blocks(rom_traj.states[start : start + chunk])
         du = block[:, :n].T - U
         dv = block[:, n:].T - V
         worst = max(worst, float(np.sqrt(np.max(du**2 + dv**2))))
-        total += m
-    if total != len(rom_traj):
-        raise ValueError("trajectories have different step counts")
     return worst
 
 

@@ -17,8 +17,6 @@ __all__ = [
     "PodBasis",
     "RankDeficientError",
     "compute_pod",
-    "project",
-    "reconstruct",
     "captured_energy",
     "save_basis",
     "load_basis",
@@ -32,9 +30,8 @@ class RankDeficientError(ValueError):
 class PodBasis:
     """Orthonormal column basis with its singular-value spectrum.
 
-    When built from a shifted snapshot set, carries the shift reference so
-    that projection/reconstruction work in the affine subspace
-    ref + span(phi).
+    When built from a shifted snapshot set, carries the shift reference:
+    the basis then spans the affine subspace ref + span(phi).
     """
 
     def __init__(self, phi, singular_values, shift_ref=None, kind=None):
@@ -85,27 +82,6 @@ def compute_pod(snapshots: SnapshotSet, r: int) -> PodBasis:
         )
     phi = _fix_signs(left[:, :r].copy())
     return PodBasis(phi, sigma, shift_ref=snapshots.shift_ref, kind=snapshots.kind)
-
-
-def project(basis: PodBasis, u) -> np.ndarray:
-    """Coefficients a = phi^T (u - shift_ref)."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (basis.n,):
-        raise ValueError(f"state has shape {u.shape}, expected ({basis.n},)")
-    if basis.shifted:
-        u = u - basis.shift_ref
-    return basis.phi.T @ u
-
-
-def reconstruct(basis: PodBasis, a) -> np.ndarray:
-    """Full-order representative phi a + shift_ref."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (basis.r,):
-        raise ValueError(f"coefficients have shape {a.shape}, expected ({basis.r},)")
-    u = basis.phi @ a
-    if basis.shifted:
-        u = u + basis.shift_ref
-    return u
 
 
 def captured_energy(basis: PodBasis) -> float:

@@ -1,11 +1,15 @@
 """Assembly of the five reduced models for two-block wave systems.
 
 The full-order system is a `core.TwoBlockSystem`: z = (u, v) with
-u' = v, v' = A u - c_u g(u), A sparse and symmetric.  Separate bases
-phi_u, phi_v reduce the two blocks; all offline products are precomputed
-so that the online right-hand side costs O(r^2) plus the nonlinear term:
-an O(n r) projection for Galerkin and plain structure-preserving models,
-or O(s r) sampled evaluation for the interpolation-based ones.
+u' = v, v' = A u - c_u g(u), A sparse and symmetric.  The
+`ReducedModel` constructor derives every reduced operator from the
+system and the model's defining data (block bases, reference state and,
+for sp-deim, interpolation indices and weights), so that the online
+right-hand side costs O(r^2) plus the nonlinear term: an O(n r)
+projection for Galerkin and plain structure-preserving models, or O(s r)
+sampled evaluation for the interpolation-based ones.  `build_rom` (from
+POD bases) and `load_rom` (from a version-2 artifact, which stores only
+the defining data) both call it.
 
 Variants
 --------
@@ -36,7 +40,7 @@ import struct
 
 import numpy as np
 
-from ._binio import FileFormatError, read_array, read_exact, write_array
+from ._binio import FileFormatError, check_payload, read_array, read_exact, write_array
 from .integrator import IntegratorConfig, picard_solve
 
 __all__ = [
@@ -49,6 +53,8 @@ __all__ = [
 ]
 
 _ROM_MAGIC = b"HRROM001"
+_ROM_VERSION = 2
+_HEADER = struct.Struct("<8sIIBQQQQ")
 _KIND_CODES = {"g-rom": 0, "sp-pod": 1, "sp-deim": 2}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
@@ -95,64 +101,76 @@ class RomVariant:
 
 
 class ReducedModel:
-    """Reduced dynamics with precomputed offline operators.
+    """Reduced dynamics of one variant, derived from bases and references.
+
+    The constructor projects the full-order `fom` (a `core.TwoBlockSystem`)
+    onto the block bases phi_u, phi_v and the reference state
+    (u_ref, v_ref), zero for unshifted variants: cuv = phi_u^T phi_v,
+    a_red = phi_u^T A phi_u, lin_u = phi_u^T A u_ref, lin_v = phi_v^T v_ref,
+    the Galerkin cross block phi_v^T A phi_u, the affine form and the
+    energy constant.  `fom` also supplies c_u, G, g and the segment mean
+    g_avg (which `make_step` needs).
 
     The reduced state is the concatenation (a, b) of the u- and v-block
     coefficients.  Use `make_step()` to time-step the model, `make_rhs()`
     for the online right-hand side and `hamiltonian()` for the reduced
-    energy.  The full-order `fom` (a `core.TwoBlockSystem`) supplies the
-    nonlinearity G, its derivative g, its segment mean g_avg (which
-    `make_step` needs) and the energy of the reference state.
+    energy.  Every variant samples the nonlinearity through one triple
+    (P, W, x_ref): the rows phi_u[idx], the interpolation weights and
+    u_ref[idx] for sp-deim, and phi_u, c_u, u_ref otherwise.
 
-    Every variant samples the nonlinearity through one triple (P, W,
-    x_ref): the rows phi_u[idx], the interpolation weights and u_ref[idx]
-    for sp-deim, and phi_u, c_u, u_ref otherwise.
+    Raises ValueError when the interpolation data do not match the
+    variant, when an index is repeated or outside [0, n), when a value is
+    not finite, or when an unshifted variant has a nonzero reference.
     """
 
     def __init__(
         self,
         variant: RomVariant,
         fom,
-        cuv,
-        a_red,
-        lin_u,
-        lin_v,
         phi_u,
         phi_v,
         u_ref,
         v_ref,
-        c_u,
-        bvu=None,
         deim_indices=None,
         deim_weights=None,
     ):
+        # C order makes the derived operators independent of the layout
+        # the caller's arrays happen to have: a model built from bases and
+        # one loaded from their artifact compute bit-identically
         self.variant = variant
-        self.cuv = np.asarray(cuv, dtype=float)
-        self.a_red = np.asarray(a_red, dtype=float)
-        self.lin_u = np.asarray(lin_u, dtype=float)
-        self.lin_v = np.asarray(lin_v, dtype=float)
-        self.phi_u = np.asarray(phi_u, dtype=float)
-        self.phi_v = np.asarray(phi_v, dtype=float)
+        self.phi_u = np.ascontiguousarray(phi_u, dtype=float)
+        self.phi_v = np.ascontiguousarray(phi_v, dtype=float)
         self.u_ref = np.asarray(u_ref, dtype=float)
         self.v_ref = np.asarray(v_ref, dtype=float)
-        self.c_u = np.asarray(c_u, dtype=float)
+        self.c_u = fom.c_u
         self.G_fn = fom.G
         self.g_fn = fom.g
         self.g_avg = fom.g_avg
-        self.bvu = None if bvu is None else np.asarray(bvu, dtype=float)
         self.n = self.phi_u.shape[0]
         self.r_u = self.phi_u.shape[1]
         self.r_v = self.phi_v.shape[1]
-
-        if variant.kind == "g-rom" and self.bvu is None:
-            raise ValueError("g-rom requires the cross projection phi_v^T A phi_u")
+        data = [self.phi_u, self.phi_v, self.u_ref, self.v_ref]
 
         if variant.kind == "sp-deim":
             if deim_indices is None or deim_weights is None:
                 raise ValueError("sp-deim requires interpolation indices and weights")
-            self.deim_indices = np.asarray(deim_indices, dtype=np.int64)
+            idx = np.asarray(deim_indices)
             self.deim_weights = np.asarray(deim_weights, dtype=float)
-            self.s = self.deim_indices.shape[0]
+            if (
+                idx.ndim != 1
+                or idx.size == 0
+                or self.deim_weights.shape != idx.shape
+                or idx.min() < 0
+                or idx.max() >= self.n
+                or np.unique(idx).size != idx.size
+            ):
+                raise ValueError(
+                    f"interpolation indices must be distinct, below n = {self.n} "
+                    "and one per weight"
+                )
+            self.deim_indices = idx.astype(np.int64)
+            self.s = idx.size
+            data.append(self.deim_weights)
             self._P = self.phi_u[self.deim_indices, :]
             self._W = self.deim_weights
             self._x_ref = self.u_ref[self.deim_indices]
@@ -163,6 +181,21 @@ class ReducedModel:
             self.deim_weights = None
             self.s = 0
             self._P, self._W, self._x_ref = self.phi_u, self.c_u, self.u_ref
+        if not all(np.all(np.isfinite(arr)) for arr in data):
+            raise ValueError("bases, references and weights must be finite")
+        if not variant.shifted and (np.any(self.u_ref) or np.any(self.v_ref)):
+            raise ValueError(f"{variant.tag} takes a zero reference state")
+
+        A = fom.A
+        A_phi_u = A @ self.phi_u
+        self.cuv = self.phi_u.T @ self.phi_v
+        self.a_red = self.phi_u.T @ A_phi_u
+        if variant.shifted:
+            self.lin_u = self.phi_u.T @ (A @ self.u_ref)
+            self.lin_v = self.phi_v.T @ self.v_ref
+        else:
+            self.lin_u = np.zeros(self.r_u)
+            self.lin_v = np.zeros(self.r_v)
 
         # The affine form z' = L z + c + [0; m_b g(P a + x_ref)].
         ru, rv = self.r_u, self.r_v
@@ -170,7 +203,7 @@ class ReducedModel:
         self._L[:ru, ru:] = self.cuv
         self._c = np.concatenate([self.cuv @ self.lin_v, self.cuv.T @ self.lin_u])
         if variant.kind == "g-rom":
-            self._L[ru:, :ru] = self.bvu
+            self._L[ru:, :ru] = self.phi_v.T @ A_phi_u
             self._m_b = -(self.phi_v.T * self.c_u)
         else:
             self._L[ru:, :ru] = self.cuv.T @ self.a_red
@@ -294,66 +327,45 @@ def build_rom(variant, basis_u, basis_v, fom, deim=None):
     deim : DeimModel, optional
         Required for (and only for) sp-deim variants.
     """
-    n, A = fom.n, fom.A
+    n = fom.n
     if basis_u.n != n or basis_v.n != n:
         raise ValueError("basis row count does not match the block dimension")
     if basis_u.shifted != variant.shifted or basis_v.shifted != variant.shifted:
         raise ValueError(
             f"{variant.tag} needs {'shifted' if variant.shifted else 'unshifted'} bases"
         )
-    if variant.kind == "sp-deim":
-        if deim is None:
-            raise ValueError("sp-deim variants require a DEIM model")
+    if deim is not None:
         if deim.n != n:
             raise ValueError("DEIM basis row count does not match the block dimension")
         if deim.shifted != variant.shifted:
             raise ValueError("DEIM shift flag does not match the model variant")
-    elif deim is not None:
-        raise ValueError(f"{variant.tag} does not take a DEIM model")
-
-    phi_u, phi_v = basis_u.phi, basis_v.phi
     if variant.shifted:
-        u_ref = np.asarray(basis_u.shift_ref, dtype=float)
-        v_ref = np.asarray(basis_v.shift_ref, dtype=float)
+        u_ref, v_ref = basis_u.shift_ref, basis_v.shift_ref
     else:
-        u_ref = np.zeros(n)
-        v_ref = np.zeros(n)
-
-    cuv = phi_u.T @ phi_v
-    a_red = phi_u.T @ (A @ phi_u)
-    lin_u = phi_u.T @ (A @ u_ref) if variant.shifted else np.zeros(phi_u.shape[1])
-    lin_v = phi_v.T @ v_ref if variant.shifted else np.zeros(phi_v.shape[1])
-    bvu = phi_v.T @ (A @ phi_u) if variant.kind == "g-rom" else None
-
+        u_ref = v_ref = np.zeros(n)
     return ReducedModel(
         variant,
         fom,
-        cuv,
-        a_red,
-        lin_u,
-        lin_v,
-        phi_u,
-        phi_v,
+        basis_u.phi,
+        basis_v.phi,
         u_ref,
         v_ref,
-        fom.c_u,
-        bvu=bvu,
         deim_indices=None if deim is None else deim.indices,
         deim_weights=None if deim is None else deim.weights,
     )
 
 
 # ---------------------------------------------------------------------------
-# Artifact persistence: header plus float64 arrays in a fixed order.
+# Artifact persistence: header, then phi_u, phi_v, u_ref, v_ref and, for
+# sp-deim, the interpolation indices and weights.
 
 
 def save_rom(model: ReducedModel, path):
     with open(path, "wb") as fh:
         fh.write(
-            struct.pack(
-                "<8sIIBQQQQ",
+            _HEADER.pack(
                 _ROM_MAGIC,
-                1,
+                _ROM_VERSION,
                 _KIND_CODES[model.variant.kind],
                 model.variant.shifted,
                 model.n,
@@ -362,95 +374,56 @@ def save_rom(model: ReducedModel, path):
                 model.s,
             )
         )
-        for arr in (
-            model.cuv,
-            model.a_red,
-            model.lin_u,
-            model.lin_v,
-            model.phi_u,
-            model.phi_v,
-            model.u_ref,
-            model.v_ref,
-            model.c_u,
-        ):
+        for arr in (model.phi_u, model.phi_v, model.u_ref, model.v_ref):
             write_array(fh, arr)
-        if model.bvu is not None:
-            write_array(fh, model.bvu)
         if model.s:
             write_array(fh, model.deim_indices, dtype="<u8")
             write_array(fh, model.deim_weights)
 
 
 def load_rom(path, fom, state_energy=None) -> ReducedModel:
-    """Load a reduced-model artifact.
+    """Load a reduced-model artifact and derive its operators from `fom`.
 
-    The full-order system supplies the nonlinearity and the energy of the
-    reference state; its dimension is validated against the file.  The
-    `state_energy` keyword is accepted for backward compatibility and
-    ignored.  Raises FileFormatError for a malformed file, including
-    non-finite values and interpolation indices that are out of range or
-    repeated.
+    The file holds only the bases, the references and the interpolation
+    data; `ReducedModel` projects the configured full-order system onto
+    them, as `build_rom` does.  The `state_energy` keyword is accepted for
+    backward compatibility and ignored.
+
+    Raises FileFormatError for a malformed file: a bad magic, version
+    (only 2 is read) or variant code, a payload that does not match the
+    header's sizes, non-finite values, or interpolation indices that are
+    out of range or repeated.  Raises ValueError when the artifact's block
+    dimension differs from the system's.
     """
     with open(path, "rb") as fh:
-        head = read_exact(fh, struct.calcsize("<8sIIBQQQQ"), "artifact header")
-        magic, version, kind_code, shifted, n, r_u, r_v, s = struct.unpack(
-            "<8sIIBQQQQ", head
-        )
+        head = read_exact(fh, _HEADER.size, "artifact header")
+        magic, version, kind_code, shifted, n, r_u, r_v, s = _HEADER.unpack(head)
         if magic != _ROM_MAGIC:
             raise FileFormatError(f"{path}: bad magic {magic!r}")
-        if version != 1:
-            raise FileFormatError(f"{path}: unsupported version {version}")
-        if kind_code not in _KIND_NAMES:
-            raise FileFormatError(f"{path}: unknown variant code {kind_code}")
-        if max(n, r_u, r_v, s) > 1 << 32:
-            raise FileFormatError(f"{path}: implausible dimensions")
-        try:
-            variant = RomVariant(_KIND_NAMES[kind_code], bool(shifted))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: {exc}") from None
-        if (s > 0) != (variant.kind == "sp-deim"):
-            raise FileFormatError(f"{path}: {variant.tag} with {s} interpolation points")
-        cuv = read_array(fh, (r_u, r_v), "coupling block")
-        a_red = read_array(fh, (r_u, r_u), "reduced quadratic block")
-        lin_u = read_array(fh, (r_u,), "u-block offset")
-        lin_v = read_array(fh, (r_v,), "v-block offset")
+        if version != _ROM_VERSION:
+            raise FileFormatError(
+                f"{path}: unsupported version {version} (expected {_ROM_VERSION})"
+            )
+        if kind_code not in _KIND_NAMES or shifted > 1:
+            raise FileFormatError(f"{path}: unknown variant code {kind_code}/{shifted}")
+        if min(n, r_u, r_v) == 0:
+            raise FileFormatError(f"{path}: implausible dimensions n={n}, r={r_u}/{r_v}")
+        check_payload(fh, 8 * (n * (r_u + r_v + 2) + 2 * s), "model data", path)
+        if n != fom.n:
+            raise ValueError(
+                f"{path}: the artifact's block dimension n = {n} does not match "
+                f"the configured n = {fom.n}"
+            )
         phi_u = read_array(fh, (n, r_u), "u-block basis")
         phi_v = read_array(fh, (n, r_v), "v-block basis")
         u_ref = read_array(fh, (n,), "u reference")
         v_ref = read_array(fh, (n,), "v reference")
-        c_u = read_array(fh, (n,), "nonlinear weights")
-        floats = [cuv, a_red, lin_u, lin_v, phi_u, phi_v, u_ref, v_ref, c_u]
-        bvu = indices = weights = None
-        if variant.kind == "g-rom":
-            bvu = read_array(fh, (r_v, r_u), "cross projection")
-            floats.append(bvu)
+        indices = weights = None
         if s:
             indices = read_array(fh, (s,), "interpolation indices", dtype="<u8")
             weights = read_array(fh, (s,), "interpolation weights")
-            floats.append(weights)
-    if not all(np.all(np.isfinite(arr)) for arr in floats):
-        raise FileFormatError(f"{path}: non-finite values")
-    if s and (int(indices.max()) >= n or np.unique(indices).shape[0] != s):
-        raise FileFormatError(
-            f"{path}: interpolation indices must be distinct and below n = {n}"
-        )
-    if fom.n != n:
-        raise ValueError(
-            f"artifact block dimension {n} does not match the system's {fom.n}"
-        )
-    return ReducedModel(
-        variant,
-        fom,
-        cuv,
-        a_red,
-        lin_u,
-        lin_v,
-        phi_u,
-        phi_v,
-        u_ref,
-        v_ref,
-        c_u,
-        bvu=bvu,
-        deim_indices=indices,
-        deim_weights=weights,
-    )
+    try:
+        variant = RomVariant(_KIND_NAMES[kind_code], bool(shifted))
+        return ReducedModel(variant, fom, phi_u, phi_v, u_ref, v_ref, indices, weights)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None

@@ -1,9 +1,13 @@
+import importlib.util
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hamrom import cli
 from hamrom.cli import (
     _CONFIG_PARSERS,
     ConfigError,
@@ -236,7 +240,14 @@ def deim_run(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "case",
-    ("index-out-of-range", "duplicate-index", "nan-weight", "pod-with-points", "shifted-galerkin"),
+    (
+        "index-out-of-range",
+        "duplicate-index",
+        "nan-weight",
+        "pod-with-points",
+        "shifted-galerkin",
+        "version-1",
+    ),
 )
 def test_online_rejects_malformed_artifact(deim_run, tmp_path, case):
     out, tail = deim_run
@@ -253,6 +264,8 @@ def test_online_rejects_malformed_artifact(deim_run, tmp_path, case):
         data[-8:] = struct.pack("<d", float("nan"))
     elif case == "pod-with-points":
         data[12:16] = struct.pack("<I", 1)  # variant code of sp-pod
+    elif case == "version-1":
+        data[8:12] = struct.pack("<I", 1)  # the old layout is not read
     else:
         data[12:17] = struct.pack("<IB", 0, 1)  # g-rom with the shift flag
     bad = tmp_path / "bad.bin"
@@ -268,3 +281,51 @@ def test_online_rejects_oversized_trajectory_header(deim_run, tmp_path):
     bad.write_bytes(bytes(data))
     rom = str(out / "rom_sp-deim-1_r2.bin")
     assert main(["online", "--rom", rom, "--traj", str(bad), *tail]) == 4
+
+
+@pytest.mark.parametrize("dims", ((1 << 28, 2, 2), (1 << 32, 1 << 32, 1 << 32)))
+def test_online_rejects_oversized_artifact_header(deim_run, tmp_path, dims):
+    # checked against the file size before anything is allocated: a
+    # 2^28-row basis would raise MemoryError, and 2^32 x 2^32 overflows an
+    # int64 element count
+    out, tail = deim_run
+    data = bytearray((out / "rom_sp-deim-1_r2.bin").read_bytes())
+    data[17:41] = struct.pack("<QQQ", *dims)  # n, r_u, r_v
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(data))
+    assert main(["online", "--rom", str(bad), *tail]) == 4
+
+
+def test_online_block_dimension_mismatch_is_a_config_error(deim_run, capsys):
+    out, tail = deim_run
+    rom = str(out / "rom_sp-deim-1_r2.bin")
+    assert main(["online", "--rom", rom, *tail, "--n", "40"]) == 2
+    err = capsys.readouterr().err
+    assert "n = 32" in err and "n = 40" in err
+
+
+def test_solver_failure_names_the_model(deim_run, tmp_path, capsys):
+    out, tail = deim_run
+    rom = str(out / "rom_sp-deim-1_r2.bin")
+    assert main(["online", "--rom", rom, *tail, "--picard-max-iter", "1"]) == 3
+    assert "in sp-deim-1 r=2 at step 0" in capsys.readouterr().err
+    fresh = [*tail, "--out", str(tmp_path), "--picard-max-iter", "1"]
+    assert main(["reproduce", *fresh]) == 3
+    assert "in the full-order model at step 0" in capsys.readouterr().err
+
+
+def test_names_the_benchmark_uses_exist():
+    # the traced benchmark wraps these names of the CLI namespace and
+    # ReducedModel methods; deleting one would crash it
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", root / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    used = set(re.findall(r"\bcli\.(\w+)", (root / "workloads.py").read_text()))
+    for name in set(tracer.SPANNED) | used:
+        assert hasattr(cli, name), name
+    # the tracer wraps ReducedModel.make_rhs and passes it a counted g_fn
+    fom = assemble_wave_fom(WaveConfig(n=8))
+    eye = PodBasis(np.eye(8), np.ones(8))
+    model = build_rom(RomVariant.from_tag("sp-pod-1"), eye, eye, fom)
+    assert model.make_rhs(g=model.g_fn)(np.zeros(16)).shape == (16,)

@@ -12,9 +12,8 @@ from hamrom.integrator import (
     Trajectory,
     integrate,
     integrate_steps,
-    iter_state_chunks,
     load_trajectory,
-    midpoint_step,
+    picard_solve,
     save_trajectory,
 )
 from hamrom.wave import WaveConfig, build_laplacian, initial_state, make_wave_step
@@ -22,6 +21,11 @@ from hamrom.wave import WaveConfig, build_laplacian, initial_state, make_wave_st
 
 def oscillator(z):
     return np.array([z[1], -z[0]])
+
+
+def midpoint_step(f, z, cfg):
+    """One implicit midpoint step of size cfg.dt (cfg.t_final == cfg.dt)."""
+    return integrate(f, z, cfg).states[-1]
 
 
 def test_zero_rhs_is_identity():
@@ -143,6 +147,24 @@ def test_picard_divergence_reports_step():
     assert info.value.iterations == cfg.picard_max_iter
 
 
+def test_non_finite_update_fails_at_first_iteration():
+    cfg = IntegratorConfig(picard_max_iter=100)
+    with pytest.raises(PicardDivergenceError) as info:
+        picard_solve(lambda x: x + np.nan, np.zeros(3), cfg)
+    assert info.value.iterations == 1
+    assert np.isnan(info.value.residual)
+    # an overflowing iterate stops as soon as its update is infinite; the
+    # relative tolerance, infinite too, must not accept it as converged
+    with pytest.raises(PicardDivergenceError) as info, np.errstate(over="ignore"):
+        picard_solve(lambda x: 1e300 * (x + 1.0), np.zeros(2), cfg)
+    assert info.value.iterations == 2
+    # integrate attaches the step; the model label is optional
+    with pytest.raises(PicardDivergenceError, match="at step 0: residual inf"):
+        integrate(lambda z: np.full_like(z, np.inf), np.ones(2), cfg)
+    err = PicardDivergenceError(1, float("nan"), step=4, model="sp-pod-1 r=10")
+    assert "in sp-pod-1 r=10 at step 4" in str(err)
+
+
 def test_observer_called_each_step():
     seen = []
     cfg = IntegratorConfig(dt=0.1, t_final=0.5)
@@ -170,14 +192,6 @@ def test_trajectory_truncation_detected(tmp_path, rng):
         load_trajectory(path)
 
 
-def test_state_chunks_cover_file(tmp_path, rng):
-    states = rng.standard_normal((23, 5))
-    path = tmp_path / "traj.bin"
-    save_trajectory(Trajectory(states, np.arange(23.0)), path, dt=1.0)
-    seen = np.concatenate([block for _, block in iter_state_chunks(path, chunk=7)])
-    assert seen.tobytes() == states.tobytes()
-
-
 def test_oversized_header_rejected_before_allocation(tmp_path, rng):
     # a header claiming 2^18 x 2^18 states (512 GiB) over a few bytes of data
     path = tmp_path / "traj.bin"
@@ -187,5 +201,3 @@ def test_oversized_header_rejected_before_allocation(tmp_path, rng):
     path.write_bytes(bytes(data))
     with pytest.raises(FileFormatError, match="state data"):
         load_trajectory(path)
-    with pytest.raises(FileFormatError, match="state data"):
-        next(iter_state_chunks(path))

@@ -434,3 +434,18 @@ def test_artifact_dimension_mismatch_detected(tmp_path, pipe):
     other = assemble_wave_fom(WaveConfig(n=N_SMALL + 2))
     with pytest.raises(ValueError):
         load_rom(path, other)
+
+
+def test_artifact_at_another_wave_speed_projects_that_system(tmp_path, pipe):
+    # the artifact holds no operator: loading it against a system with
+    # twice the wave speed scales A, and so a_red and lin_u, by (c2/c1)^2
+    model = pipe["models"]["sp-pod-2"]
+    path = tmp_path / "rom.bin"
+    save_rom(model, path)
+    cfg = pipe["cfg"]
+    faster = WaveConfig(n=cfg.n, c_speed=2 * cfg.c_speed, length=cfg.length)
+    back = load_rom(path, assemble_wave_fom(faster))
+    for name in ("a_red", "lin_u"):
+        want = 4.0 * getattr(model, name)
+        assert_allclose(getattr(back, name), want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+    assert back.cuv.tobytes() == model.cuv.tobytes()
