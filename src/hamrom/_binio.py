@@ -15,11 +15,19 @@ class FileFormatError(RuntimeError):
 def read_exact(fh, nbytes, section):
     """Read exactly nbytes or raise naming the missing section."""
     data = fh.read(nbytes)
-    if len(data) != nbytes:
-        raise FileFormatError(
-            f"truncated file: expected {nbytes} bytes for {section}, got {len(data)}"
-        )
+    _check_read(len(data), nbytes, section)
     return data
+
+
+def _check_read(got, nbytes, section):
+    if got != nbytes:
+        raise FileFormatError(
+            f"truncated file: expected {nbytes} bytes for {section}, got {got}"
+        )
+
+
+def _bytes_left(fh):
+    return os.fstat(fh.fileno()).st_size - fh.tell()
 
 
 def check_payload(fh, nbytes, section, path):
@@ -28,7 +36,7 @@ def check_payload(fh, nbytes, section, path):
     Called with the payload size a header claims, before anything of that
     size is allocated, so a corrupt header cannot request a huge buffer.
     """
-    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    remaining = _bytes_left(fh)
     if nbytes != remaining:
         raise FileFormatError(
             f"{path}: header claims {nbytes} bytes of {section}, "
@@ -37,10 +45,20 @@ def check_payload(fh, nbytes, section, path):
 
 
 def write_array(fh, arr, dtype="<f8"):
-    fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    """Write arr in C order as dtype, from its own buffer when it already
+    has that layout (no bytes copy)."""
+    fh.write(memoryview(np.ascontiguousarray(arr, dtype=dtype)))
 
 
 def read_array(fh, shape, section, dtype="<f8"):
-    itemsize = np.dtype(dtype).itemsize
-    data = read_exact(fh, itemsize * math.prod(shape), section)
-    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+    """Read an array of the given shape and dtype straight into a new array.
+
+    Raises FileFormatError naming the section when fewer bytes follow than
+    the array needs.  That is checked against the file size before the
+    array is allocated, so a corrupt size cannot request a huge buffer.
+    """
+    nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+    _check_read(min(nbytes, _bytes_left(fh)), nbytes, section)
+    out = np.empty(shape, dtype=dtype)
+    _check_read(fh.readinto(out), nbytes, section)
+    return out

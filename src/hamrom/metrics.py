@@ -30,8 +30,8 @@ __all__ = [
     "write_series_csv",
 ]
 
-# States per batched reduced-energy call: the call holds a few arrays of
-# _BLOCK x n entries, so whole-trajectory stacks would raise peak memory.
+# States per batched reduced-energy call and per e_inf block: each holds a
+# few arrays of _BLOCK x n entries, so larger blocks raise peak memory.
 _BLOCK = 256
 
 
@@ -68,7 +68,7 @@ class EvalCounter:
         return self.fn(x)
 
 
-def e_inf(fom_traj: Trajectory, rom_traj: Trajectory, model, chunk=1024) -> float:
+def e_inf(fom_traj: Trajectory, rom_traj: Trajectory, model, chunk=_BLOCK) -> float:
     """Spatio-temporal max error of a reduced run against the full one.
 
     Every stored full-order state is compared against the reconstruction

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 
-from ._binio import FileFormatError, read_array, read_exact, write_array
+from ._binio import FileFormatError, check_payload, read_array, read_exact, write_array
 from .snapshots import SnapshotSet, read_container, write_container
 
 __all__ = [
@@ -106,5 +106,6 @@ def load_basis(path) -> PodBasis:
         if kind != "basis":
             raise FileFormatError(f"{path}: container holds {kind!r}, not a basis")
         (count,) = struct.unpack("<Q", read_exact(fh, 8, "singular value count"))
+        check_payload(fh, 8 * count, "singular values", path)
         sigma = read_array(fh, (count,), "singular values")
     return PodBasis(phi, sigma, shift_ref=shift_ref, kind=kind)

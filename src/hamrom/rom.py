@@ -28,7 +28,8 @@ and differs from the others only in L, c, M, P and x_ref.  `make_rhs`
 evaluates that form; `make_step` advances it with the average-vector-field
 (AVF) discrete gradient, which conserves the reduced energy of the
 structure-preserving variants exactly (up to the fixed-point tolerance
-and rounding).  Every variant also has one energy form,
+and rounding), solving each step from the first iterate that
+`integrate_steps` supplies.  Every variant also has one energy form,
 
     H_r = -a'A_r a/2 - a'lin_u + b'b/2 + b'lin_v + W . G(P a + x_ref) + C,
 
@@ -249,8 +250,9 @@ class ReducedModel:
 
             (I - dt/2 L) z1 = (I + dt/2 L) z0 + dt c + dt M g_avg(x0, x1),
 
-        x = P a + x_ref, by fixed-point iteration on z1 from z0, with
-        I - dt/2 L inverted once.  The returned step(z) gives
+        x = P a + x_ref, by fixed-point iteration on z1 from the first
+        iterate `start` that `integrate_steps` supplies, with I - dt/2 L
+        inverted once.  The returned step(z, start) gives
         (z1, Picard iterations).
         """
         if self.g_avg is None:
@@ -264,10 +266,12 @@ class ReducedModel:
         B = dt * (k_inv[:, ru:] @ self._m_b)
         P, x_ref, g_avg = self._P, self._x_ref, self.g_avg
 
-        def step(z):
+        def step(z, start):
             w = E @ z + e
             x0 = P @ z[:ru] + x_ref
-            return picard_solve(lambda z1: w + B @ g_avg(x0, P @ z1[:ru] + x_ref), z, config)
+            return picard_solve(
+                lambda z1: w + B @ g_avg(x0, P @ z1[:ru] + x_ref), start, config
+            )
 
         return step
 

@@ -123,8 +123,10 @@ def read_container(fh, path):
         raise FileFormatError(f"{path}: unsupported version {version}")
     if kind_code >= len(SNAPSHOT_KINDS):
         raise FileFormatError(f"{path}: unknown kind code {kind_code}")
-    if n == 0 or m == 0 or n * m > 1 << 40:
+    if n == 0 or m == 0:
         raise FileFormatError(f"{path}: implausible dimensions {n} x {m}")
+    # read_array checks every size the header claims against the bytes
+    # that follow before it allocates
     shift_ref = read_array(fh, (n,), "shift reference") if has_shift else None
     steps = read_array(fh, (m,), "sample steps", dtype="<u8").astype(np.int64)
     columns = read_array(fh, (m, n), "column data").T

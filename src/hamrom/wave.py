@@ -9,7 +9,8 @@ that H(z) = 0.5 v^T v - 0.5 u^T A u + sum_i (1 - cos u_i).
 `make_wave_step` advances the system with the average-vector-field (AVF)
 discrete gradient, which conserves H exactly (up to the fixed-point
 tolerance and rounding): `sin_average` replaces sin(u) at the midpoint by
-its exact mean over the step, and the stiff linear part is factored once.
+its exact mean over the step, the stiff linear part is factored once, and
+each solve starts from the first iterate that `integrate_steps` supplies.
 """
 
 from dataclasses import dataclass
@@ -116,7 +117,7 @@ def sin_average(x0, x1):
     """
     m = 0.5 * (x0 + x1)
     h = 0.5 * (x1 - x0)
-    return np.sin(m) * np.divide(np.sin(h), h, out=np.ones_like(h), where=h != 0.0)
+    return np.sin(m) * np.divide(np.sin(h), h, out=np.ones(h.shape), where=h != 0.0)
 
 
 def make_wave_step(cfg: WaveConfig, config: IntegratorConfig, g_avg=sin_average):
@@ -127,10 +128,12 @@ def make_wave_step(cfg: WaveConfig, config: IntegratorConfig, g_avg=sin_average)
 
         (I - dt^2/4 A) u_m = u0 + dt/2 v0 - dt^2/4 g_avg(u0, 2 u_m - u0),
 
-    iterated from u_m = u0 with the periodic matrix factored once (splu).
-    Then u1 = 2 u_m - u0 and v1 = 4 (u_m - u0) / dt - v0.  Pass `g_avg`
-    to substitute the averaged nonlinearity, for example zero to turn it
-    off.  The returned step(z) gives (z1, Picard iterations).
+    iterated from u_m = (u0 + start_u) / 2, where start_u is the u block
+    of the first iterate `start` that `integrate_steps` supplies, with the
+    periodic matrix factored once (splu).  Then u1 = 2 u_m - u0 and
+    v1 = 4 (u_m - u0) / dt - v0.  Pass `g_avg` to substitute the averaged
+    nonlinearity, for example zero to turn it off.  The returned
+    step(z, start) gives (z1, Picard iterations).
     """
     n = cfg.n
     dt = config.dt
@@ -138,7 +141,7 @@ def make_wave_step(cfg: WaveConfig, config: IntegratorConfig, g_avg=sin_average)
     A = build_laplacian(cfg)
     solve = splu(sparse.csc_matrix(sparse.identity(n) - q * A)).solve
 
-    def step(z):
+    def step(z, start):
         u0 = z[:n]
         v0 = z[n:]
         base = u0 + 0.5 * dt * v0
@@ -146,7 +149,7 @@ def make_wave_step(cfg: WaveConfig, config: IntegratorConfig, g_avg=sin_average)
         def update(um):
             return solve(base - q * g_avg(u0, 2.0 * um - u0))
 
-        um, iterations = picard_solve(update, u0, config)
+        um, iterations = picard_solve(update, 0.5 * (u0 + start[:n]), config)
         return np.concatenate([2.0 * um - u0, (4.0 / dt) * (um - u0) - v0]), iterations
 
     return step

@@ -1,9 +1,13 @@
-"""Property tests of the reduced-model artifact (format version 2).
+"""Property tests of the binary artifacts: reduced models (HRROM001,
+format version 2), snapshot sets and bases (HRSNAP01) and trajectories
+(HRTRAJ01).
 
 Models are built from random orthonormal bases, so every variant, rank
-and interpolation size is exercised; corrupt files are made by truncating
-the bytes of a valid artifact, flipping one of its bits or overwriting a
-header field.  Example counts are bounded so the file runs in seconds.
+and interpolation size is exercised; snapshot sets, bases and
+trajectories hold arbitrary float64 values, NaN and infinities included.
+Corrupt files are made by truncating the bytes of a valid file, flipping
+one of its bits or overwriting a header field.  Example counts are
+bounded so the file runs in seconds.
 """
 
 import struct
@@ -15,13 +19,16 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_orthonormal
 from hamrom._binio import FileFormatError
 from hamrom.cli import main
 from hamrom.deim import build_deim
-from hamrom.pod import PodBasis
+from hamrom.integrator import Trajectory, load_trajectory, save_trajectory
+from hamrom.pod import PodBasis, load_basis, save_basis
 from hamrom.rom import VARIANT_TAGS, RomVariant, build_rom, load_rom, save_rom
+from hamrom.snapshots import SNAPSHOT_KINDS, SnapshotSet, load_snapshots, save_snapshots
 from hamrom.wave import WaveConfig, assemble_wave_fom
 
 N = 16
@@ -35,6 +42,10 @@ PROPERTY = settings(
 # header fields after the 8-byte magic: version, variant code, shift flag,
 # n, r_u, r_v, s
 HEADER_FIELDS = ((8, "<I"), (12, "<I"), (16, "<B"), (17, "<Q"), (25, "<Q"), (33, "<Q"), (41, "<Q"))
+# HRSNAP01: version, kind code, n, M, shift flag
+SNAPSHOT_FIELDS = ((8, "<I"), (12, "<I"), (16, "<Q"), (24, "<Q"), (32, "<B"))
+# HRTRAJ01: version, dim, count, and the bits of dt and t0
+TRAJECTORY_FIELDS = ((8, "<I"), (12, "<Q"), (20, "<Q"), (28, "<Q"), (36, "<Q"))
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +77,7 @@ def artifact_bytes(tag):
         return path.read_bytes()
 
 
-def corrupt(data, how, where, value):
+def corrupt(data, how, where, value, fields=HEADER_FIELDS):
     data = bytearray(data)
     if how == "truncate":
         return bytes(data[: where % len(data)])
@@ -74,17 +85,17 @@ def corrupt(data, how, where, value):
         bit = where % (8 * len(data))
         data[bit // 8] ^= 1 << (bit % 8)
         return bytes(data)
-    offset, fmt = HEADER_FIELDS[where % len(HEADER_FIELDS)]
+    offset, fmt = fields[where % len(fields)]
     struct.pack_into(fmt, data, offset, value % (1 << (8 * struct.calcsize(fmt))))
     return bytes(data)
 
 
-CORRUPTIONS = dict(
-    tag=st.sampled_from(VARIANT_TAGS),
+DAMAGE = dict(
     how=st.sampled_from(("truncate", "flip", "header")),
     where=st.integers(min_value=0, max_value=1 << 24),
     value=st.one_of(st.integers(0, 64), st.integers(0, (1 << 64) - 1)),
 )
+CORRUPTIONS = dict(tag=st.sampled_from(VARIANT_TAGS), **DAMAGE)
 
 
 @PROPERTY
@@ -147,3 +158,97 @@ def test_online_on_corrupt_artifact_exits_with_a_documented_code(
     bad.write_bytes(corrupt(data, how, where, value))
     with np.errstate(all="ignore"):
         assert main(["online", "--rom", str(bad), *tail]) in (0, 2, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# Snapshot sets and bases (HRSNAP01) and trajectories (HRTRAJ01).
+
+
+def float_matrix(rows, cols):
+    return arrays(np.float64, st.tuples(rows, cols), elements=st.floats(width=64))
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(
+    columns=float_matrix(st.integers(1, 6), st.integers(1, 5)),
+    kind=st.sampled_from(SNAPSHOT_KINDS),
+    shifted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_snapshot_and_basis_roundtrip_is_bit_exact(tmp_path, columns, kind, shifted, seed):
+    rng = np.random.default_rng(seed)
+    n, m = columns.shape
+    ref = rng.standard_normal(n) if shifted else None
+    steps = np.sort(rng.choice(1 << 20, size=m, replace=False))
+    snaps = SnapshotSet(columns, steps, kind, shift_ref=ref)
+    path = tmp_path / "snap.bin"
+    save_snapshots(snaps, path)
+    back = load_snapshots(path)
+    assert same_bits(back.columns, snaps.columns) and back.kind == kind
+    assert same_bits(back.sample_steps, snaps.sample_steps)
+    assert back.shift_ref is None if ref is None else same_bits(back.shift_ref, ref)
+
+    basis = PodBasis(columns, rng.standard_normal(int(rng.integers(0, 7))), shift_ref=ref)
+    save_basis(basis, path)
+    back = load_basis(path)
+    assert same_bits(back.phi, basis.phi) and back.kind == "basis"
+    assert same_bits(back.singular_values, basis.singular_values)
+    assert back.shift_ref is None if ref is None else same_bits(back.shift_ref, ref)
+
+
+@PROPERTY
+@given(
+    states=float_matrix(st.integers(1, 6), st.integers(1, 5)),
+    dt=st.floats(1e-6, 1e3),
+    t0=st.floats(-1e3, 1e3),
+)
+def test_trajectory_roundtrip_is_bit_exact(tmp_path, states, dt, t0):
+    traj = Trajectory(states, t0 + np.arange(states.shape[0]) * dt)
+    path = tmp_path / "traj.bin"
+    save_trajectory(traj, path, dt=dt)
+    back = load_trajectory(path)
+    assert same_bits(back.states, traj.states)
+    assert same_bits(back.times, traj.times)
+
+
+@lru_cache(maxsize=None)
+def file_bytes(fmt):
+    """Bytes of one valid file of each format, with the header fields a
+    corruption may overwrite (a basis adds its spectrum count)."""
+    rng = np.random.default_rng(5)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file.bin"
+        if fmt == "snapshots":
+            save_snapshots(SnapshotSet(rng.standard_normal((5, 3)), [0, 4, 8], "state-v",
+                                       shift_ref=rng.standard_normal(5)), path)
+            fields = SNAPSHOT_FIELDS
+        elif fmt == "basis":
+            save_basis(PodBasis(random_orthonormal(rng, 5, 2), np.ones(3)), path)
+            fields = SNAPSHOT_FIELDS + ((33 + 8 * (2 + 5 * 2), "<Q"),)
+        else:
+            states = rng.standard_normal((4, 3))
+            save_trajectory(Trajectory(states, 0.5 * np.arange(4)), path, dt=0.5)
+            fields = TRAJECTORY_FIELDS
+        return path.read_bytes(), fields
+
+
+LOADERS = {"snapshots": load_snapshots, "basis": load_basis, "trajectory": load_trajectory}
+
+
+@PROPERTY
+@given(fmt=st.sampled_from(tuple(LOADERS)), **DAMAGE)
+def test_corrupt_snapshot_basis_or_trajectory_raises_only_file_format_error(
+    tmp_path, fmt, how, where, value
+):
+    data, fields = file_bytes(fmt)
+    path = tmp_path / "file.bin"
+    path.write_bytes(corrupt(data, how, where, value, fields))
+    try:
+        with np.errstate(all="ignore"):
+            LOADERS[fmt](path)
+    except FileFormatError:
+        pass

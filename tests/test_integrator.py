@@ -173,6 +173,31 @@ def test_observer_called_each_step():
     assert_allclose([t for _, t in seen], 0.1 * np.arange(1, 6))
 
 
+def test_first_iterate_is_state_then_cubic_extrapolation():
+    # step k starts its solve from z_k for k < 3, then from
+    # 4 z_k - 6 z_{k-1} + 4 z_{k-2} - z_{k-3}, which is exact on a cubic
+    # path; integer values keep the arithmetic exact
+    def path(k):
+        return np.array([k**3 - 2.0 * k**2 + 5.0, 3.0 * k - 1.0])
+
+    seen = []
+
+    def step(z, start):
+        seen.append((z.copy(), start.copy()))
+        return path(len(seen)), 1
+
+    traj = integrate_steps(step, path(0), IntegratorConfig(dt=1.0, t_final=8.0))
+    s = traj.states
+    assert len(seen) == 8
+    for k, (z, start) in enumerate(seen):
+        assert np.array_equal(z, s[k])
+        if k < 3:
+            assert np.array_equal(start, z)
+        else:
+            assert np.array_equal(start, 4 * s[k] - 6 * s[k - 1] + 4 * s[k - 2] - s[k - 3])
+            assert np.array_equal(start, path(k + 1))
+
+
 def test_trajectory_roundtrip(tmp_path, rng):
     states = rng.standard_normal((9, 4))
     traj = Trajectory(states, 0.25 * np.arange(9))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -168,6 +170,22 @@ def test_basis_persistence_roundtrip(tmp_path, rng):
     truncated.write_bytes(path.read_bytes()[:-8])  # cut inside the spectrum block
     with pytest.raises(FileFormatError, match="singular value"):
         load_basis(truncated)
+
+
+def test_oversized_basis_header_rejected_before_allocation(tmp_path, rng):
+    # a container header claiming 2^39 rows, or a spectrum count of 2^60,
+    # over a few bytes of data
+    basis = compute_pod(make_set(rng.standard_normal((8, 5))), 2)
+    path = tmp_path / "basis.bin"
+    save_basis(basis, path)
+    data = path.read_bytes()
+    count_at = len(data) - 8 * 5 - 8  # the count precedes the 5 singular values
+    for offset, value, section in ((16, 1 << 39, "column data"), (count_at, 1 << 60, "singular")):
+        bad = bytearray(data)
+        struct.pack_into("<Q", bad, offset, value)
+        path.write_bytes(bytes(bad))
+        with pytest.raises(FileFormatError, match=section):
+            load_basis(path)
 
 
 def test_identity_basis_construction():

@@ -384,6 +384,22 @@ def test_sp_energy_exact_under_avf_step(pipe):
         assert _max_drift(model, pipe["z0"], 0.01, 2.0) > 1e-8, tag
 
 
+def test_extrapolated_first_iterate_changes_work_not_result(pipe):
+    # the AVF step started from the extrapolated state against the same
+    # step started from the current state, for every variant
+    cfg = IntegratorConfig(dt=0.01, t_final=2.0)
+    for tag, model in pipe["models"].items():
+        step = model.make_step(cfg)
+        coeffs = model.initial_coefficients(pipe["z0"])
+        extrapolated = integrate_steps(step, coeffs, cfg)
+        from_state = integrate_steps(lambda z, start: step(z, z), coeffs, cfg)
+        assert np.max(np.abs(extrapolated.states - from_state.states)) <= 1e-11, tag
+        assert np.mean(extrapolated.picard_iters) < np.mean(from_state.picard_iters), tag
+        if tag != "g-rom":
+            h = model.hamiltonian(extrapolated.states)
+            assert np.max(np.abs(h - h[0])) <= 1e-12 * abs(h[0]), tag
+
+
 def test_g_rom_energy_drift_is_model_level(pipe):
     # negative control: the Galerkin drift neither meets 1e-8 nor shrinks
     # with the time step, nor vanishes under the energy-conserving AVF step

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -144,6 +146,17 @@ def test_truncated_file_names_missing_section(tmp_path, rng):
         load_snapshots(path)
     path.write_bytes(data[:40])  # header is 33 bytes; cut inside the steps block
     with pytest.raises(FileFormatError, match="sample steps"):
+        load_snapshots(path)
+
+
+def test_oversized_header_rejected_before_allocation(tmp_path, rng):
+    # a header claiming 2^39 rows (4 TiB of columns) over a few bytes of data
+    path = tmp_path / "snap.bin"
+    save_snapshots(SnapshotSet(rng.standard_normal((6, 1)), [0], "state-u"), path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<Q", data, 16, 1 << 39)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FileFormatError, match="column data"):
         load_snapshots(path)
 
 
