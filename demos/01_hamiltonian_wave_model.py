@@ -12,12 +12,7 @@ pipeline uses conserves it exactly, up to the solver tolerance.
 import numpy as np
 
 from hamrom.integrator import IntegratorConfig, integrate, integrate_steps
-from hamrom.wave import (
-    WaveConfig,
-    assemble_wave_fom,
-    initial_state,
-    make_wave_step,
-)
+from hamrom.wave import WaveConfig, assemble_wave_fom, initial_state
 
 cfg = WaveConfig(n=128)
 fom = assemble_wave_fom(cfg)
@@ -29,14 +24,13 @@ print(f"sparse Laplacian: {fom.A.nnz} nonzeros, "
 print(f"initial energy H(z0)*dx = {fom.energy(z0) * cfg.dx:.6e}")
 
 icfg = IntegratorConfig(dt=0.01, t_final=10.0)
-energy = fom.energy
 for name, run in (
     ("implicit midpoint rule", lambda: integrate(fom.rhs, z0, icfg)),
-    ("AVF step, stiff part factored", lambda: integrate_steps(make_wave_step(cfg, icfg), z0, icfg)),
+    ("AVF step, stiff part factored", lambda: integrate_steps(fom.make_step(icfg), z0, icfg)),
 ):
     print(f"\nintegrating 10 time units with the {name} ...")
     traj = run()
-    series = cfg.dx * np.array([energy(z) for z in traj.states])
+    series = cfg.dx * fom.energy(traj.states)
     print(f"steps: {traj.steps}, mean Picard iterations: {np.mean(traj.picard_iters):.1f}")
     print(f"energy range over the run: [{series.min():.9e}, {series.max():.9e}]")
     print(f"max energy drift (scaled): {np.max(np.abs(series - series[0])):.2e}")

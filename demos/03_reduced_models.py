@@ -15,19 +15,14 @@ from hamrom.metrics import e_inf, hamiltonian_series
 from hamrom.pod import compute_pod
 from hamrom.rom import RomVariant, build_rom
 from hamrom.snapshots import collect, shift
-from hamrom.wave import (
-    WaveConfig,
-    assemble_wave_fom,
-    initial_state,
-    make_wave_step,
-)
+from hamrom.wave import WaveConfig, assemble_wave_fom, initial_state
 
 cfg = WaveConfig(n=128)
 n, r = cfg.n, 8
 fom = assemble_wave_fom(cfg)
 icfg = IntegratorConfig(dt=0.01, t_final=10.0)
 
-traj = integrate_steps(make_wave_step(cfg, icfg), initial_state(cfg), icfg)
+traj = integrate_steps(fom.make_step(icfg), initial_state(cfg), icfg)
 z0 = traj.states[0]
 G = fom.G
 
@@ -47,7 +42,7 @@ deims = {
     True: build_deim(compute_pod(shift(set_g, G(z0[:n])), 2 * r), np.ones(n)),
 }
 
-fom_series = cfg.dx * np.array([fom.energy(z) for z in traj.states])
+fom_series = cfg.dx * fom.energy(traj.states)
 
 print(f"reduced dimension r={r}, interpolation points s={2 * r}, n={n}\n")
 print(f"{'model':<10} {'E_inf':>10} {'energy offset':>14} {'energy drift':>13}")

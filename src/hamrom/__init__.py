@@ -35,7 +35,6 @@ from .wave import (
     initial_state,
     make_wave_energy,
     make_wave_rhs,
-    make_wave_step,
     spline_initial_condition,
 )
 

@@ -23,9 +23,9 @@ import numpy as np
 from ._binio import FileFormatError
 from .deim import build_deim
 
-# The pipeline does not call `integrate` or `make_wave_rhs`; they stay in
-# this namespace because perfbench calls `cli.integrate` and its tracer
-# wraps both names.
+# The pipeline does not call `integrate`, `make_wave_rhs` or
+# `make_wave_energy`; they stay in this namespace because perfbench calls
+# them and its tracer wraps them.
 from .integrator import (
     IntegratorConfig,
     PicardDivergenceError,
@@ -49,9 +49,8 @@ from .wave import (
     WaveConfig,
     assemble_wave_fom,
     initial_state,
-    make_wave_energy,
+    make_wave_energy,  # noqa: F401
     make_wave_rhs,  # noqa: F401
-    make_wave_step,
 )
 
 __all__ = [
@@ -148,24 +147,28 @@ _KEY_TO_FIELD = {"r": "r_list"}
 
 def parse_config_file(path) -> dict:
     """Read a key=value file (# comments, blank lines allowed)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     overrides = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_PARSERS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                parsed = _CONFIG_PARSERS[key](value)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-            overrides[_KEY_TO_FIELD.get(key, key)] = parsed
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_PARSERS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            parsed = _CONFIG_PARSERS[key](value)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+        overrides[_KEY_TO_FIELD.get(key, key)] = parsed
     return overrides
 
 
@@ -214,11 +217,12 @@ def cmd_fom(cfg: PipelineConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     wcfg = cfg.wave_config()
     icfg = cfg.integrator_config()
+    fom = assemble_wave_fom(wcfg)
     traj, seconds = _timed_run(
-        lambda: integrate_steps(make_wave_step(wcfg, icfg), initial_state(wcfg), icfg),
+        lambda: integrate_steps(fom.make_step(icfg), initial_state(wcfg), icfg),
         "the full-order model",
     )
-    series = energy_series_of_states(make_wave_energy(wcfg), traj, wcfg.dx)
+    series = energy_series_of_states(fom.energy, traj, wcfg.dx)
     save_trajectory(traj, out / "fom_trajectory.bin", dt=cfg.dt)
     write_series_csv(out / "fom_energy.csv", traj.times, series)
     summary = {
@@ -230,6 +234,16 @@ def cmd_fom(cfg: PipelineConfig) -> dict:
     }
     _write_json(out / "fom_summary.json", summary)
     return summary
+
+
+def _load_fom_trajectory(cfg, traj_path=None):
+    """The full-order trajectory (default: cfg.out's), checked against 2n."""
+    traj = load_trajectory(traj_path or Path(cfg.out) / "fom_trajectory.bin")
+    if traj.dim != 2 * cfg.n:
+        raise ConfigError(
+            f"trajectory dimension {traj.dim} does not match 2*n = {2 * cfg.n}"
+        )
+    return traj
 
 
 def _variant_needs(cfg):
@@ -244,14 +258,9 @@ def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
     """Build bases, interpolation models, and reduced-model artifacts."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    wcfg = cfg.wave_config()
-    n = wcfg.n
-    traj = load_trajectory(traj_path or out / "fom_trajectory.bin")
-    if traj.dim != 2 * n:
-        raise ConfigError(
-            f"trajectory dimension {traj.dim} does not match 2*n = {2 * n}"
-        )
-    fom = assemble_wave_fom(wcfg)
+    n = cfg.n
+    traj = _load_fom_trajectory(cfg, traj_path)
+    fom = assemble_wave_fom(cfg.wave_config())
     G_fn = fom.G
     c_u = fom.c_u
     u0 = traj.states[0, :n]
@@ -259,6 +268,17 @@ def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
 
     need_plain, need_shift, need_deim, need_deim_shift = _variant_needs(cfg)
     set_u = collect(traj, cfg.stride, lambda z: z[:n], "state-u")
+    # each basis needs r (each interpolation basis s >= r) snapshot columns
+    r_max = max(cfg.r_list)
+    what, size = f"rank r={r_max}", r_max
+    if need_deim or need_deim_shift:
+        size = cfg.deim_mult * r_max
+        what = f"interpolation size s={size} (r={r_max})"
+    if size > min(n, set_u.count):
+        raise ConfigError(
+            f"{what} exceeds min(n, snapshot count) = min({n}, {set_u.count}): "
+            f"stride {cfg.stride} samples {set_u.count} of {len(traj)} states"
+        )
     set_v = collect(traj, cfg.stride, lambda z: z[n:], "state-v")
     set_g = collect(traj, cfg.stride, lambda z: G_fn(z[:n]), "nonlinear-G")
     set_u_shift = shift(set_u, u0) if need_shift else None
@@ -349,25 +369,30 @@ def _write_report(out, report, times, series):
     write_series_csv(out / f"energy_{name}.csv", times, series)
 
 
-def cmd_online(cfg: PipelineConfig, rom_path, traj_path=None) -> RunReport:
-    """Integrate one stored reduced model and write its report."""
+def _online_stage(cfg, rom_paths, traj_path=None):
+    """Load every artifact, then the full-order trajectory; integrate each
+    model against it and write its report.  Returns the reports."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     wcfg = cfg.wave_config()
     fom = assemble_wave_fom(wcfg)
     try:
-        model = load_rom(rom_path, fom)
-    except ValueError as exc:  # the artifact was built for another n
+        models = [load_rom(path, fom) for path in rom_paths]
+    except ValueError as exc:  # an artifact was built for another n
         raise ConfigError(str(exc)) from None
-    fom_traj = load_trajectory(traj_path or out / "fom_trajectory.bin")
-    if fom_traj.dim != 2 * wcfg.n:
-        raise ConfigError(
-            f"trajectory dimension {fom_traj.dim} does not match 2*n = {2 * wcfg.n}"
-        )
-    fom_series = energy_series_of_states(make_wave_energy(wcfg), fom_traj, wcfg.dx)
-    report, rom_traj, series = _online_run(cfg, model, fom_traj, fom_series)
-    _write_report(out, report, rom_traj.times, series)
-    return report
+    fom_traj = _load_fom_trajectory(cfg, traj_path)
+    fom_series = energy_series_of_states(fom.energy, fom_traj, wcfg.dx)
+    reports = []
+    for model in models:
+        report, rom_traj, series = _online_run(cfg, model, fom_traj, fom_series)
+        _write_report(out, report, rom_traj.times, series)
+        reports.append(report)
+    return reports
+
+
+def cmd_online(cfg: PipelineConfig, rom_path, traj_path=None) -> RunReport:
+    """Integrate one stored reduced model and write its report."""
+    return _online_stage(cfg, [rom_path], traj_path)[0]
 
 
 def _render_table(reports, cfg, fom_summary):
@@ -399,21 +424,11 @@ def _render_table(reports, cfg, fom_summary):
 def cmd_reproduce(cfg: PipelineConfig) -> dict:
     """Full pipeline: full-order run, offline stage, every reduced run."""
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     fom_summary = cmd_fom(cfg)
     cmd_offline(cfg)
-    wcfg = cfg.wave_config()
-    fom = assemble_wave_fom(wcfg)
-    energy = make_wave_energy(wcfg)
-    fom_traj = load_trajectory(out / "fom_trajectory.bin")
-    fom_series = energy_series_of_states(energy, fom_traj, wcfg.dx)
-    reports = []
-    for r in cfg.r_list:
-        for tag in cfg.variants:
-            model = load_rom(out / f"rom_{tag}_r{r}.bin", fom)
-            report, rom_traj, series = _online_run(cfg, model, fom_traj, fom_series)
-            _write_report(out, report, rom_traj.times, series)
-            reports.append(report)
+    reports = _online_stage(
+        cfg, [out / f"rom_{tag}_r{r}.bin" for r in cfg.r_list for tag in cfg.variants]
+    )
     table = _render_table(reports, cfg, fom_summary)
     (out / "table.txt").write_text(table)
     payload = {

@@ -19,7 +19,7 @@ which is O(dt^4) away from z_{k+1} instead of O(dt), so each solve meets
 the same tolerance in fewer iterations.
 
 The pipeline gives `integrate_steps` the average-vector-field (AVF)
-discrete-gradient steps of `wave.make_wave_step` and
+discrete-gradient steps of `TwoBlockSystem.make_step` and
 `ReducedModel.make_step`: they replace the nonlinearity at the midpoint
 by its exact mean over the step, which conserves every energy of the form
 z' = D grad H(z), and they solve with the stiff linear part factored
@@ -62,10 +62,12 @@ class IntegratorConfig:
     picard_max_iter: int = 100
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.picard_tol <= 0:
-            raise ValueError("picard_tol must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and positive")
+        if not 0 <= self.t_final < math.inf:
+            raise ValueError("t_final must be finite and non-negative")
+        if not 0 < self.picard_tol < math.inf:
+            raise ValueError("picard_tol must be finite and positive")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be at least 1")
 
@@ -162,7 +164,7 @@ def integrate_steps(step, z0, config: IntegratorConfig, observer=None) -> Trajec
     """Apply a one-step map round(t_final/dt) times from z0.
 
     `step(z, start)` returns (z_new, iterations), solving from the first
-    iterate `start`, and is built for config.dt (`wave.make_wave_step`,
+    iterate `start`, and is built for config.dt (`TwoBlockSystem.make_step`,
     `ReducedModel.make_step`).  `start` is z for the first three steps and
     the cubic extrapolation of the last four stored states afterwards.
     The observer, if given, is called after each step as

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from ._binio import FileFormatError, read_array, read_exact, write_array
+from ._binio import FileFormatError, check_payload, read_array, read_exact, write_array
 
 __all__ = [
     "SnapshotSet",
@@ -144,4 +144,5 @@ def save_snapshots(snapshots: SnapshotSet, path):
 def load_snapshots(path) -> SnapshotSet:
     with open(path, "rb") as fh:
         columns, steps, kind, shift_ref = read_container(fh, path)
+        check_payload(fh, 0, "trailing data", path)
     return SnapshotSet(columns, steps, kind, shift_ref=shift_ref)

@@ -6,21 +6,19 @@ In first-order form z = (u, v) it is a `core.TwoBlockSystem` with the
 sparse periodic Laplacian A, weights c_u = 1 and G(x) = 1 - cos(x), so
 that H(z) = 0.5 v^T v - 0.5 u^T A u + sum_i (1 - cos u_i).
 
-`make_wave_step` advances the system with the average-vector-field (AVF)
-discrete gradient, which conserves H exactly (up to the fixed-point
-tolerance and rounding): `sin_average` replaces sin(u) at the midpoint by
-its exact mean over the step, the stiff linear part is factored once, and
-each solve starts from the first iterate that `integrate_steps` supplies.
+The assembled system carries `sin_average`, the exact mean of sin over a
+step, so `TwoBlockSystem.make_step` advances it with the
+average-vector-field (AVF) discrete gradient, which conserves H exactly
+(up to the fixed-point tolerance and rounding).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import splu
 
 from .core import TwoBlockSystem
-from .integrator import IntegratorConfig, picard_solve
 
 __all__ = [
     "WaveConfig",
@@ -32,7 +30,6 @@ __all__ = [
     "make_wave_rhs",
     "make_wave_energy",
     "sin_average",
-    "make_wave_step",
 ]
 
 
@@ -47,8 +44,8 @@ class WaveConfig:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("need at least 3 grid points for the periodic stencil")
-        if self.length <= 0 or self.c_speed <= 0:
-            raise ValueError("length and c_speed must be positive")
+        if not (0 < self.length < math.inf and 0 < self.c_speed < math.inf):
+            raise ValueError("length and c_speed must be finite and positive")
 
     @property
     def dx(self) -> float:
@@ -118,38 +115,3 @@ def sin_average(x0, x1):
     m = 0.5 * (x0 + x1)
     h = 0.5 * (x1 - x0)
     return np.sin(m) * np.divide(np.sin(h), h, out=np.ones(h.shape), where=h != 0.0)
-
-
-def make_wave_step(cfg: WaveConfig, config: IntegratorConfig, g_avg=sin_average):
-    """AVF step z0 -> z1 of the wave system, for `integrate_steps`.
-
-    The AVF step z1 = z0 + dt * (v_m, A u_m - g_avg(u0, u1)), with
-    midpoints u_m, v_m, reduces to one equation in u_m:
-
-        (I - dt^2/4 A) u_m = u0 + dt/2 v0 - dt^2/4 g_avg(u0, 2 u_m - u0),
-
-    iterated from u_m = (u0 + start_u) / 2, where start_u is the u block
-    of the first iterate `start` that `integrate_steps` supplies, with the
-    periodic matrix factored once (splu).  Then u1 = 2 u_m - u0 and
-    v1 = 4 (u_m - u0) / dt - v0.  Pass `g_avg` to substitute the averaged
-    nonlinearity, for example zero to turn it off.  The returned
-    step(z, start) gives (z1, Picard iterations).
-    """
-    n = cfg.n
-    dt = config.dt
-    q = 0.25 * dt * dt
-    A = build_laplacian(cfg)
-    solve = splu(sparse.csc_matrix(sparse.identity(n) - q * A)).solve
-
-    def step(z, start):
-        u0 = z[:n]
-        v0 = z[n:]
-        base = u0 + 0.5 * dt * v0
-
-        def update(um):
-            return solve(base - q * g_avg(u0, 2.0 * um - u0))
-
-        um, iterations = picard_solve(update, 0.5 * (u0 + start[:n]), config)
-        return np.concatenate([2.0 * um - u0, (4.0 / dt) * (um - u0) - v0]), iterations
-
-    return step

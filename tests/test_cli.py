@@ -169,6 +169,9 @@ def test_config_errors(tmp_path):
     bad.write_text("r = 0,5\n")
     with pytest.raises(ConfigError):
         parse_config_file(bad)
+    bad.write_bytes(b"n = 64\nout = caf\xe9\n")  # Latin-1, not UTF-8
+    with pytest.raises(ConfigError, match="bad.conf.*UTF-8"):
+        parse_config_file(bad)
 
 
 def test_main_exit_codes(tmp_path):
@@ -188,6 +191,44 @@ def test_main_exit_codes(tmp_path):
         )
         == 3
     )
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--c-speed", "nan"),
+        ("--c-speed", "inf"),
+        ("--length", "inf"),
+        ("--length", "-1"),
+        ("--dt", "nan"),
+        ("--dt", "inf"),
+        ("--picard-tol", "nan"),
+        ("--picard-tol", "0"),
+        ("--t-final", "inf"),
+        ("--t-final", "nan"),
+        ("--t-final", "-1"),
+    ],
+)
+def test_non_finite_or_out_of_range_float_is_a_config_error(tmp_path, flag, value):
+    out = tmp_path / "run"
+    assert main(["fom", "--n", "16", "--t-final", "0.1", flag, value, "--out", str(out)]) == 2
+    assert not (out / "fom_summary.json").exists()
+
+
+def test_rank_above_snapshot_count_is_a_config_error(tmp_path, capsys):
+    # 100 steps at stride 50 give 3 snapshots, fewer than the default ranks
+    out = str(tmp_path / "few")
+    assert main(["reproduce", "--n", "40", "--t-final", "1", "--variants", "sp-pod-1",
+                 "--out", out]) == 2
+    message = capsys.readouterr().err
+    assert "rank r=20" in message and "min(40, 3)" in message and "stride 50" in message
+    # 5 snapshots hold r = 2, but not the interpolation size 3r of sp-deim
+    tail = ["--n", "40", "--t-final", "1", "--stride", "25", "--r", "2",
+            "--deim-mult", "3", "--out", out]
+    assert main(["offline", "--variants", "sp-deim-1", *tail]) == 2
+    message = capsys.readouterr().err
+    assert "interpolation size s=6 (r=2)" in message and "min(40, 5)" in message
+    assert main(["offline", "--variants", "sp-pod-1", *tail]) == 0
 
 
 def test_main_happy_path(tmp_path):

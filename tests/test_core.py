@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 
 from conftest import check_skew, dense_operators, random_orthonormal, random_skew
 from hamrom.core import TwoBlockSystem
+from hamrom.integrator import IntegratorConfig, integrate_steps
+from hamrom.wave import WaveConfig, build_laplacian, initial_state, sin_average
 
 COS_SPLIT = dict(G=lambda x: 1.0 - np.cos(x), g=np.sin)
 
@@ -38,6 +40,29 @@ def test_hamiltonian_matches_scalar_loop_oracle(rng):
             expected -= 0.5 * u[i] * A[i, j] * u[j]
         expected += 1.0 - np.cos(u[i])
     assert_allclose(system.energy(z), expected, rtol=1e-14)
+    # a stack of states gives one energy per row
+    stack = np.vstack([z, rng.standard_normal((3, 2 * n))])
+    assert_allclose(system.energy(stack), [system.energy(row) for row in stack], rtol=1e-14)
+
+
+def test_make_step_conserves_energy_with_non_unit_weights(rng):
+    # the AVF step's nonlinear term carries the weights c_u; a step that
+    # dropped them would advance another system and miss this energy
+    n = 16
+    cfg = WaveConfig(n=n)
+    system = TwoBlockSystem(
+        build_laplacian(cfg), rng.uniform(0.5, 2.0, n), **COS_SPLIT, g_avg=sin_average
+    )
+    icfg = IntegratorConfig(dt=0.01, t_final=1.0)
+    traj = integrate_steps(system.make_step(icfg), initial_state(cfg), icfg)
+    assert traj.steps == 100
+    h = system.energy(traj.states)
+    assert np.max(np.abs(h - h[0])) <= 1e-12 * abs(h[0])
+
+
+def test_make_step_needs_segment_mean():
+    with pytest.raises(ValueError, match="g_avg"):
+        quadratic_only(2).make_step(IntegratorConfig())
 
 
 def test_gradient_identity_and_zero_cases():
@@ -151,5 +176,9 @@ def test_dimension_mismatch_errors():
     system = quadratic_only(3)
     with pytest.raises(ValueError):
         system.energy(np.ones(4))
+    with pytest.raises(ValueError):  # rows of the wrong length
+        system.energy(np.ones((2, 4)))
+    with pytest.raises(ValueError):  # a stack of stacks
+        system.energy(np.ones((2, 2, 6)))
     with pytest.raises(ValueError):
         system.rhs(np.ones(2))

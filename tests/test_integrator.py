@@ -16,7 +16,7 @@ from hamrom.integrator import (
     picard_solve,
     save_trajectory,
 )
-from hamrom.wave import WaveConfig, build_laplacian, initial_state, make_wave_step
+from hamrom.wave import WaveConfig, assemble_wave_fom, build_laplacian, initial_state
 
 
 def oscillator(z):
@@ -142,7 +142,7 @@ def test_picard_divergence_reports_step():
     wave = WaveConfig(n=16)
     cfg = IntegratorConfig(dt=5.0, t_final=10.0)
     with pytest.raises(PicardDivergenceError) as info:
-        integrate_steps(make_wave_step(wave, cfg), initial_state(wave), cfg)
+        integrate_steps(assemble_wave_fom(wave).make_step(cfg), initial_state(wave), cfg)
     assert info.value.step == 0
     assert info.value.iterations == cfg.picard_max_iter
 

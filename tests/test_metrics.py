@@ -90,8 +90,9 @@ def test_linear_energy_series_constant():
     def f(z):
         return np.concatenate([z[n:], lap @ z[:n]])
 
-    def energy(z):
-        return 0.5 * z[n:] @ z[n:] - 0.5 * z[:n] @ (lap @ z[:n])
+    def energy(states):  # one energy per row of a stack of states
+        u, v = states[:, :n], states[:, n:]
+        return 0.5 * np.sum(v * v, axis=1) - 0.5 * np.sum(u * (lap @ u.T).T, axis=1)
 
     traj = integrate(f, initial_state(cfg), IntegratorConfig(dt=0.01, t_final=1.0))
     series = energy_series_of_states(energy, traj, cfg.dx)

@@ -160,6 +160,14 @@ def test_oversized_header_rejected_before_allocation(tmp_path, rng):
         load_snapshots(path)
 
 
+def test_trailing_bytes_rejected(tmp_path, rng):
+    path = tmp_path / "snap.bin"
+    save_snapshots(SnapshotSet(rng.standard_normal((4, 2)), [0, 1], "state-u"), path)
+    path.write_bytes(path.read_bytes() + b"\0" * 24)
+    with pytest.raises(FileFormatError, match="trailing data"):
+        load_snapshots(path)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTSNAP!" + b"\0" * 64)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,7 +14,6 @@ from hamrom.wave import (
     initial_state,
     make_wave_energy,
     make_wave_rhs,
-    make_wave_step,
     sin_average,
     spline_initial_condition,
 )
@@ -166,7 +167,11 @@ def test_wave_step_without_nonlinearity_is_cayley_map():
     gen[n:, :n] = lap.toarray()
     eye = np.eye(2 * n)
     cayley = np.linalg.solve(eye - 0.5 * icfg.dt * gen, eye + 0.5 * icfg.dt * gen)
-    step = make_wave_step(cfg, icfg, g_avg=lambda x0, x1: np.zeros_like(x0))
+    zero = lambda x: np.zeros_like(x)  # noqa: E731
+    linear_fom = dataclasses.replace(
+        assemble_wave_fom(cfg), G=zero, g=zero, g_avg=lambda x0, x1: np.zeros_like(x0)
+    )
+    step = linear_fom.make_step(icfg)
     z = initial_state(cfg)
     for _ in range(5):
         z_next, _ = step(z, z)
@@ -202,7 +207,7 @@ def test_factored_wave_step_matches_unfactored_avf_solve():
         return picard_solve(update, start, icfg)
 
     z0 = initial_state(cfg)
-    factored = integrate_steps(make_wave_step(cfg, icfg), z0, icfg)
+    factored = integrate_steps(assemble_wave_fom(cfg).make_step(icfg), z0, icfg)
     reference = integrate_steps(unfactored, z0, icfg)
     assert np.max(np.abs(factored.states - reference.states)) <= 1e-9
     assert np.mean(factored.picard_iters) < np.mean(reference.picard_iters)
@@ -216,7 +221,7 @@ def test_extrapolated_first_iterate_changes_work_not_result():
     # current one saves iterations; both runs meet the same tolerance
     cfg = WaveConfig(n=40)
     icfg = IntegratorConfig(dt=0.01, t_final=1.0)
-    step = make_wave_step(cfg, icfg)
+    step = assemble_wave_fom(cfg).make_step(icfg)
     z0 = initial_state(cfg)
     extrapolated = integrate_steps(step, z0, icfg)
     from_state = integrate_steps(lambda z, start: step(z, z), z0, icfg)
