@@ -50,8 +50,9 @@ def write_array(fh, arr, dtype="<f8"):
     fh.write(memoryview(np.ascontiguousarray(arr, dtype=dtype)))
 
 
-def read_array(fh, shape, section, dtype="<f8"):
-    """Read an array of the given shape and dtype straight into a new array.
+def read_array(fh, shape, section, dtype="<f8", empty=np.empty):
+    """Read an array of the given shape and dtype straight into a new array
+    made by `empty(shape, dtype=dtype)`.
 
     Raises FileFormatError naming the section when fewer bytes follow than
     the array needs.  That is checked against the file size before the
@@ -59,6 +60,6 @@ def read_array(fh, shape, section, dtype="<f8"):
     """
     nbytes = np.dtype(dtype).itemsize * math.prod(shape)
     _check_read(min(nbytes, _bytes_left(fh)), nbytes, section)
-    out = np.empty(shape, dtype=dtype)
+    out = empty(shape, dtype=dtype)
     _check_read(fh.readinto(out), nbytes, section)
     return out

@@ -28,9 +28,17 @@ once.  With no nonlinearity AVF is exactly the midpoint rule.
 Every step solves with `picard_solve`: convergence is measured on the
 iterate update in max-norm, relative with absolute floor 1, and a
 non-finite update stops the solve at once.
+
+Trajectory states, from `integrate_steps` or `load_trajectory`, live in
+their own anonymous memory mapping, which is unmapped when the array is
+freed.  A trajectory of tens of MB in the malloc heap would stay resident
+after it is freed and leave a hole that later allocations fragment, so
+the process's peak memory would depend on the order of unrelated small
+allocations.
 """
 
 import math
+import mmap
 import struct
 from dataclasses import dataclass
 
@@ -52,6 +60,14 @@ __all__ = [
 _TRAJ_MAGIC = b"HRTRAJ01"
 # weights of z_{k-3}, ..., z_k in the cubic extrapolation of z_{k+1}
 _EXTRAPOLATION = np.array([-1.0, 4.0, -6.0, 4.0])
+
+
+def _mapped_empty(shape, dtype=float):
+    """Uninitialised array in a private anonymous mapping of its own."""
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, max(1, count * dtype.itemsize))
+    return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -175,7 +191,7 @@ def integrate_steps(step, z0, config: IntegratorConfig, observer=None) -> Trajec
     if not np.all(np.isfinite(z0)):
         raise ValueError("initial state contains non-finite entries")
     steps = config.step_count()
-    states = np.empty((steps + 1, z0.shape[0]))
+    states = _mapped_empty((steps + 1, z0.shape[0]))
     states[0] = z0
     iters = np.zeros(steps, dtype=np.int64)
     z = z0
@@ -220,6 +236,6 @@ def load_trajectory(path) -> Trajectory:
         if dim == 0 or count == 0:
             raise FileFormatError(f"{path}: implausible dimensions {dim} x {count}")
         check_payload(fh, 8 * dim * count, "state data", path)
-        states = read_array(fh, (count, dim), "state data")
+        states = read_array(fh, (count, dim), "state data", empty=_mapped_empty)
     times = t0 + np.arange(count) * dt
     return Trajectory(states, times)

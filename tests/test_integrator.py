@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -215,6 +216,32 @@ def test_trajectory_truncation_detected(tmp_path, rng):
     path.write_bytes(data[:-8])
     with pytest.raises(FileFormatError, match="state data"):
         load_trajectory(path)
+
+
+def _resident_mb():
+    pages = int(open("/proc/self/statm").read().split()[1])
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
+def test_freed_trajectories_return_their_memory(tmp_path):
+    # Freeing a 32 MB array first lets glibc serve later arrays of up to
+    # that size from its heap, which keeps them resident after they are
+    # freed; trajectory states must not go there.
+    np.ones(4_000_000)
+    cfg = IntegratorConfig(dt=1.0, t_final=1000.0)
+    path = tmp_path / "traj.bin"
+    save_trajectory(integrate_steps(lambda z, start: (z, 1), np.zeros(3000), cfg), path)
+    for make in (
+        lambda: integrate_steps(lambda z, start: (z + 1.0, 1), np.zeros(3000), cfg),
+        lambda: load_trajectory(path),
+    ):
+        before = _resident_mb()
+        traj = make()
+        traj.states[:] += 1.0  # touch every page (24 MB)
+        assert _resident_mb() - before > 20
+        del traj
+        assert _resident_mb() - before < 4
 
 
 def test_oversized_header_rejected_before_allocation(tmp_path, rng):
