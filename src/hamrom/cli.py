@@ -14,8 +14,10 @@ config file (--config), overridden by command-line flags.  Exit codes:
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -183,11 +185,20 @@ def build_config(args) -> PipelineConfig:
     try:
         cfg = PipelineConfig(**values)
         cfg.wave_config()
-        cfg.integrator_config().step_count()
+        steps = cfg.integrator_config().step_count()
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.stride < 1 or cfg.deim_mult < 1:
         raise ConfigError("stride and deim_mult must be positive")
+    # checked before anything is allocated: every stage holds the whole
+    # full-order trajectory in memory
+    size = 8 * 2 * cfg.n * (steps + 1)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if size > memory:
+        raise ConfigError(
+            f"the full-order trajectory needs {Decimal(size):.3e} bytes, more than "
+            f"the {memory} bytes of physical memory"
+        )
     return cfg
 
 

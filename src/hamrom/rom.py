@@ -29,7 +29,9 @@ evaluates that form; `make_step` advances it with the average-vector-field
 (AVF) discrete gradient, which conserves the reduced energy of the
 structure-preserving variants exactly (up to the fixed-point tolerance
 and rounding), solving each step from the first iterate that
-`integrate_steps` supplies.  Every variant also has one energy form,
+`integrate_steps` supplies and refining the result once against the
+unfactored step equation, so that rounding does not make the energy
+drift.  Every variant also has one energy form,
 
     H_r = -a'A_r a/2 - a'lin_u + b'b/2 + b'lin_v + W . G(P a + x_ref) + C,
 
@@ -251,27 +253,45 @@ class ReducedModel:
             (I - dt/2 L) z1 = (I + dt/2 L) z0 + dt c + dt M g_avg(x0, x1),
 
         x = P a + x_ref, by fixed-point iteration on z1 from the first
-        iterate `start` that `integrate_steps` supplies, with I - dt/2 L
-        inverted once.  The returned step(z, start) gives
-        (z1, Picard iterations).
+        iterate `start` that `integrate_steps` supplies, with K = I - dt/2 L
+        inverted once.  The converged z1 then takes one step of iterative
+        refinement against the unfactored equation,
+
+            z1 <- z1 - K^-1 (K z1 - y - dt M q),   y = (I + dt/2 L) z0 + dt c,
+
+        with q the loop's last g_avg value.  Without it the rounding of
+        the stored K^-1 biases every step the same way, and the reduced
+        energy of a structure-preserving variant drifts linearly in time.
+        The returned step(z, start) gives (z1, Picard iterations).
         """
         if self.g_avg is None:
             raise ValueError("AVF stepping needs the segment mean g_avg of the nonlinearity")
         dt = config.dt
         ru = self.r_u
         eye = np.eye(self._L.shape[0])
-        k_inv = np.linalg.inv(eye - 0.5 * dt * self._L)
-        E = k_inv @ (eye + 0.5 * dt * self._L)
-        e = dt * (k_inv @ self._c)
-        B = dt * (k_inv[:, ru:] @ self._m_b)
+        K = eye - 0.5 * dt * self._L
+        K_plus = eye + 0.5 * dt * self._L
+        k_inv = np.linalg.inv(K)
+        dt_c = dt * self._c
+        dt_m = dt * self._m_b
+        B = k_inv[:, ru:] @ dt_m
         P, x_ref, g_avg = self._P, self._x_ref, self.g_avg
 
         def step(z, start):
-            w = E @ z + e
+            y = K_plus @ z + dt_c
+            w = k_inv @ y
             x0 = P @ z[:ru] + x_ref
-            return picard_solve(
-                lambda z1: w + B @ g_avg(x0, P @ z1[:ru] + x_ref), start, config
-            )
+            q = None
+
+            def update(z1):
+                nonlocal q
+                q = g_avg(x0, P @ z1[:ru] + x_ref)
+                return w + B @ q
+
+            z1, iterations = picard_solve(update, start, config)
+            r = K @ z1 - y
+            r[ru:] -= dt_m @ q
+            return z1 - k_inv @ r, iterations
 
         return step
 

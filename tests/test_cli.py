@@ -215,6 +215,22 @@ def test_non_finite_or_out_of_range_float_is_a_config_error(tmp_path, flag, valu
     assert not (out / "fom_summary.json").exists()
 
 
+def test_oversized_trajectory_is_a_config_error(tmp_path, capsys):
+    # 5e301 steps: refused with the byte count, before any directory exists;
+    # 50 / 1e-320 overflows to infinitely many steps
+    out = tmp_path / "huge"
+    assert main(["fom", "--dt", "1e-300", "--out", str(out)]) == 2
+    assert "needs 4.000e+305 bytes" in capsys.readouterr().err
+    assert main(["fom", "--dt", "1e-320", "--out", str(out)]) == 2
+    assert "too many steps" in capsys.readouterr().err
+    assert not out.exists()
+    # 2n = 4e9 values over 5,001 states are 1.6e14 bytes; only the
+    # configuration is built, never the run
+    args = build_parser().parse_args(["fom", "--n", "2000000000"])
+    with pytest.raises(ConfigError, match=r"needs 1\.600e\+14 bytes"):
+        build_config(args)
+
+
 def test_rank_above_snapshot_count_is_a_config_error(tmp_path, capsys):
     # 100 steps at stride 50 give 3 snapshots, fewer than the default ranks
     out = str(tmp_path / "few")

@@ -174,28 +174,31 @@ def test_observer_called_each_step():
     assert_allclose([t for _, t in seen], 0.1 * np.arange(1, 6))
 
 
-def test_first_iterate_is_state_then_cubic_extrapolation():
-    # step k starts its solve from z_k for k < 3, then from
-    # 4 z_k - 6 z_{k-1} + 4 z_{k-2} - z_{k-3}, which is exact on a cubic
+def test_first_iterate_is_state_then_degree_7_extrapolation():
+    # step k starts its solve from z_k for k < 7, then from
+    # 8 z_k - 28 z_{k-1} + 56 z_{k-2} - 70 z_{k-3} + 56 z_{k-4}
+    # - 28 z_{k-5} + 8 z_{k-6} - z_{k-7}, which is exact on a degree-7
     # path; integer values keep the arithmetic exact
     def path(k):
-        return np.array([k**3 - 2.0 * k**2 + 5.0, 3.0 * k - 1.0])
+        return np.array([k**7 - 3.0 * k**4 + 5.0, 2.0 * k**6 - k**5 + 3.0 * k - 1.0])
 
+    weights = [8, -28, 56, -70, 56, -28, 8, -1]
     seen = []
 
     def step(z, start):
         seen.append((z.copy(), start.copy()))
         return path(len(seen)), 1
 
-    traj = integrate_steps(step, path(0), IntegratorConfig(dt=1.0, t_final=8.0))
+    traj = integrate_steps(step, path(0), IntegratorConfig(dt=1.0, t_final=12.0))
     s = traj.states
-    assert len(seen) == 8
+    assert len(seen) == 12
     for k, (z, start) in enumerate(seen):
         assert np.array_equal(z, s[k])
-        if k < 3:
+        if k < 7:
             assert np.array_equal(start, z)
         else:
-            assert np.array_equal(start, 4 * s[k] - 6 * s[k - 1] + 4 * s[k - 2] - s[k - 3])
+            expected = sum(w * s[k - j] for j, w in enumerate(weights))
+            assert np.array_equal(start, expected)
             assert np.array_equal(start, path(k + 1))
 
 

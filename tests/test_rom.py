@@ -400,6 +400,41 @@ def test_extrapolated_first_iterate_changes_work_not_result(pipe):
             assert np.max(np.abs(h - h[0])) <= 1e-12 * abs(h[0]), tag
 
 
+def test_sp_energy_does_not_leak_without_nonlinearity(pipe):
+    # with g switched off each AVF step is the Cayley map of a quadratic
+    # energy; 5,000 steps that all round K^-1 (I + dt/2 L) the same way
+    # would let the energy drift linearly, the refined step keeps it flat
+    zero = lambda x: 0.0 * x  # noqa: E731
+    linear = dataclasses.replace(
+        pipe["fom"], G=zero, g=zero, g_avg=lambda x0, x1: 0.0 * x0
+    )
+    cfg = IntegratorConfig(dt=0.01, t_final=50.0)
+    for tag in ("sp-pod-1", "sp-pod-2", "sp-deim-1", "sp-deim-2"):
+        variant = RomVariant.from_tag(tag)
+        model = build_rom(
+            variant,
+            *pipe["bases"][variant.shifted],
+            linear,
+            deim=pipe["deims"][variant.shifted] if variant.kind == "sp-deim" else None,
+        )
+        traj = integrate_steps(model.make_step(cfg), model.initial_coefficients(pipe["z0"]), cfg)
+        assert traj.steps == 5000
+        h = model.hamiltonian(traj.states)
+        assert np.max(np.abs(h - h[0])) <= 3e-14 * abs(h[0]), tag
+
+
+def test_extrapolated_solves_take_one_or_two_iterations(pipe):
+    # past the seven steps that start from the current state, the degree-7
+    # start leaves at most one further update for most steps
+    cfg = IntegratorConfig(dt=0.01, t_final=2.0)
+    z0 = pipe["z0"]
+    runs = {"fom": integrate_steps(pipe["fom"].make_step(cfg), z0, cfg)}
+    for tag, model in pipe["models"].items():
+        runs[tag] = integrate_steps(model.make_step(cfg), model.initial_coefficients(z0), cfg)
+    for tag, traj in runs.items():
+        assert np.mean(traj.picard_iters[7:]) <= 1.5, tag
+
+
 def test_g_rom_energy_drift_is_model_level(pipe):
     # negative control: the Galerkin drift neither meets 1e-8 nor shrinks
     # with the time step, nor vanishes under the energy-conserving AVF step

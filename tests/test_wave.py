@@ -230,3 +230,18 @@ def test_extrapolated_first_iterate_changes_work_not_result():
     energy = make_wave_energy(cfg)
     h = np.array([energy(z) for z in extrapolated.states])
     assert np.max(np.abs(h - h[0])) <= 1e-12 * abs(h[0])
+
+
+def test_extrapolation_costs_no_iterations_on_stiff_modes():
+    # c = 3.75 puts the fastest mode at dt * omega = 3, where the degree-7
+    # start is far off; the factored step solves the linear part exactly,
+    # so starting there costs no more iterations than starting from z
+    cfg = WaveConfig(n=40, c_speed=3.75)
+    icfg = IntegratorConfig(dt=0.01, t_final=2.0)
+    assert icfg.dt * 2 * cfg.c_speed / cfg.dx == pytest.approx(3.0)
+    step = assemble_wave_fom(cfg).make_step(icfg)
+    z0 = initial_state(cfg)
+    extrapolated = integrate_steps(step, z0, icfg)
+    from_state = integrate_steps(lambda z, start: step(z, z), z0, icfg)
+    assert np.mean(extrapolated.picard_iters) <= np.mean(from_state.picard_iters)
+    assert np.max(np.abs(extrapolated.states - from_state.states)) <= 1e-11
