@@ -4,7 +4,8 @@ Subcommands
 -----------
 fom        run the full-order model; write trajectory, energy CSV, summary
 offline    collect snapshots, build bases/interpolation, write model files
-online     integrate one reduced model and report its metrics
+online     integrate one reduced model and report its metrics against the
+           trajectory and energy CSV that fom wrote
 reproduce  full pipeline over all requested (variant, rank) pairs
 
 Configuration comes from defaults, overridden by an optional key=value
@@ -41,6 +42,7 @@ from .metrics import (
     e_inf,
     energy_series_of_states,
     hamiltonian_series,
+    read_series_csv,
     time_online,
     write_series_csv,
 )
@@ -203,9 +205,14 @@ def build_config(args) -> PipelineConfig:
 
 
 def _write_json(path, payload):
+    """Write payload as strict JSON.  A NaN or infinite value raises
+    FloatingPointError naming the file, before the file is opened."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"{path}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +254,13 @@ def cmd_fom(cfg: PipelineConfig) -> dict:
     return summary
 
 
+def _fom_trajectory_path(cfg, traj_path=None):
+    return Path(traj_path) if traj_path else Path(cfg.out) / "fom_trajectory.bin"
+
+
 def _load_fom_trajectory(cfg, traj_path=None):
     """The full-order trajectory (default: cfg.out's), checked against 2n."""
-    traj = load_trajectory(traj_path or Path(cfg.out) / "fom_trajectory.bin")
+    traj = load_trajectory(_fom_trajectory_path(cfg, traj_path))
     if traj.dim != 2 * cfg.n:
         raise ConfigError(
             f"trajectory dimension {traj.dim} does not match 2*n = {2 * cfg.n}"
@@ -374,25 +385,24 @@ def _online_run(cfg, model, fom_traj, fom_series):
 
 def _write_report(out, report, times, series):
     name = f"{report.variant}_r{report.r}"
-    with open(out / f"report_{name}.json", "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    _write_json(out / f"report_{name}.json", asdict(report))
     write_series_csv(out / f"energy_{name}.csv", times, series)
 
 
 def _online_stage(cfg, rom_paths, traj_path=None):
-    """Load every artifact, then the full-order trajectory; integrate each
-    model against it and write its report.  Returns the reports."""
+    """Load every artifact, then the full-order trajectory and the energy
+    series that `fom` wrote beside it; integrate each model against them
+    and write its report.  Returns the reports."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    wcfg = cfg.wave_config()
-    fom = assemble_wave_fom(wcfg)
+    fom = assemble_wave_fom(cfg.wave_config())
     try:
         models = [load_rom(path, fom) for path in rom_paths]
     except ValueError as exc:  # an artifact was built for another n
         raise ConfigError(str(exc)) from None
+    traj_path = _fom_trajectory_path(cfg, traj_path)
     fom_traj = _load_fom_trajectory(cfg, traj_path)
-    fom_series = energy_series_of_states(fom.energy, fom_traj, wcfg.dx)
+    fom_series = read_series_csv(traj_path.with_name("fom_energy.csv"), len(fom_traj))
     reports = []
     for model in models:
         report, rom_traj, series = _online_run(cfg, model, fom_traj, fom_series)
@@ -491,7 +501,8 @@ def build_parser():
         p = sub.add_parser(name, help=doc)
         _add_common_flags(p)
         if name in ("offline", "online"):
-            p.add_argument("--traj", help="full-order trajectory file")
+            p.add_argument("--traj", help="full-order trajectory file (online also "
+                           "reads the fom_energy.csv beside it)")
         if name == "online":
             p.add_argument("--rom", required=True, help="reduced-model artifact")
     return parser
@@ -512,7 +523,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PicardDivergenceError, RankDeficientError, np.linalg.LinAlgError) as exc:
+    except (
+        PicardDivergenceError,
+        RankDeficientError,
+        np.linalg.LinAlgError,
+        FloatingPointError,
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (OSError, FileFormatError) as exc:

@@ -36,22 +36,27 @@ Every step solves with `picard_solve`: convergence is measured on the
 iterate update in max-norm, relative with absolute floor 1, and a
 non-finite update stops the solve at once.
 
-Trajectory states, from `integrate_steps` or `load_trajectory`, live in
-their own anonymous memory mapping, which is unmapped when the array is
-freed.  A trajectory of tens of MB in the malloc heap would stay resident
-after it is freed and leave a hole that later allocations fragment, so
-the process's peak memory would depend on the order of unrelated small
-allocations.
+Trajectory states never live in the malloc heap, where tens of MB would
+stay resident after they are freed and leave a hole that later
+allocations fragment, so the process's peak memory would depend on the
+order of unrelated small allocations.  `integrate_steps` writes them into
+an anonymous mapping of their own; `load_trajectory` returns a private
+copy-on-write map of the file, which reads pages on first touch instead
+of copying the whole payload, and keeps the states writable without
+changing the file.  Either mapping is unmapped when the array is freed.
+`save_trajectory` writes a new file and renames it over the old one, so a
+file that a loaded trajectory still maps is never truncated under it.
 """
 
 import math
 import mmap
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._binio import FileFormatError, check_payload, read_array, read_exact, write_array
+from ._binio import FileFormatError, check_payload, read_exact, write_array
 
 __all__ = [
     "IntegratorConfig",
@@ -65,6 +70,7 @@ __all__ = [
 ]
 
 _TRAJ_MAGIC = b"HRTRAJ01"
+_TRAJ_HEADER = struct.Struct("<8sIQQdd")
 # weights of z_{k-7}, ..., z_k in the degree-7 extrapolation of z_{k+1}
 _EXTRAPOLATION = np.array([-1.0, 8.0, -28.0, 56.0, -70.0, 56.0, -28.0, 8.0])
 
@@ -162,7 +168,9 @@ def picard_solve(phi, x, config: IntegratorConfig):
         x = x_next
         if not residual < inf:  # NaN or infinite update
             raise PicardDivergenceError(it, residual)
-        if residual <= tol * max(1.0, float(abs(x).max())):
+        # tol * max(1, max|x|) = max(tol, tol * max|x|): max|x| is needed
+        # only when the update exceeds tol
+        if residual <= tol or residual <= tol * float(abs(x).max()):
             return x, it
     raise PicardDivergenceError(config.picard_max_iter, residual)
 
@@ -224,21 +232,26 @@ def integrate_steps(step, z0, config: IntegratorConfig, observer=None) -> Trajec
 
 
 def save_trajectory(traj: Trajectory, path, dt=None):
-    """Write a trajectory to disk (magic HRTRAJ01, float64 payload)."""
+    """Write a trajectory to disk (magic HRTRAJ01, float64 payload).
+
+    The file is written as `<path>.tmp` and renamed over `path`: a
+    trajectory loaded from the old file keeps mapping the old contents.
+    """
     if dt is None:
         dt = float(traj.times[1] - traj.times[0]) if len(traj) > 1 else 0.0
-    header = struct.pack(
-        "<8sIQQdd", _TRAJ_MAGIC, 1, traj.dim, len(traj), dt, float(traj.times[0])
-    )
-    with open(path, "wb") as fh:
+    header = _TRAJ_HEADER.pack(_TRAJ_MAGIC, 1, traj.dim, len(traj), dt, float(traj.times[0]))
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(header)
         write_array(fh, traj.states)
+    os.replace(tmp, path)
 
 
 def load_trajectory(path) -> Trajectory:
+    """Read a trajectory file; its states are a copy-on-write map of it."""
     with open(path, "rb") as fh:
-        head = read_exact(fh, struct.calcsize("<8sIQQdd"), "trajectory header")
-        magic, version, dim, count, dt, t0 = struct.unpack("<8sIQQdd", head)
+        head = read_exact(fh, _TRAJ_HEADER.size, "trajectory header")
+        magic, version, dim, count, dt, t0 = _TRAJ_HEADER.unpack(head)
         if magic != _TRAJ_MAGIC:
             raise FileFormatError(f"{path}: bad magic {magic!r}")
         if version != 1:
@@ -246,6 +259,6 @@ def load_trajectory(path) -> Trajectory:
         if dim == 0 or count == 0:
             raise FileFormatError(f"{path}: implausible dimensions {dim} x {count}")
         check_payload(fh, 8 * dim * count, "state data", path)
-        states = read_array(fh, (count, dim), "state data", empty=_mapped_empty)
+    states = np.memmap(path, "<f8", mode="c", offset=_TRAJ_HEADER.size, shape=(count, dim))
     times = t0 + np.arange(count) * dt
     return Trajectory(states, times)

@@ -8,15 +8,19 @@ point of the Euclidean mismatch in the (u, v) pair,
 evaluated against the full-order trajectory in blocks of states.
 Energy series are reported scaled by the mesh size dx, which makes them
 consistent approximations of the continuum Hamiltonian; every series,
-full-order or reduced, takes one energy call per block of states.
+full-order or reduced, takes one energy call per block of states.  A
+series written by `write_series_csv` reads back bit-exactly with
+`read_series_csv`.
 """
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._binio import FileFormatError
 from .integrator import Trajectory
 
 __all__ = [
@@ -27,6 +31,7 @@ __all__ = [
     "energy_series_of_states",
     "time_online",
     "write_series_csv",
+    "read_series_csv",
 ]
 
 # States per energy call and per e_inf block: each holds a few arrays of
@@ -51,7 +56,7 @@ class RunReport:
     picard_avg_iters: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=1)
+        return json.dumps(asdict(self), sort_keys=True, indent=1, allow_nan=False)
 
 
 class EvalCounter:
@@ -74,18 +79,31 @@ def e_inf(fom_traj: Trajectory, rom_traj: Trajectory, model, chunk=_BLOCK) -> fl
 
     Every stored full-order state is compared against the reconstruction
     of the reduced coefficients of the same step, `chunk` steps at a time.
+    A block is reconstructed in trajectory layout, one state per row
+    (coeffs @ phi^T + ref), and the squared mismatch is reduced in place;
+    the square root is taken once, of the largest square, which gives the
+    same value because sqrt is monotone.  A NaN in either trajectory makes
+    the result NaN.
     """
     if len(fom_traj) != len(rom_traj):
         raise ValueError("trajectories have different step counts")
-    n = model.n
+    n, r_u = model.n, model.r_u
+    phi_u_t, phi_v_t = model.phi_u.T, model.phi_v.T
     worst = 0.0
     for start in range(0, len(fom_traj), chunk):
         block = fom_traj.states[start : start + chunk]
-        U, V = model.reconstruct_blocks(rom_traj.states[start : start + chunk])
-        du = block[:, :n].T - U
-        dv = block[:, n:].T - V
-        worst = max(worst, float(np.sqrt(np.max(du**2 + dv**2))))
-    return worst
+        coeffs = rom_traj.states[start : start + chunk]
+        du = coeffs[:, :r_u] @ phi_u_t
+        du += model.u_ref
+        du -= block[:, :n]
+        du *= du
+        dv = coeffs[:, r_u:] @ phi_v_t
+        dv += model.v_ref
+        dv -= block[:, n:]
+        dv *= dv
+        du += dv
+        worst = np.maximum(worst, du.max())  # propagates NaN, unlike max()
+    return math.sqrt(worst)
 
 
 def hamiltonian_series(model, rom_traj: Trajectory, dx, fom_series=None):
@@ -129,3 +147,20 @@ def write_series_csv(path, times, values):
         fh.write("t,value\n")
         for t, v in zip(times, values):
             fh.write(f"{float(t)!r},{float(v)!r}\n")
+
+
+def read_series_csv(path, count) -> np.ndarray:
+    """The values of a `t,value` CSV written by `write_series_csv`, which
+    must hold `count` rows; raises FileFormatError naming the file
+    otherwise, or when a value does not parse."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            header = fh.readline()
+            values = [float(line.partition(",")[2]) for line in fh]
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise FileFormatError(f"{path}: not a t,value series ({exc})") from None
+    if header != "t,value\n" or len(values) != count:
+        raise FileFormatError(
+            f"{path}: expected a t,value header and {count} rows, found {len(values)} rows"
+        )
+    return np.array(values)

@@ -278,20 +278,28 @@ class ReducedModel:
         P, x_ref, g_avg = self._P, self._x_ref, self.g_avg
 
         def step(z, start):
-            y = K_plus @ z + dt_c
+            y = K_plus @ z
+            y += dt_c
             w = k_inv @ y
-            x0 = P @ z[:ru] + x_ref
+            x0 = P @ z[:ru]
+            x0 += x_ref
             q = None
 
             def update(z1):
                 nonlocal q
-                q = g_avg(x0, P @ z1[:ru] + x_ref)
-                return w + B @ q
+                x1 = P @ z1[:ru]
+                x1 += x_ref
+                q = g_avg(x0, x1)
+                z_next = B @ q
+                z_next += w
+                return z_next
 
             z1, iterations = picard_solve(update, start, config)
-            r = K @ z1 - y
+            r = K @ z1
+            r -= y
             r[ru:] -= dt_m @ q
-            return z1 - k_inv @ r, iterations
+            z1 -= k_inv @ r
+            return z1, iterations
 
         return step
 

@@ -106,12 +106,26 @@ def make_wave_energy(cfg: WaveConfig):
     return assemble_wave_fom(cfg).energy
 
 
+_TINY = np.finfo(float).tiny
+
+
 def sin_average(x0, x1):
     """Elementwise mean of sin over [x0, x1], (cos x0 - cos x1) / (x1 - x0).
 
     Evaluated as sin(m) * sinc(h) with m = (x0 + x1)/2, h = (x1 - x0)/2,
     which has no cancellation as x1 -> x0 and equals sin(x0) there.
+    sinc is even, so it is taken at |h| clamped below at the smallest
+    normal float, where sin(h)/h is exactly 1 as it is for every smaller
+    |h|: h = 0 needs no separate case.
     """
-    m = 0.5 * (x0 + x1)
-    h = 0.5 * (x1 - x0)
-    return np.sin(m) * np.divide(np.sin(h), h, out=np.ones(h.shape), where=h != 0.0)
+    m = x0 + x1
+    m *= 0.5
+    h = x1 - x0
+    h *= 0.5
+    np.abs(h, out=h)
+    np.maximum(h, _TINY, out=h)
+    sinc = np.sin(h)
+    sinc /= h
+    np.sin(m, out=m)
+    m *= sinc
+    return m

@@ -22,6 +22,7 @@ from hamrom.cli import (
     parse_config_file,
 )
 from hamrom.integrator import load_trajectory
+from hamrom.metrics import energy_series_of_states, read_series_csv
 from hamrom.pod import PodBasis, load_basis
 from hamrom.rom import RomVariant, build_rom, load_rom, save_rom
 from hamrom.wave import WaveConfig, assemble_wave_fom
@@ -369,6 +370,43 @@ def test_solver_failure_names_the_model(deim_run, tmp_path, capsys):
     fresh = [*tail, "--out", str(tmp_path), "--picard-max-iter", "1"]
     assert main(["reproduce", *fresh]) == 3
     assert "in the full-order model at step 0" in capsys.readouterr().err
+
+
+def test_online_reads_the_energy_series_fom_wrote(deim_run):
+    out, tail = deim_run
+    wcfg = build_config(build_parser().parse_args(["fom", *tail])).wave_config()
+    traj = load_trajectory(out / "fom_trajectory.bin")
+    series = read_series_csv(out / "fom_energy.csv", len(traj))
+    expected = energy_series_of_states(assemble_wave_fom(wcfg).energy, traj, wcfg.dx)
+    assert np.array_equal(series, expected)
+
+
+@pytest.mark.parametrize("case", ("missing", "one-row-short", "garbled"))
+def test_online_needs_the_energy_series_beside_the_trajectory(deim_run, tmp_path, case, capsys):
+    out, tail = deim_run
+    (tmp_path / "fom_trajectory.bin").write_bytes((out / "fom_trajectory.bin").read_bytes())
+    lines = (out / "fom_energy.csv").read_text().splitlines(keepends=True)
+    if case == "one-row-short":
+        lines = lines[:-1]
+    elif case == "garbled":
+        lines[3] = lines[3].replace(",", ",x")
+    if case != "missing":
+        (tmp_path / "fom_energy.csv").write_text("".join(lines))
+    rom = str(out / "rom_sp-deim-1_r2.bin")
+    traj = str(tmp_path / "fom_trajectory.bin")
+    assert main(["online", "--rom", rom, "--traj", traj, *tail]) == 4
+    assert str(tmp_path / "fom_energy.csv") in capsys.readouterr().err
+
+
+def test_nan_result_is_a_numerical_failure_without_a_report(deim_run, tmp_path, monkeypatch,
+                                                           capsys):
+    out, tail = deim_run
+    monkeypatch.setattr(cli, "e_inf", lambda *args: float("nan"))
+    rom = str(out / "rom_sp-deim-1_r2.bin")
+    traj = str(out / "fom_trajectory.bin")
+    assert main(["online", "--rom", rom, "--traj", traj, *tail, "--out", str(tmp_path)]) == 3
+    assert "report_sp-deim-1_r2.json" in capsys.readouterr().err
+    assert not list(tmp_path.glob("report_*.json"))
 
 
 def test_names_the_benchmark_uses_exist():

@@ -1,11 +1,16 @@
 import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+import hamrom
 from hamrom._binio import FileFormatError
 from hamrom.integrator import (
     IntegratorConfig,
@@ -245,6 +250,39 @@ def test_freed_trajectories_return_their_memory(tmp_path):
         assert _resident_mb() - before > 20
         del traj
         assert _resident_mb() - before < 4
+
+
+def test_loaded_trajectory_survives_overwrite_of_its_file(tmp_path):
+    # Loaded states map the file.  Truncating it in place would make the
+    # next read of those states raise SIGBUS, so the check runs in a child
+    # process, where that ends the child and not the test session.
+    script = textwrap.dedent(
+        f"""
+        import numpy as np
+        from hamrom.integrator import Trajectory, load_trajectory, save_trajectory
+
+        path = {str(tmp_path / "traj.bin")!r}
+        states = np.arange(64_000.0).reshape(4000, 16)  # 500 kB, many pages
+        save_trajectory(Trajectory(states, np.arange(4000.0)), path, dt=1.0)
+        old = load_trajectory(path)
+        save_trajectory(Trajectory(states[:2] + 1.0, np.arange(2.0)), path, dt=1.0)
+        assert np.array_equal(old.states, states)
+        assert np.array_equal(load_trajectory(path).states, states[:2] + 1.0)
+        old.states[:] = 0.0  # writable, and private: the file is unchanged
+        assert np.array_equal(load_trajectory(path).states, states[:2] + 1.0)
+        """
+    )
+    src = str(Path(hamrom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, (run.returncode, run.stderr)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.bin"]
 
 
 def test_oversized_header_rejected_before_allocation(tmp_path, rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import random_orthonormal
 from hamrom.integrator import IntegratorConfig, Trajectory, integrate
 from hamrom.metrics import (
     RunReport,
@@ -60,6 +61,28 @@ def test_e_inf_independent_of_chunk(identity_setup):
     whole = e_inf(traj, coeffs, model)
     assert e_inf(traj, coeffs, model, chunk=7) == whole
     assert whole > 0
+
+
+def test_e_inf_equals_column_layout_reference(rng):
+    # the former arithmetic: blocks reconstructed as n x m columns by
+    # `reconstruct_blocks`, one square root per block
+    cfg = WaveConfig(n=40)
+    fom = assemble_wave_fom(cfg)
+    phi = random_orthonormal(rng, cfg.n, 4)
+    basis = PodBasis(phi, np.ones(4), shift_ref=rng.standard_normal(cfg.n))
+    model = build_rom(RomVariant.from_tag("sp-pod-2"), basis, basis, fom)
+    full = Trajectory(rng.standard_normal((70, 2 * cfg.n)), np.arange(70.0))
+    reduced = Trajectory(rng.standard_normal((70, 8)), np.arange(70.0))
+    worst = 0.0
+    for k in range(0, 70, 32):
+        U, V = model.reconstruct_blocks(reduced.states[k : k + 32])
+        du = full.states[k : k + 32, : cfg.n].T - U
+        dv = full.states[k : k + 32, cfg.n :].T - V
+        worst = max(worst, float(np.sqrt(np.max(du**2 + dv**2))))
+    assert e_inf(full, reduced, model) == worst
+    # a NaN anywhere is not dropped by the running maximum
+    reduced.states[40, 1] = np.nan
+    assert np.isnan(e_inf(full, reduced, model))
 
 
 def test_e_inf_length_mismatch_rejected(identity_setup):

@@ -155,6 +155,29 @@ def test_sin_average_is_exact_segment_mean(rng):
     assert np.all(sin_average(x0, x0) == np.sin(x0))
 
 
+def test_sin_average_matches_guarded_quotient_bitwise(rng):
+    # the former form: sin(m) * sin(h)/h with h = 0 guarded by a mask
+    def guarded(x0, x1):
+        m = 0.5 * (x0 + x1)
+        h = 0.5 * (x1 - x0)
+        return np.sin(m) * np.divide(np.sin(h), h, out=np.ones(h.shape), where=h != 0.0)
+
+    x0 = rng.uniform(-4.0, 4.0, 600)
+    x1 = x0 + rng.uniform(-2.0, 2.0, 600)
+    x1[:100] = x0[:100]  # h = 0
+    x1[100:200] = -x0[100:200]  # m = 0
+    x1[200:300] = np.nextafter(x0[200:300], np.inf)  # the smallest h
+    x0[300:400] = 0.0
+    x1[300:400] = np.arange(100) * 5e-324  # subnormal h and m
+    x0[400:500] = np.finfo(float).tiny * rng.uniform(-4.0, 4.0, 100)
+    x1[400:500] = -x0[400:500]  # h around the clamp, m = 0
+    x1[500:] = x0[500:] * (1.0 + 1e-15 * rng.standard_normal(100))
+    inputs = x0.copy(), x1.copy()
+    expected, got = guarded(x0, x1), sin_average(x0, x1)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(x0, inputs[0]) and np.array_equal(x1, inputs[1])  # not modified
+
+
 def test_wave_step_without_nonlinearity_is_cayley_map():
     # with the nonlinearity off, AVF is the midpoint rule, whose step on the
     # linear wave system is the Cayley map of its generator
