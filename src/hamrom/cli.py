@@ -118,6 +118,8 @@ def _parse_int_list(text):
         raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from exc
     if not values or any(v < 1 for v in values):
         raise ConfigError(f"expected positive integers, got {text!r}")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"repeated entry in {text!r}")
     return values
 
 
@@ -128,25 +130,41 @@ def _parse_variants(text):
             raise ConfigError(f"unknown variant {tag!r}; choose from {VARIANT_TAGS}")
     if not tags:
         raise ConfigError("variant list is empty")
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f"repeated variant in {text!r}")
     return tags
 
 
+# each setting once: its config-file key, parser and --help text (see _flag)
 _CONFIG_PARSERS = {
-    "n": int,
-    "c_speed": float,
-    "length": float,
-    "dt": float,
-    "t_final": float,
-    "stride": int,
-    "r": _parse_int_list,
-    "deim_mult": int,
-    "variants": _parse_variants,
-    "picard_tol": float,
-    "picard_max_iter": int,
-    "out": str,
+    "n": (int, "number of grid points"),
+    "c_speed": (float, "wave speed"),
+    "length": (float, "domain length"),
+    "dt": (float, "time step"),
+    "t_final": (float, "final time"),
+    "stride": (int, "snapshot sampling stride"),
+    "r": (_parse_int_list, "comma-separated basis ranks"),
+    "deim_mult": (int, "interpolation size as a multiple of r"),
+    "variants": (_parse_variants, "comma-separated model tags"),
+    "picard_tol": (float, "fixed-point update tolerance"),
+    "picard_max_iter": (int, "fixed-point iteration cap"),
+    "out": (str, "output directory"),
 }
 
 _KEY_TO_FIELD = {"r": "r_list"}
+
+
+def _flag(key):
+    """The command-line flag of a setting: --t-final for t_final."""
+    return "--" + key.replace("_", "-")
+
+
+def _parse_setting(key, text, where):
+    """Parse `text` as setting `key`; a ValueError becomes a ConfigError at `where`."""
+    try:
+        return _CONFIG_PARSERS[key][0](text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -166,13 +184,7 @@ def parse_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            parsed = _CONFIG_PARSERS[key](value)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-        overrides[_KEY_TO_FIELD.get(key, key)] = parsed
+        overrides[_KEY_TO_FIELD.get(key, key)] = _parse_setting(key, value, f"{path}:{lineno}")
     return overrides
 
 
@@ -180,10 +192,10 @@ def build_config(args) -> PipelineConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    for key, parse in _CONFIG_PARSERS.items():
-        value = getattr(args, key, None)
-        if value is not None:
-            values[_KEY_TO_FIELD.get(key, key)] = parse(value)
+    for key in _CONFIG_PARSERS:
+        text = getattr(args, key, None)
+        if text is not None:
+            values[_KEY_TO_FIELD.get(key, key)] = _parse_setting(key, text, _flag(key))
     try:
         cfg = PipelineConfig(**values)
         cfg.wave_config()
@@ -268,12 +280,12 @@ def _load_fom_trajectory(cfg, traj_path=None):
     return traj
 
 
-def _variant_needs(cfg):
-    shifted = any(RomVariant.from_tag(t).shifted for t in cfg.variants)
-    unshifted = any(not RomVariant.from_tag(t).shifted for t in cfg.variants)
-    deim_shifted = "sp-deim-2" in cfg.variants
-    deim_unshifted = "sp-deim-1" in cfg.variants
-    return unshifted, shifted, deim_unshifted, deim_shifted
+def _offline_step(what, build, *args):
+    """build(*args), naming `what` in a rank or interpolation failure."""
+    try:
+        return build(*args)
+    except (RankDeficientError, np.linalg.LinAlgError) as exc:
+        raise type(exc)(f"offline stage, {what}: {exc}") from None
 
 
 def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
@@ -284,16 +296,18 @@ def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
     traj = _load_fom_trajectory(cfg, traj_path)
     fom = assemble_wave_fom(cfg.wave_config())
     G_fn = fom.G
-    c_u = fom.c_u
-    u0 = traj.states[0, :n]
-    v0 = traj.states[0, n:]
+    variants = [RomVariant.from_tag(tag) for tag in cfg.variants]
+    # shift flag -> whether an sp-deim variant with that flag needs a DEIM model
+    deim_for = {
+        flag: any(v.kind == "sp-deim" and v.shifted == flag for v in variants)
+        for flag in sorted({v.shifted for v in variants})
+    }
 
-    need_plain, need_shift, need_deim, need_deim_shift = _variant_needs(cfg)
     set_u = collect(traj, cfg.stride, lambda z: z[:n], "state-u")
     # each basis needs r (each interpolation basis s >= r) snapshot columns
     r_max = max(cfg.r_list)
     what, size = f"rank r={r_max}", r_max
-    if need_deim or need_deim_shift:
+    if any(deim_for.values()):
         size = cfg.deim_mult * r_max
         what = f"interpolation size s={size} (r={r_max})"
     if size > min(n, set_u.count):
@@ -303,49 +317,44 @@ def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
         )
     set_v = collect(traj, cfg.stride, lambda z: z[n:], "state-v")
     set_g = collect(traj, cfg.stride, lambda z: G_fn(z[:n]), "nonlinear-G")
-    set_u_shift = shift(set_u, u0) if need_shift else None
-    set_v_shift = shift(set_v, v0) if need_shift else None
-    set_g_shift = shift(set_g, G_fn(u0)) if need_deim_shift else None
+    sets = {False: (set_u, set_v, set_g)}
+    if True in deim_for:
+        u0, v0 = traj.states[0, :n], traj.states[0, n:]
+        set_g_shift = shift(set_g, G_fn(u0)) if deim_for[True] else None
+        sets[True] = (shift(set_u, u0), shift(set_v, v0), set_g_shift)
 
     log = {"snapshots": {"count": int(set_u.count), "stride": cfg.stride}}
     for r in cfg.r_list:
         s = cfg.deim_mult * r
         entry = {}
-        bases = {}
-        if need_plain:
-            bases[False] = (compute_pod(set_u, r), compute_pod(set_v, r))
-            entry["sigma_u"] = bases[False][0].singular_values[:50].tolist()
-            entry["sigma_v"] = bases[False][1].singular_values[:50].tolist()
-        if need_shift:
-            bases[True] = (compute_pod(set_u_shift, r), compute_pod(set_v_shift, r))
-            entry["sigma_u_shifted"] = bases[True][0].singular_values[:50].tolist()
-        deims = {}
-        if need_deim:
-            deims[False] = build_deim(compute_pod(set_g, s), c_u)
-            entry["cond_interp"] = deims[False].cond
-        if need_deim_shift:
-            deims[True] = build_deim(compute_pod(set_g_shift, s), c_u)
-            entry["cond_interp_shifted"] = deims[True].cond
-        for flag, (bu, bv) in bases.items():
-            suffix = "_shifted" if flag else ""
+        for flag, needs_deim in deim_for.items():
+            suffix, label = ("_shifted", "shifted ") if flag else ("", "")
+            snaps_u, snaps_v, snaps_g = sets[flag]
+            bu, bv = (
+                _offline_step(f"POD of {label}{snaps.kind} snapshots at r={r}", compute_pod,
+                              snaps, r)
+                for snaps in (snaps_u, snaps_v)
+            )
+            entry["sigma_u" + suffix] = bu.singular_values[:50].tolist()
+            if not flag:
+                entry["sigma_v"] = bv.singular_values[:50].tolist()
             save_basis(bu, out / f"basis_u{suffix}_r{r}.bin")
             save_basis(bv, out / f"basis_v{suffix}_r{r}.bin")
-        for flag, dm in deims.items():
-            suffix = "_shifted" if flag else ""
-            _write_json(
-                out / f"deim_indices{suffix}_r{r}.json",
-                {"indices": dm.indices.tolist(), "cond": dm.cond},
-            )
-        for tag in cfg.variants:
-            variant = RomVariant.from_tag(tag)
-            model = build_rom(
-                variant,
-                bases[variant.shifted][0],
-                bases[variant.shifted][1],
-                fom,
-                deim=deims.get(variant.shifted) if variant.kind == "sp-deim" else None,
-            )
-            save_rom(model, out / f"rom_{tag}_r{r}.bin")
+            deim = None
+            if needs_deim:
+                what = f"interpolation of {label}{snaps_g.kind} snapshots at s={s} (r={r})"
+                psi = _offline_step(what, compute_pod, snaps_g, s)
+                deim = _offline_step(what, build_deim, psi, fom.c_u)
+                entry["cond_interp" + suffix] = deim.cond
+                _write_json(
+                    out / f"deim_indices{suffix}_r{r}.json",
+                    {"indices": deim.indices.tolist(), "cond": deim.cond},
+                )
+            for variant in variants:
+                if variant.shifted == flag:
+                    dm = deim if variant.kind == "sp-deim" else None
+                    save_rom(build_rom(variant, bu, bv, fom, deim=dm),
+                             out / f"rom_{variant.tag}_r{r}.bin")
         log[f"r{r}"] = entry
     _write_json(out / "offline_log.json", log)
     return log
@@ -468,21 +477,8 @@ def cmd_reproduce(cfg: PipelineConfig) -> dict:
 
 def _add_common_flags(parser):
     parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--n", type=int, help="number of grid points")
-    parser.add_argument("--c-speed", dest="c_speed", type=float, help="wave speed")
-    parser.add_argument("--length", type=float, help="domain length")
-    parser.add_argument("--dt", type=float, help="time step")
-    parser.add_argument("--t-final", dest="t_final", type=float, help="final time")
-    parser.add_argument("--stride", type=int, help="snapshot sampling stride")
-    parser.add_argument("--r", help="comma-separated basis ranks")
-    parser.add_argument("--deim-mult", dest="deim_mult", type=int,
-                        help="interpolation size as a multiple of r")
-    parser.add_argument("--variants", help="comma-separated model tags")
-    parser.add_argument("--picard-tol", dest="picard_tol", type=float,
-                        help="fixed-point update tolerance")
-    parser.add_argument("--picard-max-iter", dest="picard_max_iter", type=int,
-                        help="fixed-point iteration cap")
-    parser.add_argument("--out", help="output directory")
+    for key, (_, doc) in _CONFIG_PARSERS.items():
+        parser.add_argument(_flag(key), dest=key, help=doc)
 
 
 def build_parser():

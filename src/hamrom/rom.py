@@ -40,6 +40,7 @@ H_r(0) = H(z_ref).  Its cost is O(r^2) plus the nonlinear term.
 """
 
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,16 +65,19 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 VARIANT_TAGS = ("g-rom", "sp-pod-1", "sp-pod-2", "sp-deim-1", "sp-deim-2")
 
 
+@dataclass(frozen=True)
 class RomVariant:
     """Model family (g-rom, sp-pod, sp-deim) plus the shifted-basis flag."""
 
-    def __init__(self, kind, shifted=False):
-        if kind not in _KIND_CODES:
-            raise ValueError(f"unknown model kind {kind!r}")
-        if kind == "g-rom" and shifted:
+    kind: str
+    shifted: bool = False
+
+    def __post_init__(self):
+        if self.kind not in _KIND_CODES:
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.kind == "g-rom" and self.shifted:
             raise ValueError("a shifted Galerkin model is not supported")
-        self.kind = kind
-        self.shifted = bool(shifted)
+        object.__setattr__(self, "shifted", bool(self.shifted))
 
     @classmethod
     def from_tag(cls, tag):
@@ -91,16 +95,6 @@ class RomVariant:
         if self.kind == "g-rom":
             return "g-rom"
         return self.kind + ("-2" if self.shifted else "-1")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RomVariant)
-            and self.kind == other.kind
-            and self.shifted == other.shifted
-        )
-
-    def __repr__(self):
-        return f"RomVariant({self.tag!r})"
 
 
 class ReducedModel:

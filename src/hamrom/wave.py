@@ -42,10 +42,19 @@ class WaveConfig:
     n: int = 500
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("need at least 3 grid points for the periodic stencil")
+        # an int64 index range, which also keeps length / n from raising
+        if not 3 <= self.n < 2**63:
+            raise ValueError("need 3 <= n < 2^63 grid points for the periodic stencil")
         if not (0 < self.length < math.inf and 0 < self.c_speed < math.inf):
             raise ValueError("length and c_speed must be finite and positive")
+        # the stencil weight of build_laplacian, in numpy scalars: where
+        # Python's float ** or / would raise, they give inf, nan or 0
+        with np.errstate(all="ignore"):
+            weight = np.float64(self.c_speed) ** 2 / np.float64(self.dx) ** 2
+        if not 0 < weight < math.inf:
+            raise ValueError(
+                f"the stencil weight c_speed^2/dx^2 = {weight} is not finite and positive"
+            )
 
     @property
     def dx(self) -> float:

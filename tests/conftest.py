@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from hamrom.wave import WaveConfig, assemble_wave_fom, initial_state
+
+
+# derandomized hypothesis settings shared by the property tests
+PROPERTY = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 
 def random_orthonormal(rng, n, r):

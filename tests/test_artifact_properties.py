@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_orthonormal
+from conftest import PROPERTY, random_orthonormal
 from hamrom._binio import FileFormatError
 from hamrom.cli import main
 from hamrom.deim import build_deim
@@ -32,13 +32,6 @@ from hamrom.snapshots import SNAPSHOT_KINDS, SnapshotSet, load_snapshots, save_s
 from hamrom.wave import WaveConfig, assemble_wave_fom
 
 N = 16
-PROPERTY = settings(
-    max_examples=100,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
 # header fields after the 8-byte magic: version, variant code, shift flag,
 # n, r_u, r_v, s
 HEADER_FIELDS = ((8, "<I"), (12, "<I"), (16, "<B"), (17, "<Q"), (25, "<Q"), (33, "<Q"), (41, "<Q"))

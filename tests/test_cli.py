@@ -6,7 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import PROPERTY
 from hamrom import cli
 from hamrom.cli import (
     _CONFIG_PARSERS,
@@ -24,7 +27,7 @@ from hamrom.cli import (
 from hamrom.integrator import load_trajectory
 from hamrom.metrics import energy_series_of_states, read_series_csv
 from hamrom.pod import PodBasis, load_basis
-from hamrom.rom import RomVariant, build_rom, load_rom, save_rom
+from hamrom.rom import VARIANT_TAGS, RomVariant, build_rom, load_rom, save_rom
 from hamrom.wave import WaveConfig, assemble_wave_fom
 
 SMALL = dict(n=32, t_final=1.0, stride=10, r_list=(3,), variants=("sp-pod-2", "sp-deim-2"))
@@ -170,6 +173,12 @@ def test_config_errors(tmp_path):
     bad.write_text("r = 0,5\n")
     with pytest.raises(ConfigError):
         parse_config_file(bad)
+    bad.write_text("n = 64\nr = 3,5,3\n")
+    with pytest.raises(ConfigError, match=r"bad.conf:2: bad value for r: repeated"):
+        parse_config_file(bad)
+    bad.write_text("variants = sp-pod-1, g-rom, sp-pod-1\n")
+    with pytest.raises(ConfigError, match=r"bad.conf:1: bad value for variants: repeated"):
+        parse_config_file(bad)
     bad.write_bytes(b"n = 64\nout = caf\xe9\n")  # Latin-1, not UTF-8
     with pytest.raises(ConfigError, match="bad.conf.*UTF-8"):
         parse_config_file(bad)
@@ -181,6 +190,11 @@ def test_main_exit_codes(tmp_path):
     assert main(["fom", "--variants", "nope", "--out", str(out)]) == 2
     # config error: fractional step count
     assert main(["fom", "--dt", "0.3", "--t-final", "1.0", "--out", str(out)]) == 2
+    # config error: a repeated rank or variant would run one model twice
+    tiny = ["--n", "16", "--t-final", "0.1", "--out", str(out)]
+    assert main(["fom", "--r", "3,3", *tiny]) == 2
+    assert main(["fom", "--variants", "sp-pod-1,sp-pod-1", *tiny]) == 2
+    assert not out.exists()
     # i/o error: missing trajectory
     assert (
         main(["offline", "--n", "16", "--out", str(tmp_path / "empty")]) == 4
@@ -208,12 +222,24 @@ def test_main_exit_codes(tmp_path):
         ("--t-final", "inf"),
         ("--t-final", "nan"),
         ("--t-final", "-1"),
+        # the stencil weight c^2/dx^2 overflows
+        ("--length", "1e-320"),
+        ("--c-speed", "1e200"),
     ],
 )
 def test_non_finite_or_out_of_range_float_is_a_config_error(tmp_path, flag, value):
     out = tmp_path / "run"
     assert main(["fom", "--n", "16", "--t-final", "0.1", flag, value, "--out", str(out)]) == 2
     assert not (out / "fom_summary.json").exists()
+
+
+def test_bad_flag_value_is_a_config_error_naming_the_flag(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["fom", "--n", "1.5", "--out", str(out)]) == 2
+    assert "--n: bad value for n" in capsys.readouterr().err
+    assert main(["fom", "--picard-max-iter", "many", "--out", str(out)]) == 2
+    assert "--picard-max-iter: bad value for picard_max_iter" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oversized_trajectory_is_a_config_error(tmp_path, capsys):
@@ -246,6 +272,16 @@ def test_rank_above_snapshot_count_is_a_config_error(tmp_path, capsys):
     message = capsys.readouterr().err
     assert "interpolation size s=6 (r=2)" in message and "min(40, 5)" in message
     assert main(["offline", "--variants", "sp-pod-1", *tail]) == 0
+
+
+def test_offline_rank_failure_names_the_stage_set_and_rank(tmp_path, capsys):
+    # 5 snapshots give the shifted set, whose first column is zero, rank 4
+    out = str(tmp_path / "few")
+    assert main(["reproduce", "--n", "40", "--t-final", "1", "--stride", "25", "--r", "5",
+                 "--variants", "sp-pod-2", "--out", out]) == 3
+    message = capsys.readouterr().err
+    assert "offline stage, POD of shifted state-u snapshots at r=5" in message
+    assert "numerical rank below r=5" in message
 
 
 def test_main_happy_path(tmp_path):
@@ -283,6 +319,46 @@ def test_config_file_key_matches_flag(tmp_path, key):
     flag = "--" + key.replace("_", "-")
     from_flag = build_config(build_parser().parse_args(["fom", flag, CONFIG_VALUES[key]]))
     assert from_file == from_flag != PipelineConfig()
+
+
+# arbitrary text, and text that parses as a number or a list, so that the
+# checks behind the parsers are reached too
+SETTING_TEXT = (
+    st.text()
+    | st.integers().map(str)
+    | st.floats().map(repr)
+    | st.lists(st.integers(-2, 30).map(str) | st.sampled_from(VARIANT_TAGS)).map(",".join)
+)
+
+
+@PROPERTY
+@given(key=st.sampled_from(sorted(_CONFIG_PARSERS)), text=SETTING_TEXT)
+def test_any_flag_text_gives_a_config_or_a_config_error(key, text):
+    # only the configuration is built, never a run, so the memory check
+    # must refuse an oversized trajectory before anything is allocated
+    args = build_parser().parse_args(["fom", "--" + key.replace("_", "-") + "=" + text])
+    try:
+        cfg = build_config(args)
+    except ConfigError:
+        return
+    assert isinstance(cfg, PipelineConfig)
+
+
+CONFIG_LINE = st.builds(
+    "{} = {}".format, st.sampled_from(sorted(_CONFIG_PARSERS)), SETTING_TEXT
+)
+
+
+@PROPERTY
+@given(data=st.binary() | st.lists(CONFIG_LINE).map(lambda lines: "\n".join(lines).encode()))
+def test_any_config_file_gives_a_config_or_a_config_error(tmp_path, data):
+    conf = tmp_path / "any.conf"
+    conf.write_bytes(data)
+    try:
+        cfg = build_config(build_parser().parse_args(["fom", "--config", str(conf)]))
+    except ConfigError:
+        return
+    assert isinstance(cfg, PipelineConfig)
 
 
 @pytest.fixture(scope="module")
@@ -352,6 +428,22 @@ def test_online_rejects_oversized_artifact_header(deim_run, tmp_path, dims):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(bytes(data))
     assert main(["online", "--rom", str(bad), *tail]) == 4
+
+
+def test_offline_interpolation_failure_names_the_stage_set_and_size(
+    deim_run, tmp_path, monkeypatch, capsys
+):
+    out, tail = deim_run
+
+    def singular(basis, c):
+        raise np.linalg.LinAlgError("singular interpolation matrix at selection step 3")
+
+    monkeypatch.setattr(cli, "build_deim", singular)
+    traj = str(out / "fom_trajectory.bin")
+    assert main(["offline", "--traj", traj, *tail, "--out", str(tmp_path)]) == 3
+    message = capsys.readouterr().err
+    assert "offline stage, interpolation of nonlinear-G snapshots at s=4 (r=2)" in message
+    assert "selection step 3" in message
 
 
 def test_online_block_dimension_mismatch_is_a_config_error(deim_run, capsys):

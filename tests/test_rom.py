@@ -9,7 +9,7 @@ from hamrom.deim import build_deim
 from hamrom.integrator import IntegratorConfig, integrate, integrate_steps
 from hamrom.metrics import EvalCounter
 from hamrom.pod import PodBasis, compute_pod
-from hamrom.rom import RomVariant, build_rom, load_rom, save_rom
+from hamrom.rom import VARIANT_TAGS, RomVariant, build_rom, load_rom, save_rom
 from hamrom.snapshots import collect, shift
 from hamrom.wave import WaveConfig, assemble_wave_fom, initial_state, make_wave_rhs
 
@@ -89,6 +89,9 @@ def test_variant_tags_and_validation():
         RomVariant("g-rom", shifted=True)
     with pytest.raises(ValueError):
         RomVariant.from_tag("pod")
+    # a frozen value: equal by kind and flag, and hashable
+    assert RomVariant("sp-pod", 1) == RomVariant.from_tag("sp-pod-2")
+    assert len({RomVariant.from_tag(tag) for tag in VARIANT_TAGS * 2}) == len(VARIANT_TAGS)
 
 
 def test_missing_or_extra_deim_rejected(pipe):
