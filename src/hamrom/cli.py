@@ -306,45 +306,58 @@ def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
     set_u = collect(traj, cfg.stride, lambda z: z[:n], "state-u")
     # each basis needs r (each interpolation basis s >= r) snapshot columns
     r_max = max(cfg.r_list)
+    s_max = cfg.deim_mult * r_max
+    needs_g = any(deim_for.values())
     what, size = f"rank r={r_max}", r_max
-    if any(deim_for.values()):
-        size = cfg.deim_mult * r_max
-        what = f"interpolation size s={size} (r={r_max})"
+    if needs_g:
+        what, size = f"interpolation size s={s_max} (r={r_max})", s_max
     if size > min(n, set_u.count):
         raise ConfigError(
             f"{what} exceeds min(n, snapshot count) = min({n}, {set_u.count}): "
             f"stride {cfg.stride} samples {set_u.count} of {len(traj)} states"
         )
     set_v = collect(traj, cfg.stride, lambda z: z[n:], "state-v")
-    set_g = collect(traj, cfg.stride, lambda z: G_fn(z[:n]), "nonlinear-G")
+    set_g = collect(traj, cfg.stride, lambda z: G_fn(z[:n]), "nonlinear-G") if needs_g else None
     sets = {False: (set_u, set_v, set_g)}
     if True in deim_for:
         u0, v0 = traj.states[0, :n], traj.states[0, n:]
         set_g_shift = shift(set_g, G_fn(u0)) if deim_for[True] else None
         sets[True] = (shift(set_u, u0), shift(set_v, v0), set_g_shift)
 
+    # one decomposition per snapshot set, at the largest rank or size it
+    # serves; every rank takes leading columns and indices (bases are
+    # nested and greedy selection is prefix-stable), so all failures come
+    # before the first artifact is written
+    largest = {}
+    for flag, needs_deim in deim_for.items():
+        label = "shifted " if flag else ""
+        snaps_u, snaps_v, snaps_g = sets[flag]
+        bu, bv = (
+            _offline_step(f"POD of {label}{snaps.kind} snapshots at r={r_max}", compute_pod,
+                          snaps, r_max)
+            for snaps in (snaps_u, snaps_v)
+        )
+        deim = None
+        if needs_deim:
+            what = f"interpolation of {label}{snaps_g.kind} snapshots at s={s_max} (r={r_max})"
+            psi = _offline_step(what, compute_pod, snaps_g, s_max)
+            deim = _offline_step(what, build_deim, psi, fom.c_u)
+        largest[flag] = (bu, bv, deim)
+
     log = {"snapshots": {"count": int(set_u.count), "stride": cfg.stride}}
     for r in cfg.r_list:
-        s = cfg.deim_mult * r
         entry = {}
-        for flag, needs_deim in deim_for.items():
-            suffix, label = ("_shifted", "shifted ") if flag else ("", "")
-            snaps_u, snaps_v, snaps_g = sets[flag]
-            bu, bv = (
-                _offline_step(f"POD of {label}{snaps.kind} snapshots at r={r}", compute_pod,
-                              snaps, r)
-                for snaps in (snaps_u, snaps_v)
-            )
+        for flag, (bu_max, bv_max, deim_max) in largest.items():
+            suffix = "_shifted" if flag else ""
+            bu, bv = bu_max.truncated(r), bv_max.truncated(r)
             entry["sigma_u" + suffix] = bu.singular_values[:50].tolist()
             if not flag:
                 entry["sigma_v"] = bv.singular_values[:50].tolist()
             save_basis(bu, out / f"basis_u{suffix}_r{r}.bin")
             save_basis(bv, out / f"basis_v{suffix}_r{r}.bin")
             deim = None
-            if needs_deim:
-                what = f"interpolation of {label}{snaps_g.kind} snapshots at s={s} (r={r})"
-                psi = _offline_step(what, compute_pod, snaps_g, s)
-                deim = _offline_step(what, build_deim, psi, fom.c_u)
+            if deim_max is not None:
+                deim = deim_max.truncated(cfg.deim_mult * r)
                 entry["cond_interp" + suffix] = deim.cond
                 _write_json(
                     out / f"deim_indices{suffix}_r{r}.json",

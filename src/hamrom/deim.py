@@ -10,6 +10,11 @@ reproduces any vector in span(Psi) from its s sampled entries.  For a
 split Hamiltonian with weights c the vector proj^T c is supported on the
 selected indices only, which is what makes sampled evaluation of both the
 reduced Hamiltonian and its gradient possible.
+
+Greedy selection is prefix-stable: the first s indices depend only on the
+first s columns of Psi.  With the nested POD bases of one snapshot set, one
+selection at the largest size therefore serves every smaller size through
+`DeimModel.truncated`, bit for bit.
 """
 
 import numpy as np
@@ -61,7 +66,8 @@ class DeimModel:
         self.interp = interp
         self.lu = scipy.linalg.lu_factor(interp)
         self.cond = float(np.linalg.cond(interp))
-        self.weights = precompute_weights(self, np.asarray(weights_full, dtype=float))
+        self.weights_full = np.asarray(weights_full, dtype=float)
+        self.weights = precompute_weights(self, self.weights_full)
         self.shift_ref = shift_ref if shift_ref is None else np.asarray(shift_ref)
 
     @property
@@ -75,6 +81,16 @@ class DeimModel:
     @property
     def shifted(self) -> bool:
         return self.shift_ref is not None
+
+    def truncated(self, s: int) -> "DeimModel":
+        """The size-s model of the same basis: the leading s columns (a
+        C-ordered copy) and indices, with the interpolation matrix, cond and
+        weights rebuilt from the same weight vector and shift reference.
+        build_deim(B, c).truncated(s) is bitwise build_deim(B.truncated(s), c)."""
+        if not 1 <= s <= self.s:
+            raise ValueError(f"interpolation size s={s} must lie in [1, {self.s}]")
+        return DeimModel(self.psi[:, :s].copy(), self.indices[:s].copy(), self.weights_full,
+                         shift_ref=self.shift_ref)
 
 
 def precompute_weights(model: DeimModel, c) -> np.ndarray:

@@ -4,6 +4,11 @@ A basis of rank r consists of the first r left singular vectors of the
 snapshot matrix, with a deterministic sign convention: in every column the
 entry of largest magnitude (lowest index on ties) is made positive, so two
 runs on the same data produce bit-identical bases.
+
+The bases of one set are nested: the rank-r basis is the leading r columns
+of every larger one, with the same spectrum and shift reference.  So one
+decomposition at the largest rank serves every smaller rank through
+`PodBasis.truncated`, bit for bit.
 """
 
 import struct
@@ -55,6 +60,14 @@ class PodBasis:
     @property
     def shifted(self) -> bool:
         return self.shift_ref is not None
+
+    def truncated(self, r: int) -> "PodBasis":
+        """The rank-r basis of the same set: a C-ordered copy of the leading
+        r columns, with this basis's spectrum, shift reference and kind.
+        compute_pod(S, R).truncated(r) is bitwise compute_pod(S, r)."""
+        if not 1 <= r <= self.r:
+            raise ValueError(f"rank r={r} must lie in [1, {self.r}]")
+        return PodBasis(self.phi[:, :r].copy(), self.singular_values, self.shift_ref, self.kind)
 
 
 def _fix_signs(phi):

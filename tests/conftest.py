@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
+from hamrom.snapshots import SnapshotSet, shift
 from hamrom.wave import WaveConfig, assemble_wave_fom, initial_state
 
 
@@ -13,6 +15,20 @@ PROPERTY = settings(
     database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
+
+
+@st.composite
+def snapshot_sets(draw):
+    """A random snapshot set of at most 30 rows and 15 columns (singular
+    values spread over up to six decades), shifted by a random reference
+    or not."""
+    n, m = draw(st.integers(1, 30)), draw(st.integers(1, 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = rng.standard_normal((n, m)) * np.logspace(0, -draw(st.floats(0, 6)), m)
+    snapshots = SnapshotSet(columns, np.arange(m), "state-u")
+    if draw(st.booleans()):
+        snapshots = shift(snapshots, rng.standard_normal(n))
+    return snapshots
 
 
 def random_orthonormal(rng, n, r):

@@ -2,11 +2,12 @@ import importlib.util
 import json
 import re
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PROPERTY
@@ -444,6 +445,84 @@ def test_offline_interpolation_failure_names_the_stage_set_and_size(
     message = capsys.readouterr().err
     assert "offline stage, interpolation of nonlinear-G snapshots at s=4 (r=2)" in message
     assert "selection step 3" in message
+
+
+def record_calls(monkeypatch, name):
+    """Wrap cli.<name> so that the arguments of each call are recorded."""
+    calls = []
+    real = getattr(cli, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def three_rank_run(tmp_path_factory):
+    """Trajectory (11 snapshots at n=32) and the offline products of every
+    variant at r = 2, 3, 4."""
+    out = tmp_path_factory.mktemp("ranks")
+    tail = ["--n", "32", "--t-final", "1", "--stride", "10", "--r", "2,3,4", "--out", str(out)]
+    assert main(["fom", *tail]) == 0
+    assert main(["offline", *tail]) == 0
+    return out, [*tail, "--traj", str(out / "fom_trajectory.bin")]
+
+
+def test_offline_decomposes_each_snapshot_set_once(three_rank_run, tmp_path, monkeypatch):
+    _, tail = three_rank_run
+    pods = record_calls(monkeypatch, "compute_pod")
+    deims = record_calls(monkeypatch, "build_deim")
+    assert main(["offline", *tail, "--out", str(tmp_path)]) == 0
+    # six sets, plain and shifted, each at the largest rank (4) or size (8)
+    decomposed = sorted((snaps.kind, snaps.shift_ref is not None, r) for snaps, r in pods)
+    assert decomposed == sorted(
+        (kind, shifted, 8 if kind == "nonlinear-G" else 4)
+        for kind in ("state-u", "state-v", "nonlinear-G")
+        for shifted in (False, True)
+    )
+    assert sorted(basis.r for basis, _ in deims) == [8, 8]
+
+
+@pytest.mark.parametrize("variants", ("sp-pod-1", "g-rom,sp-pod-2"))
+def test_offline_collects_the_nonlinear_set_only_for_interpolation(
+    three_rank_run, tmp_path, monkeypatch, variants
+):
+    out, tail = three_rank_run
+    collected = record_calls(monkeypatch, "collect")
+    assert main(["offline", *tail, "--variants", variants, "--out", str(tmp_path)]) == 0
+    assert [args[-1] for args in collected] == ["state-u", "state-v"]
+    # each file it writes holds what the run with every variant wrote
+    log = json.loads((tmp_path / "offline_log.json").read_text())
+    every = json.loads((out / "offline_log.json").read_text())
+    for key, entry in log.items():
+        assert entry == {k: every[key][k] for k in entry}
+    for path in tmp_path.glob("*.bin"):
+        assert path.read_bytes() == (out / path.name).read_bytes(), path.name
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    n=st.integers(1, 24),
+    steps=st.integers(0, 12),
+    dt=st.sampled_from(("0.01", "0.05", "0.25")),
+    stride=st.integers(1, 6),
+    ranks=st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
+    deim_mult=st.integers(1, 4),
+    variants=st.lists(st.sampled_from(VARIANT_TAGS), min_size=1, unique=True),
+    c_speed=st.floats(1e-3, 10),
+)
+def test_reproduce_on_tiny_grids_ends_with_a_documented_exit_code(
+    n, steps, dt, stride, ranks, deim_mult, variants, c_speed
+):
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["reproduce", "--n", str(n), "--dt", dt, "--t-final", repr(steps * float(dt)),
+                "--stride", str(stride), "--r", ",".join(map(str, ranks)),
+                "--deim-mult", str(deim_mult), "--variants", ",".join(variants),
+                "--c-speed", repr(c_speed), "--out", out]
+        assert main(argv) in (0, 2, 3, 4)
 
 
 def test_online_block_dimension_mismatch_is_a_config_error(deim_run, capsys):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_orthonormal
+from conftest import PROPERTY, random_orthonormal, snapshot_sets
 from hamrom.deim import DeimModel, build_deim, deim_select, precompute_weights
-from hamrom.pod import PodBasis
+from hamrom.pod import PodBasis, compute_pod
 
 
 def greedy_oracle(psi):
@@ -63,6 +65,40 @@ def test_selection_deterministic(rng):
     first = deim_select(psi.copy())
     second = deim_select(psi.copy())
     assert first.tobytes() == second.tobytes()
+
+
+def largest_basis(snapshots):
+    return compute_pod(snapshots, min(snapshots.n, snapshots.count))
+
+
+@PROPERTY
+@given(snapshot_sets())
+def test_greedy_selection_is_prefix_stable(snapshots):
+    psi = largest_basis(snapshots).phi
+    indices = deim_select(psi)
+    for s in range(1, psi.shape[1] + 1):
+        assert deim_select(psi[:, :s]).tolist() == indices[:s].tolist()
+
+
+@PROPERTY
+@given(snapshot_sets(), st.integers(0, 2**32 - 1))
+def test_truncated_model_is_the_smaller_model_bitwise(snapshots, seed):
+    # offline builds one model per shift flag and truncates it for every rank
+    basis = largest_basis(snapshots)
+    c = np.random.default_rng(seed).standard_normal(basis.n)
+    largest = build_deim(basis, c)
+    for s in range(1, basis.r + 1):
+        cut, direct = largest.truncated(s), build_deim(basis.truncated(s), c)
+        assert cut.psi.flags.c_contiguous and cut.psi.tobytes() == direct.psi.tobytes()
+        assert cut.indices.tobytes() == direct.indices.tobytes()
+        assert cut.weights.tobytes() == direct.weights.tobytes()
+        assert cut.cond == direct.cond
+        assert cut.shifted == direct.shifted == (snapshots.shift_ref is not None)
+        if cut.shifted:
+            assert cut.shift_ref.tobytes() == direct.shift_ref.tobytes()
+    for s in (0, basis.r + 1):
+        with pytest.raises(ValueError):
+            largest.truncated(s)
 
 
 def test_singular_interpolation_matrix_names_step():

@@ -2,9 +2,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
 from numpy.testing import assert_allclose
 
-from conftest import random_orthonormal
+from conftest import PROPERTY, random_orthonormal, snapshot_sets
 from hamrom._binio import FileFormatError
 from hamrom.pod import (
     PodBasis,
@@ -106,6 +107,26 @@ def test_deterministic_bitwise(rng):
     b = compute_pod(make_set(cols.copy()), 5)
     assert a.phi.tobytes() == b.phi.tobytes()
     assert a.singular_values.tobytes() == b.singular_values.tobytes()
+
+
+@PROPERTY
+@given(snapshot_sets())
+def test_truncated_basis_is_the_lower_rank_basis_bitwise(snapshots):
+    # the bases of one set are nested, so offline decomposes each set once
+    top = min(snapshots.n, snapshots.count)
+    largest = compute_pod(snapshots, top)
+    for r in range(1, top + 1):
+        cut, direct = largest.truncated(r), compute_pod(snapshots, r)
+        assert cut.phi.flags.c_contiguous and cut.phi.shape == (snapshots.n, r)
+        assert cut.phi.tobytes() == direct.phi.tobytes()
+        assert cut.singular_values.tobytes() == direct.singular_values.tobytes()
+        assert cut.shifted == direct.shifted == (snapshots.shift_ref is not None)
+        if cut.shifted:
+            assert cut.shift_ref.tobytes() == direct.shift_ref.tobytes()
+        assert cut.kind == direct.kind
+    for r in (0, top + 1):
+        with pytest.raises(ValueError):
+            largest.truncated(r)
 
 
 def test_sign_convention_pins_leading_entry(rng):
