@@ -271,11 +271,21 @@ def _fom_trajectory_path(cfg, traj_path=None):
 
 
 def _load_fom_trajectory(cfg, traj_path=None):
-    """The full-order trajectory (default: cfg.out's), checked against 2n."""
+    """The full-order trajectory (default: cfg.out's), checked against the
+    configuration: 2n values per state, step size dt and one state per
+    step of t_final/dt, the initial state included."""
     traj = load_trajectory(_fom_trajectory_path(cfg, traj_path))
     if traj.dim != 2 * cfg.n:
         raise ConfigError(
             f"trajectory dimension {traj.dim} does not match 2*n = {2 * cfg.n}"
+        )
+    if traj.dt != cfg.dt:
+        raise ConfigError(f"trajectory step size {traj.dt!r} does not match dt = {cfg.dt!r}")
+    count = cfg.integrator_config().step_count() + 1
+    if len(traj) != count:
+        raise ConfigError(
+            f"trajectory holds {len(traj)} states, but t_final = {cfg.t_final!r} "
+            f"at dt = {cfg.dt!r} takes {count}"
         )
     return traj
 

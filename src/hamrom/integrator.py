@@ -32,9 +32,15 @@ by its exact mean over the step, which conserves every energy of the form
 z' = D grad H(z), and they solve with the stiff linear part factored
 once.  With no nonlinearity AVF is exactly the midpoint rule.
 
-Every step solves with `picard_solve`: convergence is measured on the
+Every solve stops by `picard_converged`: convergence is measured on the
 iterate update in max-norm, relative with absolute floor 1, and a
-non-finite update stops the solve at once.
+non-finite update stops the solve at once.  `picard_solve` iterates any
+map that returns a new iterate; the reduced AVF step runs its own loop on
+work arrays, allocated once per step map and refilled with `out=`
+products, and calls the same rule.  Such a step map is not reentrant,
+and the state it returns is a new array.  `integrate_steps` keeps the
+extrapolated first iterates in two buffers of its own, used in turn, so
+`start` is valid only during the call that receives it.
 
 Trajectory states never live in the malloc heap, where tens of MB would
 stay resident after they are freed and leave a hole that later
@@ -48,6 +54,7 @@ changing the file.  Either mapping is unmapped when the array is freed.
 file that a loaded trajectory still maps is never truncated under it.
 """
 
+import itertools
 import math
 import mmap
 import os
@@ -62,6 +69,7 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "PicardDivergenceError",
+    "picard_converged",
     "picard_solve",
     "integrate",
     "integrate_steps",
@@ -134,9 +142,13 @@ class PicardDivergenceError(RuntimeError):
 
 
 class Trajectory:
-    """Dense record of an integration: one state row per step, t0 included."""
+    """Dense record of an integration: one state row per step, t0 included.
 
-    def __init__(self, states, times, picard_iters=None):
+    `dt` is the step size when known: `integrate_steps` and
+    `load_trajectory` set it, also for a single state.
+    """
+
+    def __init__(self, states, times, picard_iters=None, dt=None):
         states = np.asarray(states, dtype=float)
         times = np.asarray(times, dtype=float)
         if states.ndim != 2 or states.shape[0] != times.shape[0]:
@@ -145,6 +157,7 @@ class Trajectory:
         self.times = times
         self.dim = states.shape[1]
         self.picard_iters = picard_iters
+        self.dt = dt
 
     def __len__(self):
         return self.states.shape[0]
@@ -154,25 +167,46 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
+def picard_converged(update, x, iteration, config: IntegratorConfig) -> bool:
+    """The stopping rule of every Picard solve, after update `iteration`.
+
+    `update` holds x - x_previous and is overwritten; `x` is the new
+    iterate.  True once the max-norm update is at most
+    picard_tol * max(1, max|x|).  Raises PicardDivergenceError at a
+    non-finite update, or when update picard_max_iter has not converged.
+    """
+    # a.item(a.argmax()) is a.max() as a Python float, NaN if any entry
+    # is NaN, at a fraction of the cost of a reduction on a short vector
+    np.abs(update, update)
+    residual = update.item(update.argmax())
+    if not residual < math.inf:  # NaN or infinite update
+        raise PicardDivergenceError(iteration, residual)
+    # tol * max(1, max|x|) = max(tol, tol * max|x|): max|x| is needed
+    # only when the update exceeds tol
+    tol = config.picard_tol
+    if residual <= tol:
+        return True
+    np.abs(x, update)
+    if residual <= tol * update.item(update.argmax()):
+        return True
+    if iteration >= config.picard_max_iter:
+        raise PicardDivergenceError(iteration, residual)
+    return False
+
+
 def picard_solve(phi, x, config: IntegratorConfig):
     """Fixed point of phi by plain iteration from x; returns (x, iterations).
 
-    Stops once the max-norm update is at most
+    Stops by `picard_converged`: once the max-norm update is at most
     picard_tol * max(1, max|x|); raises PicardDivergenceError at the first
     non-finite update, or after picard_max_iter updates.
     """
-    tol, inf = config.picard_tol, math.inf
-    for it in range(1, config.picard_max_iter + 1):
+    for it in itertools.count(1):
         x_next = phi(x)
-        residual = float(abs(x_next - x).max())
+        update = x_next - x
         x = x_next
-        if not residual < inf:  # NaN or infinite update
-            raise PicardDivergenceError(it, residual)
-        # tol * max(1, max|x|) = max(tol, tol * max|x|): max|x| is needed
-        # only when the update exceeds tol
-        if residual <= tol or residual <= tol * float(abs(x).max()):
+        if picard_converged(update, x, it, config):
             return x, it
-    raise PicardDivergenceError(config.picard_max_iter, residual)
 
 
 def _midpoint_step_map(f, config: IntegratorConfig):
@@ -200,7 +234,9 @@ def integrate_steps(step, z0, config: IntegratorConfig, observer=None) -> Trajec
     `step(z, start)` returns (z_new, iterations), solving from the first
     iterate `start`, and is built for config.dt (`TwoBlockSystem.make_step`,
     `ReducedModel.make_step`).  `start` is z for the first seven steps and
-    the degree-7 extrapolation of the last eight stored states afterwards.
+    the degree-7 extrapolation of the last eight stored states afterwards,
+    written into one of two buffers in turn; the step may read it, or
+    return it as z_new, but not keep it past the next call.
     The observer, if given, is called after each step as
     observer(step_index, t, state).  Picard failures are re-raised with
     the offending step index attached.
@@ -211,20 +247,25 @@ def integrate_steps(step, z0, config: IntegratorConfig, observer=None) -> Trajec
     steps = config.step_count()
     states = _mapped_empty((steps + 1, z0.shape[0]))
     states[0] = z0
-    iters = np.zeros(steps, dtype=np.int64)
+    # two start buffers in turn: a step that returns its start leaves the
+    # next state in the buffer that the next extrapolation does not write
+    starts = tuple(np.empty((2, z0.shape[0])))
+    iters = []
     z = z0
     dt = config.dt
     for k in range(steps):
-        start = z if k < 7 else _EXTRAPOLATION @ states[k - 7 : k + 1]
+        start = z if k < 7 else np.dot(_EXTRAPOLATION, states[k - 7 : k + 1], starts[k & 1])
         try:
-            z, iters[k] = step(z, start)
+            z, it = step(z, start)
         except PicardDivergenceError as exc:
             raise PicardDivergenceError(exc.iterations, exc.residual, step=k) from None
+        iters.append(it)
         states[k + 1] = z
         if observer is not None:
             observer(k + 1, (k + 1) * dt, z)
+    iters = np.array(iters, dtype=np.int64)
     times = np.arange(steps + 1) * dt
-    return Trajectory(states, times, picard_iters=iters)
+    return Trajectory(states, times, picard_iters=iters, dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -261,4 +302,4 @@ def load_trajectory(path) -> Trajectory:
         check_payload(fh, 8 * dim * count, "state data", path)
     states = np.memmap(path, "<f8", mode="c", offset=_TRAJ_HEADER.size, shape=(count, dim))
     times = t0 + np.arange(count) * dt
-    return Trajectory(states, times)
+    return Trajectory(states, times, dt=dt)

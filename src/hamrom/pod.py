@@ -89,10 +89,9 @@ def compute_pod(snapshots: SnapshotSet, r: int) -> PodBasis:
         raise ValueError(f"rank r={r} must lie in [1, min(n, M)] = [1, {min(n, m)}]")
     left, sigma, _ = np.linalg.svd(snapshots.columns, full_matrices=False)
     if sigma[r - 1] <= 1e-12 * sigma[0]:
-        raise RankDeficientError(
-            f"snapshot matrix has numerical rank below r={r}: "
-            f"sigma_r/sigma_1 = {sigma[r - 1] / sigma[0]:.3e}"
-        )
+        # sigma_1 = 0 only for a zero matrix, where the ratio is 0/0
+        ratio = f"sigma_r/sigma_1 = {sigma[r - 1] / sigma[0]:.3e}" if sigma[0] else "sigma_1 = 0"
+        raise RankDeficientError(f"snapshot matrix has numerical rank below r={r}: {ratio}")
     phi = _fix_signs(left[:, :r].copy())
     return PodBasis(phi, sigma, shift_ref=snapshots.shift_ref, kind=snapshots.kind)
 

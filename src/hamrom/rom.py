@@ -39,13 +39,15 @@ with the same P and x_ref, sampling weights W and a constant C fixed by
 H_r(0) = H(z_ref).  Its cost is O(r^2) plus the nonlinear term.
 """
 
+import inspect
+import itertools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._binio import FileFormatError, check_payload, read_array, read_exact, write_array
-from .integrator import IntegratorConfig, picard_solve
+from .integrator import IntegratorConfig, picard_converged
 
 __all__ = [
     "RomVariant",
@@ -256,7 +258,20 @@ class ReducedModel:
         with q the loop's last g_avg value.  Without it the rounding of
         the stored K^-1 biases every step the same way, and the reduced
         energy of a structure-preserving variant drifts linearly in time.
-        The returned step(z, start) gives (z1, Picard iterations).
+        The returned step(z, start) gives (z1, Picard iterations) and stops
+        by `picard_converged`, as `picard_solve` does.
+
+        The step map owns its work arrays: y, K^-1 y, x0, x1, the g_avg
+        value, two iterates, their difference, and the residual and
+        correction of the refinement are allocated here once and refilled
+        by every call with `out=` products, so an iteration allocates
+        nothing (g_avg too, when it takes `out` and `work` as
+        `wave.sin_average` does).  The arithmetic is that of `@` products
+        on fresh arrays, bit for bit.  So the map is not reentrant: it
+        must not be called again before a call returns (from another
+        thread, or from inside g_avg).  It keeps nothing between calls,
+        and the z1 it returns is a new array that aliases no work array
+        and that the caller may change.
         """
         if self.g_avg is None:
             raise ValueError("AVF stepping needs the segment mean g_avg of the nonlinearity")
@@ -269,31 +284,41 @@ class ReducedModel:
         dt_c = dt * self._c
         dt_m = dt * self._m_b
         B = k_inv[:, ru:] @ dt_m
-        P, x_ref, g_avg = self._P, self._x_ref, self.g_avg
+        P, x_ref = self._P, self._x_ref
+        g_avg = _mean_into(self.g_avg)
+        y, w, update, r, correction = np.empty((5, eye.shape[0]))
+        iterates = tuple(np.empty((2, eye.shape[0])))
+        heads = tuple(z[:ru] for z in iterates)
+        x0, x1, q, *work = np.empty((5, P.shape[0]))
+        m_q = np.empty(self.r_v)
+        r_b = r[ru:]
+        # closure names cost less than np.<name> lookups in the loop
+        dot, add, subtract = np.dot, np.add, np.subtract
 
         def step(z, start):
-            y = K_plus @ z
-            y += dt_c
-            w = k_inv @ y
-            x0 = P @ z[:ru]
-            x0 += x_ref
-            q = None
-
-            def update(z1):
-                nonlocal q
-                x1 = P @ z1[:ru]
-                x1 += x_ref
-                q = g_avg(x0, x1)
-                z_next = B @ q
+            dot(K_plus, z, y)
+            add(y, dt_c, y)
+            dot(k_inv, y, w)
+            dot(P, z[:ru], x0)
+            add(x0, x_ref, x0)
+            z1, head = start, start[:ru]
+            for it in itertools.count(1):
+                dot(P, head, x1)
+                add(x1, x_ref, x1)
+                g_avg(x0, x1, q, work)
+                z_next = iterates[it & 1]
+                dot(B, q, z_next)
                 z_next += w
-                return z_next
-
-            z1, iterations = picard_solve(update, start, config)
-            r = K @ z1
-            r -= y
-            r[ru:] -= dt_m @ q
-            z1 -= k_inv @ r
-            return z1, iterations
+                subtract(z_next, z1, update)
+                z1, head = z_next, heads[it & 1]
+                if picard_converged(update, z1, it, config):
+                    break
+            dot(K, z1, r)
+            subtract(r, y, r)
+            dot(dt_m, q, m_q)
+            subtract(r_b, m_q, r_b)
+            dot(k_inv, r, correction)
+            return z1 - correction, it
 
         return step
 
@@ -338,6 +363,23 @@ class ReducedModel:
         U = self.phi_u @ coeffs[:, : self.r_u].T + self.u_ref[:, None]
         V = self.phi_v @ coeffs[:, self.r_u :].T + self.v_ref[:, None]
         return U, V
+
+
+def _mean_into(g_avg):
+    """The segment mean as a call g(x0, x1, out, work) that fills `out`:
+    g_avg itself when its signature is (x0, x1, out, work), as that of
+    `wave.sin_average` is, otherwise a call that copies its result."""
+    try:
+        names = list(inspect.signature(g_avg).parameters)
+    except (TypeError, ValueError):  # no signature to read
+        names = []
+    if names[2:4] == ["out", "work"]:
+        return g_avg
+
+    def copy_into(x0, x1, out, work):
+        out[...] = g_avg(x0, x1)
+
+    return copy_into
 
 
 def build_rom(variant, basis_u, basis_v, fom, deim=None):

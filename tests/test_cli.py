@@ -3,6 +3,7 @@ import json
 import re
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,18 @@ def test_offline_rank_failure_names_the_stage_set_and_rank(tmp_path, capsys):
     assert "numerical rank below r=5" in message
 
 
+def test_all_zero_snapshot_set_names_the_rank_without_a_warning(tmp_path, capsys):
+    # one snapshot: the shifted set is all zero, so sigma_1 = 0
+    out = str(tmp_path / "zero")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["reproduce", "--n", "8", "--t-final", "0", "--r", "1",
+                     "--variants", "sp-pod-2", "--out", out]) == 3
+    message = capsys.readouterr().err
+    assert "numerical rank below r=1: sigma_1 = 0" in message
+    assert "nan" not in message
+
+
 def test_main_happy_path(tmp_path):
     out = tmp_path / "ok"
     argv_tail = ["--n", "16", "--t-final", "0.5", "--stride", "10", "--r", "2",
@@ -531,6 +544,27 @@ def test_online_block_dimension_mismatch_is_a_config_error(deim_run, capsys):
     assert main(["online", "--rom", rom, *tail, "--n", "40"]) == 2
     err = capsys.readouterr().err
     assert "n = 32" in err and "n = 40" in err
+
+
+@pytest.mark.parametrize(
+    "command, flags, named",
+    (
+        ("online", ["--dt", "0.02"], ("step size 0.01", "dt = 0.02")),
+        ("online", ["--t-final", "0.25"], ("holds 51 states", "t_final = 0.25", "takes 26")),
+        ("offline", ["--dt", "0.02"], ("step size 0.01", "dt = 0.02")),
+    ),
+)
+def test_trajectory_of_another_time_grid_is_a_config_error(deim_run, tmp_path, capsys, command,
+                                                           flags, named):
+    out, tail = deim_run
+    argv = [command, *tail, "--traj", str(out / "fom_trajectory.bin"), "--out", str(tmp_path),
+            *flags]
+    if command == "online":
+        argv += ["--rom", str(out / "rom_sp-deim-1_r2.bin")]
+    assert main(argv) == 2
+    message = capsys.readouterr().err
+    assert all(part in message for part in named), message
+    assert not list(tmp_path.iterdir())
 
 
 def test_solver_failure_names_the_model(deim_run, tmp_path, capsys):

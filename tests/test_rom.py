@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import splu
 
 from conftest import check_skew, dense_energy, dense_operators, dense_rhs, random_orthonormal
 from hamrom.deim import build_deim
@@ -436,6 +438,133 @@ def test_extrapolated_solves_take_one_or_two_iterations(pipe):
         runs[tag] = integrate_steps(model.make_step(cfg), model.initial_coefficients(z0), cfg)
     for tag, traj in runs.items():
         assert np.mean(traj.picard_iters[7:]) <= 1.5, tag
+
+
+# The AVF steps as the pipeline first wrote them: `@` products, a Picard
+# loop that allocates every iterate and the allocating segment mean of sin.
+# The steps in use must reproduce them bit for bit.
+
+def _reference_picard(phi, x, config):
+    for it in range(1, config.picard_max_iter + 1):
+        x_next = phi(x)
+        residual = float(abs(x_next - x).max())
+        x = x_next
+        assert residual < np.inf
+        if residual <= config.picard_tol or residual <= config.picard_tol * float(abs(x).max()):
+            return x, it
+    raise AssertionError("reference solve did not converge")
+
+
+def _reference_sin_average(x0, x1):
+    m = (x0 + x1) * 0.5
+    h = np.maximum(np.abs((x1 - x0) * 0.5), np.finfo(float).tiny)
+    return np.sin(m) * (np.sin(h) / h)
+
+
+def _reference_reduced_step(model, config):
+    dt, ru = config.dt, model.r_u
+    eye = np.eye(model._L.shape[0])
+    K = eye - 0.5 * dt * model._L
+    K_plus = eye + 0.5 * dt * model._L
+    k_inv = np.linalg.inv(K)
+    dt_c, dt_m = dt * model._c, dt * model._m_b
+    B = k_inv[:, ru:] @ dt_m
+    P, x_ref = model._P, model._x_ref
+
+    def step(z, start):
+        y = K_plus @ z + dt_c
+        w = k_inv @ y
+        x0 = P @ z[:ru] + x_ref
+        last = {}
+
+        def update(z1):
+            last["q"] = _reference_sin_average(x0, P @ z1[:ru] + x_ref)
+            return B @ last["q"] + w
+
+        z1, iterations = _reference_picard(update, start, config)
+        r = K @ z1 - y
+        r[ru:] -= dt_m @ last["q"]
+        return z1 - k_inv @ r, iterations
+
+    return step
+
+
+def _reference_fom_step(fom, config):
+    n, dt = fom.n, config.dt
+    q = 0.25 * dt * dt
+    qc = q * fom.c_u
+    solve = splu(sparse.csc_matrix(sparse.identity(n) - q * fom.A)).solve
+
+    def step(z, start):
+        u0, v0 = z[:n], z[n:]
+        base = u0 + 0.5 * dt * v0
+
+        def update(um):
+            return solve(base - qc * _reference_sin_average(u0, 2.0 * um - u0))
+
+        um, iterations = _reference_picard(update, 0.5 * (u0 + start[:n]), config)
+        return np.concatenate([2.0 * um - u0, (4.0 / dt) * (um - u0) - v0]), iterations
+
+    return step
+
+
+_WEIGHTS = np.array([-1.0, 8.0, -28.0, 56.0, -70.0, 56.0, -28.0, 8.0])
+
+
+def _lockstep(step, initial_states, steps, spoil=False):
+    """Run one step map on several integrations at once, alternating its
+    calls between them step by step.  Each solve starts from the state for
+    the first seven steps, then from the degree-7 extrapolation of the last
+    eight states.  The returned states are kept as they are, so a later
+    call that wrote into one would show; with `spoil`, copies are kept and
+    every returned state is overwritten with NaN.  Returns (states,
+    iterations) per run."""
+    runs = [([np.array(z0, dtype=float)], []) for z0 in initial_states]
+    for k in range(steps):
+        for states, iterations in runs:
+            z = states[-1]
+            start = z if k < 7 else _WEIGHTS @ np.array(states[-8:])
+            z1, it = step(z, start)
+            states.append(z1.copy() if spoil else z1)
+            iterations.append(it)
+            if spoil:
+                z1[:] = np.nan
+    return [(np.array(states), np.array(iterations)) for states, iterations in runs]
+
+
+def _avf_cases(pipe, cfg):
+    """(label, step in use, reference step, initial state) for the five
+    reduced variants and the full-order system of the n=40 fixture."""
+    z0 = pipe["z0"]
+    cases = [("fom", pipe["fom"].make_step(cfg), _reference_fom_step(pipe["fom"], cfg), z0)]
+    for tag, model in pipe["models"].items():
+        cases.append((tag, model.make_step(cfg), _reference_reduced_step(model, cfg),
+                      model.initial_coefficients(z0)))
+    return cases
+
+
+def test_avf_steps_reproduce_the_reference_formulas_bitwise(pipe):
+    cfg = IntegratorConfig(dt=0.01, t_final=2.0)
+    for label, step, reference, z0 in _avf_cases(pipe, cfg):
+        traj = integrate_steps(step, z0, cfg)
+        [(states, iterations)] = _lockstep(reference, [z0], cfg.step_count())
+        assert np.array_equal(traj.states, states), label
+        assert np.array_equal(traj.picard_iters, iterations), label
+
+
+def test_a_step_map_keeps_no_state_between_calls(pipe):
+    # one closure alternates between two integrations from different
+    # states; each must equal its own run, whether the caller keeps every
+    # state the step returned or overwrites it
+    cfg = IntegratorConfig(dt=0.01, t_final=1.0)
+    for label, step, _, z0 in _avf_cases(pipe, cfg):
+        other = 0.5 * z0 + 0.1 * np.cos(np.arange(z0.size))
+        separate = [integrate_steps(step, z, cfg) for z in (z0, other)]
+        for spoil in (False, True):
+            together = _lockstep(step, [z0, other], cfg.step_count(), spoil=spoil)
+            for traj, (states, iterations) in zip(separate, together):
+                assert np.array_equal(traj.states, states), label
+                assert np.array_equal(traj.picard_iters, iterations), label
 
 
 def test_g_rom_energy_drift_is_model_level(pipe):
