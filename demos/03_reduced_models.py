@@ -54,7 +54,7 @@ for tag in ("g-rom", "sp-pod-1", "sp-pod-2", "sp-deim-1", "sp-deim-2"):
         fom,
         deim=deims[variant.shifted] if variant.kind == "sp-deim" else None,
     )
-    rom_traj = integrate_steps(model.make_step(icfg), model.initial_coefficients(z0), icfg)
+    rom_traj = model.integrate(model.initial_coefficients(z0), icfg)
     _, offset, drift = hamiltonian_series(model, rom_traj, cfg.dx, fom_series)
     err = e_inf(traj, rom_traj, model)
     print(f"{tag:<10} {err:>10.3e} {offset:>14.3e} {drift:>13.3e}")

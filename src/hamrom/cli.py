@@ -15,6 +15,7 @@ config file (--config), overridden by command-line flags.  Exit codes:
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -300,8 +301,6 @@ def _offline_step(what, build, *args):
 
 def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
     """Build bases, interpolation models, and reduced-model artifacts."""
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     n = cfg.n
     traj = _load_fom_trajectory(cfg, traj_path)
     fom = assemble_wave_fom(cfg.wave_config())
@@ -354,6 +353,8 @@ def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
             deim = _offline_step(what, build_deim, psi, fom.c_u)
         largest[flag] = (bu, bv, deim)
 
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     log = {"snapshots": {"count": int(set_u.count), "stride": cfg.stride}}
     for r in cfg.r_list:
         entry = {}
@@ -392,7 +393,7 @@ def _online_run(cfg, model, fom_traj, fom_series):
     coeffs0 = model.initial_coefficients(fom_traj.states[0])
 
     def run():
-        return integrate_steps(model.make_step(icfg), coeffs0, icfg)
+        return model.integrate(coeffs0, icfg)
 
     # the integration is deterministic, so repeats only serve the timing:
     # the minimum is the least contention-polluted estimate of online cost
@@ -425,9 +426,8 @@ def _online_stage(cfg, rom_paths, traj_path=None):
     """Load every artifact, then the full-order trajectory and the energy
     series that `fom` wrote beside it; integrate each model against them
     and write its report.  Returns the reports."""
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    fom = assemble_wave_fom(cfg.wave_config())
+    wcfg = cfg.wave_config()
+    fom = assemble_wave_fom(wcfg)
     try:
         models = [load_rom(path, fom) for path in rom_paths]
     except ValueError as exc:  # an artifact was built for another n
@@ -435,6 +435,18 @@ def _online_stage(cfg, rom_paths, traj_path=None):
     traj_path = _fom_trajectory_path(cfg, traj_path)
     fom_traj = _load_fom_trajectory(cfg, traj_path)
     fom_series = read_series_csv(traj_path.with_name("fom_energy.csv"), len(fom_traj))
+    # the configured system must be the one that wrote the trajectory: its
+    # energy of the first state (c and length enter through A and dx) is
+    # the series' first value, up to the rounding of the stacked sums
+    h0 = wcfg.dx * float(fom.energy(fom_traj.states[0]))
+    if not math.isclose(h0, float(fom_series[0]), rel_tol=1e-12):
+        raise ConfigError(
+            f"the configured system gives the trajectory's initial state the energy "
+            f"H*dx = {h0!r}, but fom_energy.csv starts at {float(fom_series[0])!r}: "
+            "the trajectory was run with another wave speed or domain length"
+        )
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     reports = []
     for model in models:
         report, rom_traj, series = _online_run(cfg, model, fom_traj, fom_series)

@@ -26,11 +26,15 @@ but the full-order step solves its linear part exactly, so they cost no
 extra iterations.
 
 The pipeline gives `integrate_steps` the average-vector-field (AVF)
-discrete-gradient steps of `TwoBlockSystem.make_step` and
-`ReducedModel.make_step`: they replace the nonlinearity at the midpoint
-by its exact mean over the step, which conserves every energy of the form
-z' = D grad H(z), and they solve with the stiff linear part factored
-once.  With no nonlinearity AVF is exactly the midpoint rule.
+discrete-gradient steps of `TwoBlockSystem.make_step` and, through
+`ReducedModel.integrate`, of `ReducedModel.make_step`: they replace the
+nonlinearity at the midpoint by its exact mean over the step, which
+conserves every energy of the form z' = D grad H(z), and they solve with
+the stiff linear part factored once.  With no nonlinearity AVF is
+exactly the midpoint rule.  For the wave, `ReducedModel.integrate` runs
+the reduced steps in a compiled loop instead, which repeats this
+module's extrapolated start and stopping rule bit for bit; it shares
+`allocate_states` with `integrate_steps`.
 
 Every solve stops by `picard_converged`: convergence is measured on the
 iterate update in max-norm, relative with absolute floor 1, and a
@@ -73,6 +77,7 @@ __all__ = [
     "picard_solve",
     "integrate",
     "integrate_steps",
+    "allocate_states",
     "save_trajectory",
     "load_trajectory",
 ]
@@ -241,17 +246,13 @@ def integrate_steps(step, z0, config: IntegratorConfig, observer=None) -> Trajec
     observer(step_index, t, state).  Picard failures are re-raised with
     the offending step index attached.
     """
-    z0 = np.asarray(z0, dtype=float)
-    if not np.all(np.isfinite(z0)):
-        raise ValueError("initial state contains non-finite entries")
-    steps = config.step_count()
-    states = _mapped_empty((steps + 1, z0.shape[0]))
-    states[0] = z0
+    states = allocate_states(z0, config)
+    steps = states.shape[0] - 1
+    z = states[0]
     # two start buffers in turn: a step that returns its start leaves the
     # next state in the buffer that the next extrapolation does not write
-    starts = tuple(np.empty((2, z0.shape[0])))
+    starts = tuple(np.empty((2, z.shape[0])))
     iters = []
-    z = z0
     dt = config.dt
     for k in range(steps):
         start = z if k < 7 else np.dot(_EXTRAPOLATION, states[k - 7 : k + 1], starts[k & 1])
@@ -266,6 +267,18 @@ def integrate_steps(step, z0, config: IntegratorConfig, observer=None) -> Trajec
     iters = np.array(iters, dtype=np.int64)
     times = np.arange(steps + 1) * dt
     return Trajectory(states, times, picard_iters=iters, dt=dt)
+
+
+def allocate_states(z0, config: IntegratorConfig) -> np.ndarray:
+    """The states of an integration of `config` from z0: round(t_final/dt)
+    + 1 rows in an anonymous mapping of their own, z0 in the first row
+    and the others unset.  Raises ValueError for a non-finite z0."""
+    z0 = np.asarray(z0, dtype=float)
+    if not np.all(np.isfinite(z0)):
+        raise ValueError("initial state contains non-finite entries")
+    states = _mapped_empty((config.step_count() + 1, z0.shape[0]))
+    states[0] = z0
+    return states
 
 
 # ---------------------------------------------------------------------------

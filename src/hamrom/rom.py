@@ -31,7 +31,9 @@ structure-preserving variants exactly (up to the fixed-point tolerance
 and rounding), solving each step from the first iterate that
 `integrate_steps` supplies and refining the result once against the
 unfactored step equation, so that rounding does not make the energy
-drift.  Every variant also has one energy form,
+drift.  `integrate` runs those steps over a whole time grid; for the
+wave's `sin_average` it runs them in the compiled loop of `_avf.c`, with
+the same result bit for bit.  Every variant also has one energy form,
 
     H_r = -a'A_r a/2 - a'lin_u + b'b/2 + b'lin_v + W . G(P a + x_ref) + C,
 
@@ -39,6 +41,8 @@ with the same P and x_ref, sampling weights W and a constant C fixed by
 H_r(0) = H(z_ref).  Its cost is O(r^2) plus the nonlinear term.
 """
 
+import ctypes
+import functools
 import inspect
 import itertools
 import struct
@@ -46,8 +50,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from ._binio import FileFormatError, check_payload, read_array, read_exact, write_array
-from .integrator import IntegratorConfig, picard_converged
+from .integrator import (
+    _EXTRAPOLATION,
+    IntegratorConfig,
+    PicardDivergenceError,
+    Trajectory,
+    allocate_states,
+    integrate_steps,
+    picard_converged,
+)
+from .wave import WaveConfig, assemble_wave_fom, sin_average
 
 __all__ = [
     "RomVariant",
@@ -111,11 +125,12 @@ class ReducedModel:
     g_avg (which `make_step` needs).
 
     The reduced state is the concatenation (a, b) of the u- and v-block
-    coefficients.  Use `make_step()` to time-step the model, `make_rhs()`
-    for the online right-hand side and `hamiltonian()` for the reduced
-    energy.  Every variant samples the nonlinearity through one triple
-    (P, W, x_ref): the rows phi_u[idx], the interpolation weights and
-    u_ref[idx] for sp-deim, and phi_u, c_u, u_ref otherwise.
+    coefficients.  Use `integrate()` to integrate the model, `make_step()`
+    for its single AVF step, `make_rhs()` for the online right-hand side
+    and `hamiltonian()` for the reduced energy.  Every variant samples the
+    nonlinearity through one triple (P, W, x_ref): the rows phi_u[idx],
+    the interpolation weights and u_ref[idx] for sp-deim, and phi_u, c_u,
+    u_ref otherwise.
 
     Raises ValueError when the interpolation data do not match the
     variant, when an index is repeated or outside [0, n), when a value is
@@ -272,22 +287,20 @@ class ReducedModel:
         thread, or from inside g_avg).  It keeps nothing between calls,
         and the z1 it returns is a new array that aliases no work array
         and that the caller may change.
+
+        `_avf.c` repeats this step's arithmetic operation by operation for
+        `integrate`: a change here must be made there too, or the probe of
+        `_checked_kernel` turns the compiled loop off.
         """
         if self.g_avg is None:
             raise ValueError("AVF stepping needs the segment mean g_avg of the nonlinearity")
-        dt = config.dt
         ru = self.r_u
-        eye = np.eye(self._L.shape[0])
-        K = eye - 0.5 * dt * self._L
-        K_plus = eye + 0.5 * dt * self._L
-        k_inv = np.linalg.inv(K)
-        dt_c = dt * self._c
-        dt_m = dt * self._m_b
-        B = k_inv[:, ru:] @ dt_m
+        K, K_plus, k_inv, B, dt_m, dt_c = self._avf_operators(config.dt)
         P, x_ref = self._P, self._x_ref
         g_avg = _mean_into(self.g_avg)
-        y, w, update, r, correction = np.empty((5, eye.shape[0]))
-        iterates = tuple(np.empty((2, eye.shape[0])))
+        dim = K.shape[0]
+        y, w, update, r, correction = np.empty((5, dim))
+        iterates = tuple(np.empty((2, dim)))
         heads = tuple(z[:ru] for z in iterates)
         x0, x1, q, *work = np.empty((5, P.shape[0]))
         m_q = np.empty(self.r_v)
@@ -321,6 +334,64 @@ class ReducedModel:
             return z1 - correction, it
 
         return step
+
+    def _avf_operators(self, dt):
+        """The operators of the AVF step at step size dt: K = I - dt/2 L,
+        K_plus = I + dt/2 L, K^-1, B = K^-1 [0; dt M], dt M and dt c."""
+        eye = np.eye(self._L.shape[0])
+        K = eye - 0.5 * dt * self._L
+        K_plus = eye + 0.5 * dt * self._L
+        k_inv = np.linalg.inv(K)
+        dt_m = dt * self._m_b
+        return K, K_plus, k_inv, k_inv[:, self.r_u :] @ dt_m, dt_m, dt * self._c
+
+    def integrate(self, z0, config: IntegratorConfig) -> Trajectory:
+        """AVF integration from the reduced state z0 over config's steps.
+
+        The result, Picard failures included, is that of
+        `integrate_steps(self.make_step(config), z0, config)` bit for bit.
+        When g_avg is `wave.sin_average`, every operator has at least two
+        rows and two columns (so that np.dot hands each product to BLAS
+        gemv) and the compiled loop of `_avf.c` loads and passes a probe,
+        the whole run is one call into that loop, which makes the ~50 numpy
+        calls of a step in C.  Otherwise `integrate_steps` runs make_step.
+        """
+        z0 = np.asarray(z0, dtype=float)
+        dim = self.r_u + self.r_v
+        if z0.shape != (dim,):
+            raise ValueError(f"reduced state has shape {z0.shape}, expected ({dim},)")
+        kernel = _checked_kernel() if self.g_avg is sin_average else None
+        if kernel is None or min(self.r_u, self.r_v, self._P.shape[0]) < 2:
+            return integrate_steps(self.make_step(config), z0, config)
+        return self._integrate_compiled(kernel, z0, config)
+
+    def _integrate_compiled(self, kernel, z0, config):
+        """`integrate` through the compiled loop `kernel` of `_native.load`."""
+        run, gemv = kernel
+        states = allocate_states(z0, config)
+        steps = states.shape[0] - 1
+        K, K_plus, k_inv, B, dt_m, dt_c = self._avf_operators(config.dt)
+        matrices = [_native.matrix(a) for a in (K_plus, k_inv, K, B, dt_m, self._P)]
+        vectors = [np.ascontiguousarray(v) for v in (dt_c, self._x_ref, _EXTRAPOLATION)]
+        iterations = np.zeros(steps, dtype=np.int64)
+        work = np.empty(9 * states.shape[1] + 3 * self._P.shape[0])
+        residual = ctypes.c_double()
+        failed = run(
+            gemv,
+            *(ctypes.byref(m) for m, _ in matrices),
+            *(v.ctypes.data for v in vectors),
+            config.picard_tol,
+            config.picard_max_iter,
+            steps,
+            states.ctypes.data,
+            iterations.ctypes.data,
+            work.ctypes.data,
+            ctypes.byref(residual),
+        )
+        if failed >= 0:
+            raise PicardDivergenceError(int(iterations[failed]), residual.value, step=failed)
+        times = np.arange(steps + 1) * config.dt
+        return Trajectory(states, times, picard_iters=iterations, dt=config.dt)
 
     def rhs(self, z) -> np.ndarray:
         return self.make_rhs()(z)
@@ -380,6 +451,35 @@ def _mean_into(g_avg):
         out[...] = g_avg(x0, x1)
 
     return copy_into
+
+
+@functools.cache
+def _checked_kernel():
+    """`_native.load()` when its loop reproduces `integrate_steps` bit for
+    bit on two tiny fixed models, else None.  Their dt M is F-ordered
+    (g-rom) and C-ordered (shifted sp-deim), which np.dot hands to gemv
+    in two different layouts."""
+    kernel = _native.load()
+    if kernel is None:
+        return None
+    n = 8
+    fom = assemble_wave_fom(WaveConfig(n=n))
+    phi = np.linalg.qr(np.cos(np.outer(np.arange(n), [0.7, 1.3, 2.9]) + 0.4))[0]
+    ref = 0.3 * np.sin(np.arange(n))
+    config = IntegratorConfig(dt=0.01, t_final=0.2)
+    z0 = np.cos(np.arange(6.0))
+    for model in (
+        ReducedModel(RomVariant("g-rom"), fom, phi, phi, np.zeros(n), np.zeros(n)),
+        ReducedModel(RomVariant("sp-deim", True), fom, phi, phi, ref, ref, [1, 4, 6], [2.5] * 3),
+    ):
+        expected = integrate_steps(model.make_step(config), z0, config)
+        got = model._integrate_compiled(kernel, z0, config)
+        if not (
+            np.array_equal(got.states, expected.states)
+            and np.array_equal(got.picard_iters, expected.picard_iters)
+        ):
+            return None
+    return kernel
 
 
 def build_rom(variant, basis_u, basis_v, fom, deim=None):

@@ -557,14 +557,69 @@ def test_online_block_dimension_mismatch_is_a_config_error(deim_run, capsys):
 def test_trajectory_of_another_time_grid_is_a_config_error(deim_run, tmp_path, capsys, command,
                                                            flags, named):
     out, tail = deim_run
-    argv = [command, *tail, "--traj", str(out / "fom_trajectory.bin"), "--out", str(tmp_path),
+    fresh = tmp_path / "fresh"
+    argv = [command, *tail, "--traj", str(out / "fom_trajectory.bin"), "--out", str(fresh),
             *flags]
     if command == "online":
         argv += ["--rom", str(out / "rom_sp-deim-1_r2.bin")]
     assert main(argv) == 2
     message = capsys.readouterr().err
     assert all(part in message for part in named), message
-    assert not list(tmp_path.iterdir())
+    assert not fresh.exists()
+
+
+@pytest.mark.parametrize("flags", (["--c-speed", "0.3"], ["--length", "2"]))
+def test_trajectory_of_another_system_is_a_config_error(deim_run, tmp_path, capsys, flags):
+    out, tail = deim_run
+    fresh = tmp_path / "fresh"
+    argv = ["online", "--rom", str(out / "rom_sp-deim-1_r2.bin"), *tail,
+            "--traj", str(out / "fom_trajectory.bin"), "--out", str(fresh), *flags]
+    assert main(argv) == 2
+    message = capsys.readouterr().err
+    first = (out / "fom_energy.csv").read_text().splitlines()[1].split(",")[1]
+    assert "another wave speed or domain length" in message and first in message, message
+    assert not fresh.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_runs(tmp_path_factory):
+    """fom and offline outputs at n=16, r=2, one directory per setting."""
+    runs = {}
+
+    def run(c_speed, length, dt, t_final):
+        key = (c_speed, length, dt, t_final)
+        if key not in runs:
+            out = tmp_path_factory.mktemp("tiny")
+            flags = ["--n", "16", "--stride", "2", "--r", "2", "--variants", "sp-pod-1",
+                     "--c-speed", c_speed, "--length", length, "--dt", dt,
+                     "--t-final", t_final, "--out", str(out)]
+            assert main(["fom", *flags]) == 0
+            assert main(["offline", *flags]) == 0
+            runs[key] = out
+        return runs[key]
+
+    return run
+
+
+SETTINGS = st.tuples(
+    st.sampled_from(("0.1", "0.15")),  # c_speed
+    st.sampled_from(("1.0", "1.5")),  # length
+    st.sampled_from(("0.01", "0.02")),  # dt
+    st.sampled_from(("0.2", "0.4")),  # t_final
+)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(written=SETTINGS, configured=SETTINGS)
+def test_online_accepts_only_the_trajectory_of_its_own_settings(tiny_runs, written, configured):
+    out = tiny_runs(*written)
+    c_speed, length, dt, t_final = configured
+    with tempfile.TemporaryDirectory() as fresh:
+        argv = ["online", "--rom", str(out / "rom_sp-pod-1_r2.bin"),
+                "--traj", str(out / "fom_trajectory.bin"), "--n", "16", "--r", "2",
+                "--c-speed", c_speed, "--length", length, "--dt", dt, "--t-final", t_final,
+                "--out", str(Path(fresh) / "out")]
+        assert main(argv) == (0 if configured == written else 2)
 
 
 def test_solver_failure_names_the_model(deim_run, tmp_path, capsys):

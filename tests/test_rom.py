@@ -7,13 +7,14 @@ from numpy.testing import assert_allclose
 from scipy.sparse.linalg import splu
 
 from conftest import check_skew, dense_energy, dense_operators, dense_rhs, random_orthonormal
+from hamrom import _native, rom
 from hamrom.deim import build_deim
-from hamrom.integrator import IntegratorConfig, integrate, integrate_steps
+from hamrom.integrator import IntegratorConfig, PicardDivergenceError, integrate, integrate_steps
 from hamrom.metrics import EvalCounter
 from hamrom.pod import PodBasis, compute_pod
-from hamrom.rom import VARIANT_TAGS, RomVariant, build_rom, load_rom, save_rom
+from hamrom.rom import VARIANT_TAGS, ReducedModel, RomVariant, build_rom, load_rom, save_rom
 from hamrom.snapshots import collect, shift
-from hamrom.wave import WaveConfig, assemble_wave_fom, initial_state, make_wave_rhs
+from hamrom.wave import WaveConfig, assemble_wave_fom, initial_state, make_wave_rhs, sin_average
 
 N_SMALL = 40
 R_SMALL = 4
@@ -565,6 +566,111 @@ def test_a_step_map_keeps_no_state_between_calls(pipe):
             for traj, (states, iterations) in zip(separate, together):
                 assert np.array_equal(traj.states, states), label
                 assert np.array_equal(traj.picard_iters, iterations), label
+
+
+# ---------------------------------------------------------------------------
+# ReducedModel.integrate: the compiled loop and the numpy path it replaces.
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """Make `ReducedModel.integrate` fail if it takes the numpy path.
+    Skips where the loop cannot be built (no C compiler, or a numpy
+    without its bundled OpenBLAS); where it can, its probe must pass."""
+    if _native.load() is None:
+        pytest.skip("the compiled AVF loop is unavailable here")
+    assert rom._checked_kernel() is not None
+
+    def numpy_path(*args):
+        raise AssertionError("integrate took the numpy path")
+
+    monkeypatch.setattr(rom, "integrate_steps", numpy_path)
+
+
+def test_compiled_integration_reproduces_the_reference_formulas_bitwise(pipe, compiled):
+    cfg = IntegratorConfig(dt=0.01, t_final=2.0)
+    for tag, model in pipe["models"].items():
+        # np.dot hands g-rom's dt M to gemv column-major, the others row-major
+        assert (model.variant.kind == "g-rom") == (cfg.dt * model._m_b).flags.f_contiguous
+        z0 = model.initial_coefficients(pipe["z0"])
+        traj = model.integrate(z0, cfg)
+        [(states, iterations)] = _lockstep(_reference_reduced_step(model, cfg), [z0],
+                                           cfg.step_count())
+        assert np.array_equal(traj.states, states), tag
+        assert np.array_equal(traj.picard_iters, iterations), tag
+        assert traj.picard_iters.dtype == np.int64 and traj.dt == cfg.dt
+        assert np.array_equal(traj.times, np.arange(cfg.step_count() + 1) * cfg.dt)
+
+
+@pytest.mark.parametrize("case", ("iteration-cap", "overflow"))
+def test_compiled_picard_failure_matches_the_numpy_path(pipe, compiled, case):
+    cap = 1 if case == "iteration-cap" else 100
+    cfg = IntegratorConfig(dt=0.01, t_final=0.2, picard_max_iter=cap)
+    for tag, model in pipe["models"].items():
+        z0 = model.initial_coefficients(pipe["z0"])
+        if case == "overflow":  # the states overflow to inf and nan
+            z0 = np.full_like(z0, 1e308)
+        failures = []
+        for run in (lambda: integrate_steps(model.make_step(cfg), z0, cfg),
+                    lambda: model.integrate(z0, cfg)):
+            with pytest.raises(PicardDivergenceError) as info, np.errstate(all="ignore"):
+                run()
+            failures.append((info.value.iterations, repr(info.value.residual), info.value.step))
+        assert failures[0] == failures[1], tag
+
+
+@pytest.mark.parametrize("loader", ("unavailable", "wrong"))
+def test_integrate_without_the_compiled_loop_gives_the_same_trajectory(pipe, compiled,
+                                                                      monkeypatch, loader):
+    cfg = IntegratorConfig(dt=0.01, t_final=1.0)
+    starts = {tag: m.initial_coefficients(pipe["z0"]) for tag, m in pipe["models"].items()}
+    runs = {tag: m.integrate(starts[tag], cfg) for tag, m in pipe["models"].items()}
+    monkeypatch.undo()  # reopens the numpy path that `compiled` closed
+    # a loop that returns at once leaves the states unset: the probe refuses it
+    gemv = _native.load()[1]
+    monkeypatch.setattr(_native, "load",
+                        lambda: None if loader == "unavailable" else (lambda *args: -1, gemv))
+    rom._checked_kernel.cache_clear()
+    try:
+        assert rom._checked_kernel() is None
+        for tag, model in pipe["models"].items():
+            traj = model.integrate(starts[tag], cfg)
+            assert np.array_equal(traj.states, runs[tag].states), tag
+            assert np.array_equal(traj.picard_iters, runs[tag].picard_iters), tag
+    finally:
+        rom._checked_kernel.cache_clear()
+
+
+@pytest.mark.parametrize("case", ("another-g-avg", "one-interpolation-point"))
+def test_integrate_takes_the_numpy_path_where_the_loop_does_not_apply(pipe, monkeypatch, case):
+    # the loop computes only wave.sin_average itself, and np.dot computes a
+    # product with a single row or column without gemv (one interpolation
+    # point makes P 1 x r), so either model must go through make_step
+    def compiled_path(*args):
+        raise AssertionError("integrate took the compiled path")
+
+    rom._checked_kernel()  # its probe runs the compiled path
+    monkeypatch.setattr(ReducedModel, "_integrate_compiled", compiled_path)
+    fom, (bu, bv) = pipe["fom"], pipe["bases"][False]
+    if case == "another-g-avg":
+        wrapped = dataclasses.replace(fom, g_avg=lambda x0, x1: sin_average(x0, x1))
+        model = build_rom(RomVariant.from_tag("sp-pod-1"), bu, bv, wrapped)
+    else:
+        assert fom.g_avg is sin_average
+        model = ReducedModel(RomVariant.from_tag("sp-deim-1"), fom, bu.phi, bv.phi,
+                             np.zeros(fom.n), np.zeros(fom.n), [7], [float(fom.n)])
+    cfg = IntegratorConfig(dt=0.01, t_final=1.0)
+    z0 = model.initial_coefficients(pipe["z0"])
+    traj = model.integrate(z0, cfg)
+    expected = integrate_steps(model.make_step(cfg), z0, cfg)
+    assert np.array_equal(traj.states, expected.states)
+    assert np.array_equal(traj.picard_iters, expected.picard_iters)
+
+
+def test_integrate_rejects_a_state_of_another_dimension(pipe):
+    model = pipe["models"]["sp-deim-2"]
+    with pytest.raises(ValueError, match="expected"):
+        model.integrate(np.zeros(model.r_u + model.r_v + 1), IntegratorConfig(t_final=0.1))
 
 
 def test_g_rom_energy_drift_is_model_level(pipe):
