@@ -11,7 +11,7 @@ pipeline uses conserves it exactly, up to the solver tolerance.
 
 import numpy as np
 
-from hamrom.integrator import IntegratorConfig, integrate, integrate_steps
+from hamrom.integrator import IntegratorConfig, integrate
 from hamrom.wave import WaveConfig, assemble_wave_fom, initial_state
 
 cfg = WaveConfig(n=128)
@@ -26,7 +26,7 @@ print(f"initial energy H(z0)*dx = {fom.energy(z0) * cfg.dx:.6e}")
 icfg = IntegratorConfig(dt=0.01, t_final=10.0)
 for name, run in (
     ("implicit midpoint rule", lambda: integrate(fom.rhs, z0, icfg)),
-    ("AVF step, stiff part factored", lambda: integrate_steps(fom.make_step(icfg), z0, icfg)),
+    ("AVF step, stiff part factored", lambda: fom.integrate(z0, icfg)),
 ):
     print(f"\nintegrating 10 time units with the {name} ...")
     traj = run()

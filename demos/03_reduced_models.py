@@ -10,7 +10,7 @@ grid size.
 import numpy as np
 
 from hamrom.deim import build_deim
-from hamrom.integrator import IntegratorConfig, integrate_steps
+from hamrom.integrator import IntegratorConfig
 from hamrom.metrics import e_inf, hamiltonian_series
 from hamrom.pod import compute_pod
 from hamrom.rom import RomVariant, build_rom
@@ -22,7 +22,7 @@ n, r = cfg.n, 8
 fom = assemble_wave_fom(cfg)
 icfg = IntegratorConfig(dt=0.01, t_final=10.0)
 
-traj = integrate_steps(fom.make_step(icfg), initial_state(cfg), icfg)
+traj = fom.integrate(initial_state(cfg), icfg)
 z0 = traj.states[0]
 G = fom.G
 

@@ -1,12 +1,17 @@
-"""ctypes loader of `_avf.c`, the reduced AVF integration as one C loop.
+"""ctypes loader of `_avf.c`, the AVF integrations as C loops.
 
 `load()` compiles the source with the system C compiler once for each
 source and flag set, caches the shared object in this package's
 `__pycache__` (written to a temporary file and renamed into place, so
 concurrent processes never see a partial file), and returns its
-`avf_integrate` with numpy's own cblas dgemv.  It returns None when
-anything is missing (a compiler, a writable cache, numpy's bundled
-OpenBLAS) or fails, and callers then take the numpy path.
+`avf_integrate` with numpy's own cblas dgemv.  `load_full()` returns the
+full-order loop `avf_integrate_full`, SuperLU's solve `lu_solve` and
+supernode partition `lu_supernodes`, with that dgemv and the dtrsm and
+dgemm of the OpenBLAS that scipy bundles (the BLAS its SuperLU calls).
+Either returns None when anything is missing (a compiler, a writable
+cache, a bundled OpenBLAS) or fails, and callers then take the numpy
+path.  `superlu_factor` lays out a `splu` factor as `lu_solve` reads it,
+and `integrate` runs either loop into a `Trajectory`.
 """
 
 import ctypes
@@ -16,12 +21,19 @@ import os
 import shutil
 import subprocess
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
+import scipy
+import scipy.sparse as sparse
+
+from .integrator import PicardDivergenceError, Trajectory, allocate_states
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_avf.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 ROW_MAJOR, COL_MAJOR = 101, 102
+# SuperLU's default relaxed and largest supernode sizes (sp_ienv(2), sp_ienv(3))
+_RELAX, _MAX_SUPER = 10, 200
 
 
 class Matrix(ctypes.Structure):
@@ -30,6 +42,29 @@ class Matrix(ctypes.Structure):
     _fields_ = [("data", ctypes.c_void_p)] + [
         (name, ctypes.c_int64) for name in ("rows", "cols", "order")
     ]
+
+
+class Factor(ctypes.Structure):
+    """`struct factor` of _avf.c: a SuperLU factor in supernodes."""
+
+    _fields_ = (
+        [("trsm", ctypes.c_void_p), ("gemm", ctypes.c_void_p)]
+        + [(name, ctypes.c_int64) for name in ("n", "nsuper")]
+        + [(name, ctypes.c_void_p) for name in (
+            "perm_r", "perm_c", "xsup", "xlsub", "lsub", "xlusup", "ucolptr", "urow",
+            "lusup", "uval")]
+    )
+
+
+class FullOrder(NamedTuple):
+    """The full-order entry points of _avf.c and the BLAS they call."""
+
+    integrate: object
+    solve: object
+    supernodes: object
+    gemv: int
+    trsm: int
+    gemm: int
 
 
 def matrix(a):
@@ -43,11 +78,12 @@ def matrix(a):
     return Matrix(a.ctypes.data, a.shape[0], a.shape[1], order), a
 
 
-def _numpy_gemv():
-    """Address of cblas dgemv in the OpenBLAS that numpy bundles."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    [path] = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
-    return ctypes.cast(ctypes.CDLL(path).scipy_cblas_dgemv64_, ctypes.c_void_p).value
+def _symbols(package, pattern, *names):
+    """Addresses of `names` in the one library `<package>.libs/<pattern>`."""
+    libs = os.path.join(os.path.dirname(package.__file__), os.pardir, package.__name__ + ".libs")
+    [path] = glob.glob(os.path.join(libs, pattern))
+    lib = ctypes.CDLL(path)
+    return [ctypes.cast(getattr(lib, name), ctypes.c_void_p).value for name in names]
 
 
 def _shared_object():
@@ -73,16 +109,130 @@ def _shared_object():
     return ctypes.CDLL(path)
 
 
+_LOAD_ERRORS = (OSError, ValueError, AttributeError, subprocess.SubprocessError)
+_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+# the trailing arguments of both loops: tol, max_iter, steps, states,
+# iterations, work, residual
+_RUN_ARGS = [_D, _I, _I, _P, _P, _P, _P]
+
+
 def load():
     """(avf_integrate, dgemv address), or None when either is unavailable."""
     try:
-        gemv = _numpy_gemv()
+        [gemv] = _symbols(np, "libscipy_openblas64_*.so", "scipy_cblas_dgemv64_")
         kernel = _shared_object().avf_integrate
-    except (OSError, ValueError, AttributeError, subprocess.SubprocessError):
+    except _LOAD_ERRORS:
         return None
-    pointer = ctypes.c_void_p
-    kernel.argtypes = [pointer] + [ctypes.POINTER(Matrix)] * 6 + [pointer] * 3 + [
-        ctypes.c_double, ctypes.c_int64, ctypes.c_int64, pointer, pointer, pointer, pointer
-    ]
-    kernel.restype = ctypes.c_int64
+    kernel.argtypes = [_P] + [ctypes.POINTER(Matrix)] * 6 + [_P] * 3 + _RUN_ARGS
+    kernel.restype = _I
     return kernel, gemv
+
+
+def load_full():
+    """The `FullOrder` entry points, or None when any is unavailable."""
+    try:
+        [gemv] = _symbols(np, "libscipy_openblas64_*.so", "scipy_cblas_dgemv64_")
+        trsm, gemm = _symbols(scipy, "libscipy_openblas-*.so", "scipy_dtrsm_", "scipy_dgemm_")
+        lib = _shared_object()
+        run, solve, supernodes = lib.avf_integrate_full, lib.lu_solve, lib.lu_supernodes
+    except _LOAD_ERRORS:
+        return None
+    run.argtypes = [_P, ctypes.POINTER(Factor), _P, _D, _P] + _RUN_ARGS
+    run.restype = _I
+    solve.argtypes = [ctypes.POINTER(Factor), _P, _P, _P]
+    solve.restype = None
+    supernodes.argtypes = [_I, _P, _P, _I, _I, _I, _P, _P, _P, _P]
+    supernodes.restype = _I
+    return FullOrder(run, solve, supernodes, gemv, trsm, gemm)
+
+
+def superlu_factor(full, a, lu):
+    """The `Factor` of `lu = splu(a)` for `full.solve`, or None where that
+    solve does not give lu.solve's result bit for bit on fixed vectors.
+
+    The supernodes come from the pattern of a and SuperLU's rules
+    (`lu_supernodes`), not from lu.L, which omits the entries that are
+    exactly zero; the values come from lu.L and lu.U, and every entry
+    that they omit inside a supernode is a stored zero.  The rows below
+    a supernode are taken in ascending order, where SuperLU keeps the
+    order of its depth-first search; dgemm's result can depend on that
+    order once many rows lie below a supernode, so such a factor may be
+    refused.  The wave's supernodes have at most two rows below them.
+    """
+    n = a.shape[0]
+    perm_r = lu.perm_r.astype(np.int64)
+    perm_c = lu.perm_c.astype(np.int64)
+    b = sparse.csc_matrix(a)[:, np.argsort(perm_c)]  # Pc: column j of a is column perm_c[j]
+    colptr = b.indptr.astype(np.int64)
+    rowind = perm_r[b.indices]  # Pr: row i of a is row perm_r[i]
+    xsup, xlsub = np.empty((2, n + 1), dtype=np.int64)
+    work = np.empty(10 * n, dtype=np.int64)
+    capacity = 2 * (lu.L.nnz + n)
+    while True:
+        lsub = np.empty(capacity, dtype=np.int64)
+        nsuper = full.supernodes(n, colptr.ctypes.data, rowind.ctypes.data, _RELAX, _MAX_SUPER,
+                                 capacity, xsup.ctypes.data, xlsub.ctypes.data,
+                                 lsub.ctypes.data, work.ctypes.data)
+        if nsuper != -1:
+            break
+        capacity *= 2
+    if nsuper < 0:
+        return None
+    xsup, xlsub = xsup[: nsuper + 1], xlsub[: nsuper + 1]
+    nsupc, nsupr = np.diff(xsup), np.diff(xlsub)
+    xlusup = np.concatenate(([0], np.cumsum(nsupc * nsupr)))
+    supno = np.repeat(np.arange(nsuper), nsupc)
+    keys = np.repeat(np.arange(nsuper), nsupr) * n + lsub[: xlsub[-1]]  # ascending
+    lusup = np.zeros(xlusup[-1])
+
+    def entries(m):
+        m = sparse.csc_matrix(m)
+        return m.indices.astype(np.int64), np.repeat(np.arange(n), np.diff(m.indptr)), m.data
+
+    def place(rows, cols, values):
+        """Write entries into their supernodes' blocks; False if one is
+        outside its supernode's rows."""
+        s = supno[cols]
+        at = np.searchsorted(keys, s * n + rows)
+        if np.any(keys[np.minimum(at, keys.size - 1)] != s * n + rows):
+            return False
+        lusup[xlusup[s] + (cols - xsup[s]) * nsupr[s] + at - xlsub[s]] = values
+        return True
+
+    rows, cols, values = entries(lu.L)
+    below = rows > cols  # the unit diagonal is implied
+    u_rows, u_cols, u_values = entries(lu.U)
+    inside = u_rows >= xsup[supno[u_cols]]
+    if not (place(rows[below], cols[below], values[below])
+            and place(u_rows[inside], u_cols[inside], u_values[inside])):
+        return None
+    ucolptr = np.concatenate(([0], np.cumsum(np.bincount(u_cols[~inside], minlength=n))))
+    arrays = [perm_r, perm_c, xsup, xlsub, lsub, xlusup, ucolptr, u_rows[~inside], lusup,
+              u_values[~inside]]
+    arrays = [np.ascontiguousarray(x) for x in arrays]
+    factor = Factor(full.trsm, full.gemm, n, nsuper, *(x.ctypes.data for x in arrays))
+    factor.arrays = arrays  # the factor's storage lives as long as it does
+
+    rng = np.random.default_rng(0)
+    x, work = np.empty(n), np.zeros(2 * n)
+    for rhs in (rng.standard_normal(n), rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)):
+        full.solve(ctypes.byref(factor), rhs.ctypes.data, x.ctypes.data, work.ctypes.data)
+        if x.tobytes() != lu.solve(rhs).tobytes():
+            return None
+    return factor
+
+
+def integrate(run, args, work, z0, config) -> Trajectory:
+    """The trajectory from z0 of the compiled loop `run` called with its
+    leading arguments `args` and the doubles `work`.  Raises
+    PicardDivergenceError where a solve fails, as `integrate_steps` does."""
+    states = allocate_states(z0, config)
+    steps = states.shape[0] - 1
+    iterations = np.zeros(steps, dtype=np.int64)
+    residual = ctypes.c_double()
+    failed = run(*args, config.picard_tol, config.picard_max_iter, steps, states.ctypes.data,
+                 iterations.ctypes.data, work.ctypes.data, ctypes.byref(residual))
+    if failed >= 0:
+        raise PicardDivergenceError(int(iterations[failed]), residual.value, step=failed)
+    times = np.arange(steps + 1) * config.dt
+    return Trajectory(states, times, picard_iters=iterations, dt=config.dt)

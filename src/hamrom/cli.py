@@ -34,7 +34,6 @@ from .integrator import (
     IntegratorConfig,
     PicardDivergenceError,
     integrate,  # noqa: F401
-    integrate_steps,
     load_trajectory,
     save_trajectory,
 )
@@ -243,17 +242,17 @@ def _timed_run(run, model):
 
 
 def cmd_fom(cfg: PipelineConfig) -> dict:
-    """Run the full-order model (AVF steps) and persist trajectory + energy series."""
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    """Run the full-order model (AVF steps) and persist trajectory + energy
+    series.  `--out` is created only once the run has succeeded."""
     wcfg = cfg.wave_config()
     icfg = cfg.integrator_config()
     fom = assemble_wave_fom(wcfg)
     traj, seconds = _timed_run(
-        lambda: integrate_steps(fom.make_step(icfg), initial_state(wcfg), icfg),
-        "the full-order model",
+        lambda: fom.integrate(initial_state(wcfg), icfg), "the full-order model"
     )
     series = energy_series_of_states(fom.energy, traj, wcfg.dx)
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_trajectory(traj, out / "fom_trajectory.bin", dt=cfg.dt)
     write_series_csv(out / "fom_energy.csv", traj.times, series)
     summary = {

@@ -13,10 +13,16 @@ A is a sparse symmetric n x n matrix, G an elementwise scalar
 nonlinearity with derivative g = G', and c_u a weight vector.  No dense
 n x n (or 2n x 2n) operator is ever formed.
 
-Like a reduced model, the record has an AVF `make_step` and a stacked
-`energy`.  It is immutable after construction and its methods are pure.
+Like a reduced model, the record has an AVF `make_step`, an `integrate`
+that runs it over a time grid and a stacked `energy`.  It is immutable
+after construction and its methods are pure.  For the wave's
+`sin_average`, `integrate` runs the steps in the compiled loop of
+`_avf.c`, whose linear solve repeats SuperLU's on the same factor, with
+the same result bit for bit.
 """
 
+import ctypes
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,7 +30,14 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
-from .integrator import IntegratorConfig, picard_solve
+from . import _native
+from .integrator import (
+    _EXTRAPOLATION,
+    IntegratorConfig,
+    Trajectory,
+    integrate_steps,
+    picard_solve,
+)
 
 __all__ = ["TwoBlockSystem"]
 
@@ -111,13 +124,16 @@ class TwoBlockSystem:
 
         Then u1 = 2 u_m - u0 and v1 = 4 (u_m - u0) / dt - v0.  Raises
         ValueError without `g_avg`.
+
+        `_avf.c` repeats this step's arithmetic operation by operation for
+        `integrate`: a change here must be made there too, or the probe of
+        `_checked_loop` turns the compiled loop off.
         """
         if self.g_avg is None:
             raise ValueError("AVF stepping needs the segment mean g_avg of the nonlinearity")
         n, dt, g_avg = self.n, config.dt, self.g_avg
-        q = 0.25 * dt * dt
-        qc = q * self.c_u
-        solve = splu(sparse.csc_matrix(sparse.identity(n) - q * self.A)).solve
+        qc, matrix = self._avf_operators(dt)
+        solve = splu(matrix).solve
 
         def step(z, start):
             u0 = z[:n]
@@ -131,6 +147,70 @@ class TwoBlockSystem:
             return np.concatenate([2.0 * um - u0, (4.0 / dt) * (um - u0) - v0]), iterations
 
         return step
+
+    def _avf_operators(self, dt):
+        """qc = dt^2/4 c_u and I - dt^2/4 A (CSC) of the AVF step at dt."""
+        q = 0.25 * dt * dt
+        return q * self.c_u, sparse.csc_matrix(sparse.identity(self.n) - q * self.A)
+
+    def integrate(self, z0, config: IntegratorConfig) -> Trajectory:
+        """AVF integration from z0 over config's steps.
+
+        The result, Picard failures included, is that of
+        `integrate_steps(self.make_step(config), z0, config)` bit for bit.
+        When g_avg is `wave.sin_average` and the compiled loop of `_avf.c`
+        loads and passes a probe, and its emulation of SuperLU's solve
+        gives this system's `splu(...).solve` bit for bit on fixed vectors,
+        the whole run is one call into that loop, which makes the numpy
+        and SuperLU calls of every Picard iteration in C.  Otherwise
+        `integrate_steps` runs make_step.  Raises ValueError without
+        `g_avg` or for a z0 that is not of length 2n.
+        """
+        from .wave import sin_average  # wave imports this module
+
+        z0 = np.asarray(z0, dtype=float)
+        if z0.shape != (2 * self.n,):
+            raise ValueError(f"state has shape {z0.shape}, expected ({2 * self.n},)")
+        full = _checked_loop() if self.g_avg is sin_average else None
+        traj = None if full is None else self._integrate_compiled(full, z0, config)
+        return integrate_steps(self.make_step(config), z0, config) if traj is None else traj
+
+    def _integrate_compiled(self, full, z0, config):
+        """`integrate` through the loop `full` of `_native.load_full`, or
+        None where the emulated solve differs from SuperLU's."""
+        qc, matrix = self._avf_operators(config.dt)
+        factor = _native.superlu_factor(full, matrix, splu(matrix))
+        if factor is None:
+            return None
+        args = [full.gemv, ctypes.byref(factor), qc.ctypes.data, config.dt,
+                _EXTRAPOLATION.ctypes.data]
+        return _native.integrate(full.integrate, args, np.zeros(11 * self.n), z0, config)
+
+
+@functools.cache
+def _checked_loop():
+    """`_native.load_full()` when its loop reproduces `integrate_steps`
+    bit for bit on a tiny fixed system, else None.  The system's factor
+    has a relaxed supernode of ten columns and a fundamental one of three,
+    and its weights are not all one."""
+    from .wave import WaveConfig, build_laplacian, sin_average
+
+    full = _native.load_full()
+    if full is None:
+        return None
+    n = 16
+    system = TwoBlockSystem(build_laplacian(WaveConfig(n=n)), 1.0 + 0.5 * np.cos(np.arange(n)),
+                            lambda x: 1.0 - np.cos(x), np.sin, sin_average)
+    config = IntegratorConfig(dt=0.01, t_final=0.2)
+    z0 = np.concatenate([np.sin(np.arange(n)), 0.3 * np.cos(np.arange(n))])
+    expected = integrate_steps(system.make_step(config), z0, config)
+    got = system._integrate_compiled(full, z0, config)
+    if got is None or not (
+        np.array_equal(got.states, expected.states)
+        and np.array_equal(got.picard_iters, expected.picard_iters)
+    ):
+        return None
+    return full
 
 
 def _check_elementwise_derivative(G, g, step=1e-6):

@@ -25,16 +25,17 @@ tolerance.  Stiff modes with dt * omega > pi/3 are extrapolated badly,
 but the full-order step solves its linear part exactly, so they cost no
 extra iterations.
 
-The pipeline gives `integrate_steps` the average-vector-field (AVF)
-discrete-gradient steps of `TwoBlockSystem.make_step` and, through
-`ReducedModel.integrate`, of `ReducedModel.make_step`: they replace the
-nonlinearity at the midpoint by its exact mean over the step, which
-conserves every energy of the form z' = D grad H(z), and they solve with
-the stiff linear part factored once.  With no nonlinearity AVF is
-exactly the midpoint rule.  For the wave, `ReducedModel.integrate` runs
-the reduced steps in a compiled loop instead, which repeats this
-module's extrapolated start and stopping rule bit for bit; it shares
-`allocate_states` with `integrate_steps`.
+Through `TwoBlockSystem.integrate` and `ReducedModel.integrate`, the
+pipeline gives `integrate_steps` the average-vector-field (AVF)
+discrete-gradient steps of `TwoBlockSystem.make_step` and
+`ReducedModel.make_step`: they replace the nonlinearity at the midpoint
+by its exact mean over the step, which conserves every energy of the
+form z' = D grad H(z), and they solve with the stiff linear part
+factored once.  With no nonlinearity AVF is exactly the midpoint rule.
+For the wave, both `integrate` methods run their steps in a compiled
+loop instead, which repeats this module's extrapolated start and
+stopping rule bit for bit; the loops share `allocate_states` with
+`integrate_steps`.
 
 Every solve stops by `picard_converged`: convergence is measured on the
 iterate update in max-norm, relative with absolute floor 1, and a

@@ -55,9 +55,7 @@ from ._binio import FileFormatError, check_payload, read_array, read_exact, writ
 from .integrator import (
     _EXTRAPOLATION,
     IntegratorConfig,
-    PicardDivergenceError,
     Trajectory,
-    allocate_states,
     integrate_steps,
     picard_converged,
 )
@@ -368,30 +366,12 @@ class ReducedModel:
     def _integrate_compiled(self, kernel, z0, config):
         """`integrate` through the compiled loop `kernel` of `_native.load`."""
         run, gemv = kernel
-        states = allocate_states(z0, config)
-        steps = states.shape[0] - 1
         K, K_plus, k_inv, B, dt_m, dt_c = self._avf_operators(config.dt)
         matrices = [_native.matrix(a) for a in (K_plus, k_inv, K, B, dt_m, self._P)]
         vectors = [np.ascontiguousarray(v) for v in (dt_c, self._x_ref, _EXTRAPOLATION)]
-        iterations = np.zeros(steps, dtype=np.int64)
-        work = np.empty(9 * states.shape[1] + 3 * self._P.shape[0])
-        residual = ctypes.c_double()
-        failed = run(
-            gemv,
-            *(ctypes.byref(m) for m, _ in matrices),
-            *(v.ctypes.data for v in vectors),
-            config.picard_tol,
-            config.picard_max_iter,
-            steps,
-            states.ctypes.data,
-            iterations.ctypes.data,
-            work.ctypes.data,
-            ctypes.byref(residual),
-        )
-        if failed >= 0:
-            raise PicardDivergenceError(int(iterations[failed]), residual.value, step=failed)
-        times = np.arange(steps + 1) * config.dt
-        return Trajectory(states, times, picard_iters=iterations, dt=config.dt)
+        args = [gemv, *(ctypes.byref(m) for m, _ in matrices), *(v.ctypes.data for v in vectors)]
+        work = np.empty(9 * z0.size + 3 * self._P.shape[0])
+        return _native.integrate(run, args, work, z0, config)
 
     def rhs(self, z) -> np.ndarray:
         return self.make_rhs()(z)

@@ -568,6 +568,16 @@ def test_trajectory_of_another_time_grid_is_a_config_error(deim_run, tmp_path, c
     assert not fresh.exists()
 
 
+def test_failed_fom_run_leaves_no_output_directory(tmp_path, capsys):
+    # one Picard iteration per step cannot converge: exit 3, and --out,
+    # which did not exist, still does not
+    out = tmp_path / "D"
+    argv = ["fom", "--n", "40", "--t-final", "1", "--picard-max-iter", "1", "--out", str(out)]
+    assert main(argv) == 3
+    assert "full-order model at step 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", (["--c-speed", "0.3"], ["--length", "2"]))
 def test_trajectory_of_another_system_is_a_config_error(deim_run, tmp_path, capsys, flags):
     out, tail = deim_run

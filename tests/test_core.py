@@ -4,9 +4,10 @@ import scipy.sparse as sparse
 from numpy.testing import assert_allclose
 
 from conftest import check_skew, dense_operators, random_orthonormal, random_skew
+from hamrom import _native, core
 from hamrom.core import TwoBlockSystem
-from hamrom.integrator import IntegratorConfig, integrate_steps
-from hamrom.wave import WaveConfig, build_laplacian, initial_state, sin_average
+from hamrom.integrator import IntegratorConfig, PicardDivergenceError, integrate_steps
+from hamrom.wave import WaveConfig, assemble_wave_fom, build_laplacian, initial_state, sin_average
 
 COS_SPLIT = dict(G=lambda x: 1.0 - np.cos(x), g=np.sin)
 
@@ -182,3 +183,121 @@ def test_dimension_mismatch_errors():
         system.energy(np.ones((2, 2, 6)))
     with pytest.raises(ValueError):
         system.rhs(np.ones(2))
+
+
+# ---------------------------------------------------------------------------
+# TwoBlockSystem.integrate: the compiled loop and the numpy path it replaces.
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """Make `TwoBlockSystem.integrate` fail if it takes the numpy path.
+    Skips where the loop cannot be built (no C compiler, or a numpy or
+    scipy without its bundled OpenBLAS); where it can, its probe must
+    pass."""
+    if _native.load_full() is None:
+        pytest.skip("the compiled full-order loop is unavailable here")
+    assert core._checked_loop() is not None
+
+    def numpy_path(*args):
+        raise AssertionError("integrate took the numpy path")
+
+    monkeypatch.setattr(core, "integrate_steps", numpy_path)
+
+
+def wave_system(n, weights):
+    cfg = WaveConfig(n=n)
+    c_u = np.ones(n) if weights == "unit" else np.random.default_rng(n).uniform(0.5, 2.0, n)
+    return TwoBlockSystem(build_laplacian(cfg), c_u, **COS_SPLIT, g_avg=sin_average)
+
+
+@pytest.mark.parametrize("n, weights, dt", [(40, "unit", 0.01), (40, "random", 0.01),
+                                            (13, "random", 0.0025), (500, "unit", 0.0025)])
+def test_compiled_integration_is_the_numpy_path_bitwise(compiled, n, weights, dt):
+    system = wave_system(n, weights)
+    icfg = IntegratorConfig(dt=dt, t_final=200 * dt)
+    z0 = initial_state(WaveConfig(n=n))
+    traj = system.integrate(z0, icfg)
+    expected = integrate_steps(system.make_step(icfg), z0, icfg)
+    assert np.array_equal(traj.states, expected.states)
+    assert np.array_equal(traj.picard_iters, expected.picard_iters)
+    assert traj.picard_iters.dtype == np.int64 and traj.dt == dt
+    assert np.array_equal(traj.times, expected.times)
+
+
+def growing_system(n=12):
+    # u'' = 36000 u: the AVF step multiplies u by 19, so 1e280 overflows
+    # after the extrapolated starts begin at step 7
+    return TwoBlockSystem(36000.0 * sparse.identity(n), np.ones(n), **COS_SPLIT, g_avg=sin_average)
+
+
+@pytest.mark.parametrize("case", ("iteration-cap", "overflow-nan", "overflow-inf"))
+def test_compiled_picard_failure_matches_the_numpy_path(compiled, case):
+    n = 12
+    if case == "iteration-cap":
+        system, z0, cap = wave_system(n, "random"), initial_state(WaveConfig(n=n)), 1
+    else:
+        scale = 1e290 if case == "overflow-nan" else 1e280
+        system, cap = growing_system(n), 100
+        z0 = np.concatenate([scale * (1.0 + np.arange(n) / n), np.zeros(n)])
+    icfg = IntegratorConfig(dt=0.01, t_final=1.0, picard_max_iter=cap)
+    failures = []
+    for run in (lambda: integrate_steps(system.make_step(icfg), z0, icfg),
+                lambda: system.integrate(z0, icfg)):
+        with pytest.raises(PicardDivergenceError) as info, np.errstate(all="ignore"):
+            run()
+        failures.append((info.value.iterations, repr(info.value.residual), info.value.step))
+    assert failures[0] == failures[1]
+    if case != "iteration-cap":
+        assert failures[0][1] == case[-3:] and failures[0][2] >= 7
+
+
+@pytest.mark.parametrize("loader", ("unavailable", "wrong-loop", "solve-refused"))
+def test_integrate_without_the_compiled_loop_gives_the_same_trajectory(compiled, monkeypatch,
+                                                                      loader):
+    system = wave_system(40, "random")
+    icfg = IntegratorConfig(dt=0.01, t_final=1.0)
+    z0 = initial_state(WaveConfig(n=40))
+    run = system.integrate(z0, icfg)
+    monkeypatch.undo()  # reopens the numpy path that `compiled` closed
+    full = _native.load_full()
+    if loader == "unavailable":
+        monkeypatch.setattr(_native, "load_full", lambda: None)
+    elif loader == "wrong-loop":  # returns at once and leaves the states unset
+        monkeypatch.setattr(_native, "load_full", lambda: full._replace(integrate=lambda *a: -1))
+    else:  # the probe has passed, but this system's solve check fails
+        monkeypatch.setattr(_native, "superlu_factor", lambda *args: None)
+    if loader != "solve-refused":
+        core._checked_loop.cache_clear()
+    try:
+        assert (core._checked_loop() is None) == (loader != "solve-refused")
+        traj = system.integrate(z0, icfg)
+        assert np.array_equal(traj.states, run.states)
+        assert np.array_equal(traj.picard_iters, run.picard_iters)
+    finally:
+        core._checked_loop.cache_clear()
+
+
+def test_integrate_takes_the_numpy_path_for_another_segment_mean(monkeypatch):
+    def compiled_path(*args):
+        raise AssertionError("integrate took the compiled path")
+
+    core._checked_loop()  # its probe runs the compiled path
+    monkeypatch.setattr(TwoBlockSystem, "_integrate_compiled", compiled_path)
+    n = 16
+    system = TwoBlockSystem(build_laplacian(WaveConfig(n=n)), np.ones(n), **COS_SPLIT,
+                            g_avg=lambda x0, x1: sin_average(x0, x1))
+    icfg = IntegratorConfig(dt=0.01, t_final=0.5)
+    z0 = initial_state(WaveConfig(n=n))
+    traj = system.integrate(z0, icfg)
+    expected = integrate_steps(assemble_wave_fom(WaveConfig(n=n)).make_step(icfg), z0, icfg)
+    assert np.array_equal(traj.states, expected.states)
+    assert np.array_equal(traj.picard_iters, expected.picard_iters)
+
+
+def test_integrate_rejects_a_state_of_another_dimension():
+    system = assemble_wave_fom(WaveConfig(n=16))
+    with pytest.raises(ValueError, match="expected"):
+        system.integrate(np.zeros(33), IntegratorConfig(t_final=0.1))
+    with pytest.raises(ValueError, match="g_avg"):
+        quadratic_only(2).integrate(np.zeros(4), IntegratorConfig(t_final=0.1))
