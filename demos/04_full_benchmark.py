@@ -1,9 +1,9 @@
 """Run the complete benchmark pipeline through the command-line interface.
 
-By default this uses a reduced problem size so it finishes in a few
-seconds; pass --full for the reference configuration (n=500, 5000 steps,
-r in {10, 20}), which takes around half a minute and reproduces the
-summary table of the benchmark.
+By default this uses a reduced problem size so it finishes in about a
+second; pass --full for the reference configuration (n=500, 5000 steps,
+r in {10, 20}), which takes about 5 s on a 2-core x86 machine and
+reproduces the summary table of the benchmark.
 """
 
 import sys

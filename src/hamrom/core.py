@@ -61,10 +61,7 @@ class TwoBlockSystem:
         Segment mean (x0, x1) -> (G(x1) - G(x0)) / (x1 - x0), elementwise,
         in a form exact also where x1 = x0: the discrete gradient of the
         nonlinear part that energy-conserving (AVF) steps use.  Spot-checked
-        against G at construction.  It may take two more arguments,
-        g_avg(x0, x1, out=None, work=None), as `wave.sin_average` does: the
-        reduced step then passes its own result and work arrays, so its
-        Picard iterations allocate nothing.
+        against G at construction.
     """
 
     A: sparse.csr_matrix

@@ -63,7 +63,6 @@ class DeimModel:
         interp = psi[indices, :]  # s x s matrix P^T Psi
         self.psi = psi
         self.indices = indices
-        self.interp = interp
         self.lu = scipy.linalg.lu_factor(interp)
         self.cond = float(np.linalg.cond(interp))
         self.weights_full = np.asarray(weights_full, dtype=float)
@@ -84,7 +83,7 @@ class DeimModel:
 
     def truncated(self, s: int) -> "DeimModel":
         """The size-s model of the same basis: the leading s columns (a
-        C-ordered copy) and indices, with the interpolation matrix, cond and
+        C-ordered copy) and indices, with the interpolation factor, cond and
         weights rebuilt from the same weight vector and shift reference.
         build_deim(B, c).truncated(s) is bitwise build_deim(B.truncated(s), c)."""
         if not 1 <= s <= self.s:

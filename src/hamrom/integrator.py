@@ -40,12 +40,10 @@ stopping rule bit for bit; the loops share `allocate_states` with
 Every solve stops by `picard_converged`: convergence is measured on the
 iterate update in max-norm, relative with absolute floor 1, and a
 non-finite update stops the solve at once.  `picard_solve` iterates any
-map that returns a new iterate; the reduced AVF step runs its own loop on
-work arrays, allocated once per step map and refilled with `out=`
-products, and calls the same rule.  Such a step map is not reentrant,
-and the state it returns is a new array.  `integrate_steps` keeps the
-extrapolated first iterates in two buffers of its own, used in turn, so
-`start` is valid only during the call that receives it.
+map that returns a new iterate; the midpoint step and both AVF steps
+solve with it.  `integrate_steps` keeps the extrapolated first iterates
+in two buffers of its own, used in turn, so `start` is valid only during
+the call that receives it.
 
 Trajectory states never live in the malloc heap, where tens of MB would
 stay resident after they are freed and leave a hole that later

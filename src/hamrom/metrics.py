@@ -151,16 +151,25 @@ def write_series_csv(path, times, values):
 
 def read_series_csv(path, count) -> np.ndarray:
     """The values of a `t,value` CSV written by `write_series_csv`, which
-    must hold `count` rows; raises FileFormatError naming the file
-    otherwise, or when a value does not parse."""
+    must hold `count` rows of finite numbers; raises FileFormatError
+    naming the file otherwise, and the row when a row does not parse."""
     try:
         with open(path, encoding="ascii") as fh:
             header = fh.readline()
-            values = [float(line.partition(",")[2]) for line in fh]
-    except ValueError as exc:  # a UnicodeDecodeError too
+            rows = fh.readlines()
+    except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not a t,value series ({exc})") from None
-    if header != "t,value\n" or len(values) != count:
+    if header != "t,value\n" or len(rows) != count:
         raise FileFormatError(
-            f"{path}: expected a t,value header and {count} rows, found {len(values)} rows"
+            f"{path}: expected a t,value header and {count} rows, found {len(rows)} rows"
         )
+    values = []
+    for row, line in enumerate(rows, 1):
+        try:
+            t, value = map(float, line.split(","))
+        except ValueError:
+            t = value = math.nan
+        if not (math.isfinite(t) and math.isfinite(value)):
+            raise FileFormatError(f"{path}: row {row} is not a finite t,value pair: {line!r}")
+        values.append(value)
     return np.array(values)

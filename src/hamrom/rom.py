@@ -43,8 +43,6 @@ H_r(0) = H(z_ref).  Its cost is O(r^2) plus the nonlinear term.
 
 import ctypes
 import functools
-import inspect
-import itertools
 import struct
 from dataclasses import dataclass
 
@@ -57,7 +55,7 @@ from .integrator import (
     IntegratorConfig,
     Trajectory,
     integrate_steps,
-    picard_converged,
+    picard_solve,
 )
 from .wave import WaveConfig, assemble_wave_fom, sin_average
 
@@ -268,23 +266,11 @@ class ReducedModel:
 
             z1 <- z1 - K^-1 (K z1 - y - dt M q),   y = (I + dt/2 L) z0 + dt c,
 
-        with q the loop's last g_avg value.  Without it the rounding of
-        the stored K^-1 biases every step the same way, and the reduced
+        with q the last iteration's g_avg value.  Without it the rounding
+        of the stored K^-1 biases every step the same way, and the reduced
         energy of a structure-preserving variant drifts linearly in time.
-        The returned step(z, start) gives (z1, Picard iterations) and stops
-        by `picard_converged`, as `picard_solve` does.
-
-        The step map owns its work arrays: y, K^-1 y, x0, x1, the g_avg
-        value, two iterates, their difference, and the residual and
-        correction of the refinement are allocated here once and refilled
-        by every call with `out=` products, so an iteration allocates
-        nothing (g_avg too, when it takes `out` and `work` as
-        `wave.sin_average` does).  The arithmetic is that of `@` products
-        on fresh arrays, bit for bit.  So the map is not reentrant: it
-        must not be called again before a call returns (from another
-        thread, or from inside g_avg).  It keeps nothing between calls,
-        and the z1 it returns is a new array that aliases no work array
-        and that the caller may change.
+        The returned step(z, start) gives (z1, Picard iterations), solving
+        by `picard_solve`.
 
         `_avf.c` repeats this step's arithmetic operation by operation for
         `integrate`: a change here must be made there too, or the probe of
@@ -292,44 +278,25 @@ class ReducedModel:
         """
         if self.g_avg is None:
             raise ValueError("AVF stepping needs the segment mean g_avg of the nonlinearity")
-        ru = self.r_u
+        ru, g_avg = self.r_u, self.g_avg
         K, K_plus, k_inv, B, dt_m, dt_c = self._avf_operators(config.dt)
         P, x_ref = self._P, self._x_ref
-        g_avg = _mean_into(self.g_avg)
-        dim = K.shape[0]
-        y, w, update, r, correction = np.empty((5, dim))
-        iterates = tuple(np.empty((2, dim)))
-        heads = tuple(z[:ru] for z in iterates)
-        x0, x1, q, *work = np.empty((5, P.shape[0]))
-        m_q = np.empty(self.r_v)
-        r_b = r[ru:]
-        # closure names cost less than np.<name> lookups in the loop
-        dot, add, subtract = np.dot, np.add, np.subtract
 
         def step(z, start):
-            dot(K_plus, z, y)
-            add(y, dt_c, y)
-            dot(k_inv, y, w)
-            dot(P, z[:ru], x0)
-            add(x0, x_ref, x0)
-            z1, head = start, start[:ru]
-            for it in itertools.count(1):
-                dot(P, head, x1)
-                add(x1, x_ref, x1)
-                g_avg(x0, x1, q, work)
-                z_next = iterates[it & 1]
-                dot(B, q, z_next)
-                z_next += w
-                subtract(z_next, z1, update)
-                z1, head = z_next, heads[it & 1]
-                if picard_converged(update, z1, it, config):
-                    break
-            dot(K, z1, r)
-            subtract(r, y, r)
-            dot(dt_m, q, m_q)
-            subtract(r_b, m_q, r_b)
-            dot(k_inv, r, correction)
-            return z1 - correction, it
+            y = np.dot(K_plus, z) + dt_c
+            w = np.dot(k_inv, y)
+            x0 = np.dot(P, z[:ru]) + x_ref
+            q = None
+
+            def update(z1):
+                nonlocal q
+                q = g_avg(x0, np.dot(P, z1[:ru]) + x_ref)
+                return np.dot(B, q) + w
+
+            z1, iterations = picard_solve(update, start, config)
+            r = np.dot(K, z1) - y
+            r[ru:] -= np.dot(dt_m, q)
+            return z1 - np.dot(k_inv, r), iterations
 
         return step
 
@@ -414,23 +381,6 @@ class ReducedModel:
         U = self.phi_u @ coeffs[:, : self.r_u].T + self.u_ref[:, None]
         V = self.phi_v @ coeffs[:, self.r_u :].T + self.v_ref[:, None]
         return U, V
-
-
-def _mean_into(g_avg):
-    """The segment mean as a call g(x0, x1, out, work) that fills `out`:
-    g_avg itself when its signature is (x0, x1, out, work), as that of
-    `wave.sin_average` is, otherwise a call that copies its result."""
-    try:
-        names = list(inspect.signature(g_avg).parameters)
-    except (TypeError, ValueError):  # no signature to read
-        names = []
-    if names[2:4] == ["out", "work"]:
-        return g_avg
-
-    def copy_into(x0, x1, out, work):
-        out[...] = g_avg(x0, x1)
-
-    return copy_into
 
 
 @functools.cache

@@ -118,7 +118,7 @@ def make_wave_energy(cfg: WaveConfig):
 _TINY = np.finfo(float).tiny
 
 
-def sin_average(x0, x1, out=None, work=None):
+def sin_average(x0, x1):
     """Elementwise mean of sin over [x0, x1], (cos x0 - cos x1) / (x1 - x0).
 
     Evaluated as sin(m) * sinc(h) with m = (x0 + x1)/2, h = (x1 - x0)/2,
@@ -126,22 +126,6 @@ def sin_average(x0, x1, out=None, work=None):
     sinc is even, so it is taken at |h| clamped below at the smallest
     normal float, where sin(h)/h is exactly 1 as it is for every smaller
     |h|: h = 0 needs no separate case.
-
-    The result goes to `out` and the intermediates h and sinc to `work`,
-    two float arrays shaped like the result (the rows of a (2, ...) array
-    will do); either is allocated when not given, and neither may overlap
-    x0 or x1.  With both given the call allocates nothing, and the result
-    is the same bit for bit.
     """
-    m = np.add(x0, x1, out)
-    m *= 0.5
-    h, sinc = np.empty((2,) + m.shape) if work is None else work
-    np.subtract(x1, x0, h)
-    h *= 0.5
-    np.abs(h, h)
-    np.maximum(h, _TINY, out=h)  # a positional out is deprecated here
-    np.sin(h, sinc)
-    sinc /= h
-    np.sin(m, m)
-    m *= sinc
-    return m
+    h = np.maximum(np.abs((x1 - x0) * 0.5), _TINY)
+    return np.sin((x0 + x1) * 0.5) * (np.sin(h) / h)

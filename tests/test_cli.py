@@ -651,7 +651,16 @@ def test_online_reads_the_energy_series_fom_wrote(deim_run):
     assert np.array_equal(series, expected)
 
 
-@pytest.mark.parametrize("case", ("missing", "one-row-short", "garbled"))
+# a damaged row k (line k + 1) and what replaces its time and its value
+_DAMAGED_ROWS = {
+    "nan-value-row-5": (5, None, "nan"),
+    "nan-value-row-1": (1, None, "nan"),
+    "infinite-value": (3, None, "-inf"),
+    "time-not-a-number": (4, "banana", None),
+}
+
+
+@pytest.mark.parametrize("case", ("missing", "one-row-short", "garbled", *_DAMAGED_ROWS))
 def test_online_needs_the_energy_series_beside_the_trajectory(deim_run, tmp_path, case, capsys):
     out, tail = deim_run
     (tmp_path / "fom_trajectory.bin").write_bytes((out / "fom_trajectory.bin").read_bytes())
@@ -660,12 +669,21 @@ def test_online_needs_the_energy_series_beside_the_trajectory(deim_run, tmp_path
         lines = lines[:-1]
     elif case == "garbled":
         lines[3] = lines[3].replace(",", ",x")
+    elif case in _DAMAGED_ROWS:
+        row, t, value = _DAMAGED_ROWS[case]
+        old_t, old_value = lines[row].rstrip("\n").split(",")
+        lines[row] = f"{t or old_t},{value or old_value}\n"
     if case != "missing":
         (tmp_path / "fom_energy.csv").write_text("".join(lines))
     rom = str(out / "rom_sp-deim-1_r2.bin")
     traj = str(tmp_path / "fom_trajectory.bin")
-    assert main(["online", "--rom", rom, "--traj", traj, *tail]) == 4
-    assert str(tmp_path / "fom_energy.csv") in capsys.readouterr().err
+    fresh = tmp_path / "out"
+    assert main(["online", "--rom", rom, "--traj", traj, *tail, "--out", str(fresh)]) == 4
+    err = capsys.readouterr().err
+    assert str(tmp_path / "fom_energy.csv") in err
+    if case in _DAMAGED_ROWS:
+        assert f"row {_DAMAGED_ROWS[case][0]} " in err
+    assert not fresh.exists()
 
 
 def test_nan_result_is_a_numerical_failure_without_a_report(deim_run, tmp_path, monkeypatch,

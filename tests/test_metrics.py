@@ -1,16 +1,21 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_orthonormal
+from conftest import PROPERTY, random_orthonormal
 from hamrom.integrator import IntegratorConfig, Trajectory, integrate
 from hamrom.metrics import (
     RunReport,
     e_inf,
     energy_series_of_states,
     hamiltonian_series,
+    read_series_csv,
     time_online,
     write_series_csv,
 )
@@ -159,3 +164,21 @@ def test_series_csv_format(tmp_path):
     assert len(lines) == 3
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert back.tobytes() == np.column_stack([times, values]).tobytes()
+
+
+# every finite float64: subnormals, -0.0 and +-max included
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(rows=st.lists(st.tuples(FINITE, FINITE), max_size=20))
+@example(rows=[(-0.0, 5e-324), (1.7976931348623157e308, -1.7976931348623157e308),
+               (2.2250738585072014e-308, -0.0)])
+def test_series_csv_roundtrip_is_bit_exact(rows):
+    times, values = np.array(rows, dtype=float).reshape(-1, 2).T
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        write_series_csv(path, times, values)
+        back = read_series_csv(path, len(rows))
+    assert back.dtype == np.float64
+    assert back.tobytes() == values.tobytes()
