@@ -3,18 +3,19 @@
 `load()` compiles the source with the system C compiler once for each
 source and flag set, caches the shared object in this package's
 `__pycache__` (written to a temporary file and renamed into place, so
-concurrent processes never see a partial file), and returns its
-`avf_integrate` with numpy's own cblas dgemv.  `load_full()` returns the
-full-order loop `avf_integrate_full`, SuperLU's solve `lu_solve` and
-supernode partition `lu_supernodes`, with that dgemv and the dtrsm and
-dgemm of the OpenBLAS that scipy bundles (the BLAS its SuperLU calls).
-Either returns None when anything is missing (a compiler, a writable
-cache, a bundled OpenBLAS) or fails, and callers then take the numpy
-path.  `superlu_factor` lays out a `splu` factor as `lu_solve` reads it,
-and `integrate` runs either loop into a `Trajectory`.
+concurrent processes never see a partial file), and returns its `Loops`:
+the reduced and full-order loops, SuperLU's solve and supernode partition,
+numpy's own cblas dgemv and the dtrsm and dgemm of the OpenBLAS that scipy
+bundles (the BLAS its SuperLU calls), or None when anything is missing (a
+compiler, a writable cache, either bundled OpenBLAS) or fails.
+`checked()`, run once per process, returns them only when both loops pass
+their probe; otherwise every integration takes the numpy path.
+`superlu_factor` lays out a `splu` factor as `lu_solve` reads it, and
+`integrate` runs either loop into a `Trajectory`.
 """
 
 import ctypes
+import functools
 import glob
 import hashlib
 import os
@@ -27,7 +28,13 @@ import numpy as np
 import scipy
 import scipy.sparse as sparse
 
-from .integrator import PicardDivergenceError, Trajectory, allocate_states
+from .integrator import (
+    IntegratorConfig,
+    PicardDivergenceError,
+    Trajectory,
+    allocate_states,
+    integrate_steps,
+)
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_avf.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -56,10 +63,11 @@ class Factor(ctypes.Structure):
     )
 
 
-class FullOrder(NamedTuple):
-    """The full-order entry points of _avf.c and the BLAS they call."""
+class Loops(NamedTuple):
+    """The entry points of _avf.c and the BLAS they call."""
 
-    integrate: object
+    reduced: object
+    full: object
     solve: object
     supernodes: object
     gemv: int
@@ -117,37 +125,65 @@ _RUN_ARGS = [_D, _I, _I, _P, _P, _P, _P]
 
 
 def load():
-    """(avf_integrate, dgemv address), or None when either is unavailable."""
-    try:
-        [gemv] = _symbols(np, "libscipy_openblas64_*.so", "scipy_cblas_dgemv64_")
-        kernel = _shared_object().avf_integrate
-    except _LOAD_ERRORS:
-        return None
-    kernel.argtypes = [_P] + [ctypes.POINTER(Matrix)] * 6 + [_P] * 3 + _RUN_ARGS
-    kernel.restype = _I
-    return kernel, gemv
-
-
-def load_full():
-    """The `FullOrder` entry points, or None when any is unavailable."""
+    """The `Loops` of _avf.c, or None when any entry point is unavailable."""
     try:
         [gemv] = _symbols(np, "libscipy_openblas64_*.so", "scipy_cblas_dgemv64_")
         trsm, gemm = _symbols(scipy, "libscipy_openblas-*.so", "scipy_dtrsm_", "scipy_dgemm_")
         lib = _shared_object()
-        run, solve, supernodes = lib.avf_integrate_full, lib.lu_solve, lib.lu_supernodes
+        loops = Loops(lib.avf_integrate, lib.avf_integrate_full, lib.lu_solve, lib.lu_supernodes,
+                      gemv, trsm, gemm)
     except _LOAD_ERRORS:
         return None
-    run.argtypes = [_P, ctypes.POINTER(Factor), _P, _D, _P] + _RUN_ARGS
-    run.restype = _I
-    solve.argtypes = [ctypes.POINTER(Factor), _P, _P, _P]
-    solve.restype = None
-    supernodes.argtypes = [_I, _P, _P, _I, _I, _I, _P, _P, _P, _P]
-    supernodes.restype = _I
-    return FullOrder(run, solve, supernodes, gemv, trsm, gemm)
+    loops.reduced.argtypes = [_P] + [ctypes.POINTER(Matrix)] * 6 + [_P] * 3 + _RUN_ARGS
+    loops.full.argtypes = [_P, ctypes.POINTER(Factor), _P, _D, _P] + _RUN_ARGS
+    loops.reduced.restype = loops.full.restype = _I
+    loops.solve.argtypes = [ctypes.POINTER(Factor), _P, _P, _P]
+    loops.solve.restype = None
+    loops.supernodes.argtypes = [_I, _P, _P, _I, _I, _I, _P, _P, _P, _P]
+    loops.supernodes.restype = _I
+    return loops
 
 
-def superlu_factor(full, a, lu):
-    """The `Factor` of `lu = splu(a)` for `full.solve`, or None where that
+@functools.cache
+def checked():
+    """`load()` when both loops reproduce `integrate_steps` bit for bit on
+    tiny fixed models, else None.  The models share one n = 16 system
+    with weights that are not all one, whose factor has a relaxed
+    supernode of ten columns and a fundamental one of three: the system
+    itself, g-rom and shifted sp-deim.  Their dt M is F-ordered (g-rom)
+    and C-ordered (sp-deim), which np.dot hands to gemv in two different
+    layouts."""
+    from . import core, rom, wave  # they import this module
+
+    loops = load()
+    if loops is None:
+        return None
+    n = 16
+    system = core.TwoBlockSystem(wave.build_laplacian(wave.WaveConfig(n=n)),
+                                 1.0 + 0.5 * np.cos(np.arange(n)), lambda x: 1.0 - np.cos(x),
+                                 np.sin, wave.sin_average)
+    phi = np.linalg.qr(np.cos(np.outer(np.arange(n), [0.7, 1.3, 2.9]) + 0.4))[0]
+    ref, zero = 0.3 * np.sin(np.arange(n)), np.zeros(n)
+    config = IntegratorConfig(dt=0.01, t_final=0.2)
+    for model, z0 in (
+        (system, np.concatenate([np.sin(np.arange(n)), 0.3 * np.cos(np.arange(n))])),
+        (rom.ReducedModel(rom.RomVariant("g-rom"), system, phi, phi, zero, zero),
+         np.cos(np.arange(6.0))),
+        (rom.ReducedModel(rom.RomVariant("sp-deim", True), system, phi, phi, ref, ref,
+                          [1, 4, 6], [2.5] * 3), np.cos(np.arange(6.0))),
+    ):
+        expected = integrate_steps(model.make_step(config), z0, config)
+        got = model._integrate_compiled(loops, z0, config)
+        if got is None or not (
+            np.array_equal(got.states, expected.states)
+            and np.array_equal(got.picard_iters, expected.picard_iters)
+        ):
+            return None
+    return loops
+
+
+def superlu_factor(loops, a, lu):
+    """The `Factor` of `lu = splu(a)` for `loops.solve`, or None where that
     solve does not give lu.solve's result bit for bit on fixed vectors.
 
     The supernodes come from the pattern of a and SuperLU's rules
@@ -170,9 +206,9 @@ def superlu_factor(full, a, lu):
     capacity = 2 * (lu.L.nnz + n)
     while True:
         lsub = np.empty(capacity, dtype=np.int64)
-        nsuper = full.supernodes(n, colptr.ctypes.data, rowind.ctypes.data, _RELAX, _MAX_SUPER,
-                                 capacity, xsup.ctypes.data, xlsub.ctypes.data,
-                                 lsub.ctypes.data, work.ctypes.data)
+        nsuper = loops.supernodes(n, colptr.ctypes.data, rowind.ctypes.data, _RELAX, _MAX_SUPER,
+                                  capacity, xsup.ctypes.data, xlsub.ctypes.data,
+                                  lsub.ctypes.data, work.ctypes.data)
         if nsuper != -1:
             break
         capacity *= 2
@@ -210,13 +246,13 @@ def superlu_factor(full, a, lu):
     arrays = [perm_r, perm_c, xsup, xlsub, lsub, xlusup, ucolptr, u_rows[~inside], lusup,
               u_values[~inside]]
     arrays = [np.ascontiguousarray(x) for x in arrays]
-    factor = Factor(full.trsm, full.gemm, n, nsuper, *(x.ctypes.data for x in arrays))
+    factor = Factor(loops.trsm, loops.gemm, n, nsuper, *(x.ctypes.data for x in arrays))
     factor.arrays = arrays  # the factor's storage lives as long as it does
 
     rng = np.random.default_rng(0)
     x, work = np.empty(n), np.zeros(2 * n)
     for rhs in (rng.standard_normal(n), rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)):
-        full.solve(ctypes.byref(factor), rhs.ctypes.data, x.ctypes.data, work.ctypes.data)
+        loops.solve(ctypes.byref(factor), rhs.ctypes.data, x.ctypes.data, work.ctypes.data)
         if x.tobytes() != lu.solve(rhs).tobytes():
             return None
     return factor

@@ -433,7 +433,7 @@ def _online_stage(cfg, rom_paths, traj_path=None):
         raise ConfigError(str(exc)) from None
     traj_path = _fom_trajectory_path(cfg, traj_path)
     fom_traj = _load_fom_trajectory(cfg, traj_path)
-    fom_series = read_series_csv(traj_path.with_name("fom_energy.csv"), len(fom_traj))
+    fom_series = read_series_csv(traj_path.with_name("fom_energy.csv"), fom_traj.times)
     # the configured system must be the one that wrote the trajectory: its
     # energy of the first state (c and length enter through A and dx) is
     # the series' first value, up to the rounding of the stacked sums

@@ -22,7 +22,6 @@ the same result bit for bit.
 """
 
 import ctypes
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -124,7 +123,7 @@ class TwoBlockSystem:
 
         `_avf.c` repeats this step's arithmetic operation by operation for
         `integrate`: a change here must be made there too, or the probe of
-        `_checked_loop` turns the compiled loop off.
+        `_native.checked` turns the compiled loops off.
         """
         if self.g_avg is None:
             raise ValueError("AVF stepping needs the segment mean g_avg of the nonlinearity")
@@ -155,11 +154,11 @@ class TwoBlockSystem:
 
         The result, Picard failures included, is that of
         `integrate_steps(self.make_step(config), z0, config)` bit for bit.
-        When g_avg is `wave.sin_average` and the compiled loop of `_avf.c`
-        loads and passes a probe, and its emulation of SuperLU's solve
+        When g_avg is `wave.sin_average`, `_native.checked()` returns the
+        compiled loops of `_avf.c` and their emulation of SuperLU's solve
         gives this system's `splu(...).solve` bit for bit on fixed vectors,
-        the whole run is one call into that loop, which makes the numpy
-        and SuperLU calls of every Picard iteration in C.  Otherwise
+        the whole run is one call into the full-order loop, which makes the
+        numpy and SuperLU calls of every Picard iteration in C.  Otherwise
         `integrate_steps` runs make_step.  Raises ValueError without
         `g_avg` or for a z0 that is not of length 2n.
         """
@@ -168,46 +167,20 @@ class TwoBlockSystem:
         z0 = np.asarray(z0, dtype=float)
         if z0.shape != (2 * self.n,):
             raise ValueError(f"state has shape {z0.shape}, expected ({2 * self.n},)")
-        full = _checked_loop() if self.g_avg is sin_average else None
-        traj = None if full is None else self._integrate_compiled(full, z0, config)
+        loops = _native.checked() if self.g_avg is sin_average else None
+        traj = None if loops is None else self._integrate_compiled(loops, z0, config)
         return integrate_steps(self.make_step(config), z0, config) if traj is None else traj
 
-    def _integrate_compiled(self, full, z0, config):
-        """`integrate` through the loop `full` of `_native.load_full`, or
-        None where the emulated solve differs from SuperLU's."""
+    def _integrate_compiled(self, loops, z0, config):
+        """`integrate` through the full-order loop of `_native.load`'s
+        `loops`, or None where the emulated solve differs from SuperLU's."""
         qc, matrix = self._avf_operators(config.dt)
-        factor = _native.superlu_factor(full, matrix, splu(matrix))
+        factor = _native.superlu_factor(loops, matrix, splu(matrix))
         if factor is None:
             return None
-        args = [full.gemv, ctypes.byref(factor), qc.ctypes.data, config.dt,
+        args = [loops.gemv, ctypes.byref(factor), qc.ctypes.data, config.dt,
                 _EXTRAPOLATION.ctypes.data]
-        return _native.integrate(full.integrate, args, np.zeros(11 * self.n), z0, config)
-
-
-@functools.cache
-def _checked_loop():
-    """`_native.load_full()` when its loop reproduces `integrate_steps`
-    bit for bit on a tiny fixed system, else None.  The system's factor
-    has a relaxed supernode of ten columns and a fundamental one of three,
-    and its weights are not all one."""
-    from .wave import WaveConfig, build_laplacian, sin_average
-
-    full = _native.load_full()
-    if full is None:
-        return None
-    n = 16
-    system = TwoBlockSystem(build_laplacian(WaveConfig(n=n)), 1.0 + 0.5 * np.cos(np.arange(n)),
-                            lambda x: 1.0 - np.cos(x), np.sin, sin_average)
-    config = IntegratorConfig(dt=0.01, t_final=0.2)
-    z0 = np.concatenate([np.sin(np.arange(n)), 0.3 * np.cos(np.arange(n))])
-    expected = integrate_steps(system.make_step(config), z0, config)
-    got = system._integrate_compiled(full, z0, config)
-    if got is None or not (
-        np.array_equal(got.states, expected.states)
-        and np.array_equal(got.picard_iters, expected.picard_iters)
-    ):
-        return None
-    return full
+        return _native.integrate(loops.full, args, np.zeros(11 * self.n), z0, config)
 
 
 def _check_elementwise_derivative(G, g, step=1e-6):

@@ -149,27 +149,30 @@ def write_series_csv(path, times, values):
             fh.write(f"{float(t)!r},{float(v)!r}\n")
 
 
-def read_series_csv(path, count) -> np.ndarray:
+def read_series_csv(path, times) -> np.ndarray:
     """The values of a `t,value` CSV written by `write_series_csv`, which
-    must hold `count` rows of finite numbers; raises FileFormatError
-    naming the file otherwise, and the row when a row does not parse."""
+    must hold one row for each of `times`, with that time and a finite
+    value; raises FileFormatError naming the file otherwise, and the row
+    when a row is not so."""
     try:
         with open(path, encoding="ascii") as fh:
             header = fh.readline()
             rows = fh.readlines()
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not a t,value series ({exc})") from None
-    if header != "t,value\n" or len(rows) != count:
+    if header != "t,value\n" or len(rows) != len(times):
         raise FileFormatError(
-            f"{path}: expected a t,value header and {count} rows, found {len(rows)} rows"
+            f"{path}: expected a t,value header and {len(times)} rows, found {len(rows)} rows"
         )
     values = []
-    for row, line in enumerate(rows, 1):
+    for row, (line, expected) in enumerate(zip(rows, times), 1):
         try:
             t, value = map(float, line.split(","))
         except ValueError:
             t = value = math.nan
-        if not (math.isfinite(t) and math.isfinite(value)):
-            raise FileFormatError(f"{path}: row {row} is not a finite t,value pair: {line!r}")
+        if t != expected or not math.isfinite(value):
+            raise FileFormatError(
+                f"{path}: row {row} is not t = {float(expected)!r} with a finite value: {line!r}"
+            )
         values.append(value)
     return np.array(values)

@@ -42,7 +42,6 @@ H_r(0) = H(z_ref).  Its cost is O(r^2) plus the nonlinear term.
 """
 
 import ctypes
-import functools
 import struct
 from dataclasses import dataclass
 
@@ -57,7 +56,7 @@ from .integrator import (
     integrate_steps,
     picard_solve,
 )
-from .wave import WaveConfig, assemble_wave_fom, sin_average
+from .wave import sin_average
 
 __all__ = [
     "RomVariant",
@@ -274,7 +273,7 @@ class ReducedModel:
 
         `_avf.c` repeats this step's arithmetic operation by operation for
         `integrate`: a change here must be made there too, or the probe of
-        `_checked_kernel` turns the compiled loop off.
+        `_native.checked` turns the compiled loops off.
         """
         if self.g_avg is None:
             raise ValueError("AVF stepping needs the segment mean g_avg of the nonlinearity")
@@ -317,28 +316,28 @@ class ReducedModel:
         `integrate_steps(self.make_step(config), z0, config)` bit for bit.
         When g_avg is `wave.sin_average`, every operator has at least two
         rows and two columns (so that np.dot hands each product to BLAS
-        gemv) and the compiled loop of `_avf.c` loads and passes a probe,
-        the whole run is one call into that loop, which makes the ~50 numpy
-        calls of a step in C.  Otherwise `integrate_steps` runs make_step.
+        gemv) and `_native.checked()` returns the compiled loops of `_avf.c`,
+        the whole run is one call into the reduced loop, which makes the ~50
+        numpy calls of a step in C.  Otherwise `integrate_steps` runs make_step.
         """
         z0 = np.asarray(z0, dtype=float)
         dim = self.r_u + self.r_v
         if z0.shape != (dim,):
             raise ValueError(f"reduced state has shape {z0.shape}, expected ({dim},)")
-        kernel = _checked_kernel() if self.g_avg is sin_average else None
-        if kernel is None or min(self.r_u, self.r_v, self._P.shape[0]) < 2:
+        loops = _native.checked() if self.g_avg is sin_average else None
+        if loops is None or min(self.r_u, self.r_v, self._P.shape[0]) < 2:
             return integrate_steps(self.make_step(config), z0, config)
-        return self._integrate_compiled(kernel, z0, config)
+        return self._integrate_compiled(loops, z0, config)
 
-    def _integrate_compiled(self, kernel, z0, config):
-        """`integrate` through the compiled loop `kernel` of `_native.load`."""
-        run, gemv = kernel
+    def _integrate_compiled(self, loops, z0, config):
+        """`integrate` through the reduced loop of `_native.load`'s `loops`."""
         K, K_plus, k_inv, B, dt_m, dt_c = self._avf_operators(config.dt)
         matrices = [_native.matrix(a) for a in (K_plus, k_inv, K, B, dt_m, self._P)]
         vectors = [np.ascontiguousarray(v) for v in (dt_c, self._x_ref, _EXTRAPOLATION)]
-        args = [gemv, *(ctypes.byref(m) for m, _ in matrices), *(v.ctypes.data for v in vectors)]
+        args = [loops.gemv, *(ctypes.byref(m) for m, _ in matrices),
+                *(v.ctypes.data for v in vectors)]
         work = np.empty(9 * z0.size + 3 * self._P.shape[0])
-        return _native.integrate(run, args, work, z0, config)
+        return _native.integrate(loops.reduced, args, work, z0, config)
 
     def rhs(self, z) -> np.ndarray:
         return self.make_rhs()(z)
@@ -374,42 +373,6 @@ class ReducedModel:
         return np.concatenate(
             [self.phi_u.T @ (z[:n] - self.u_ref), self.phi_v.T @ (z[n:] - self.v_ref)]
         )
-
-    def reconstruct_blocks(self, coeffs):
-        """Map reduced states (rows of coeffs) to full blocks (U, V), n x m."""
-        coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        U = self.phi_u @ coeffs[:, : self.r_u].T + self.u_ref[:, None]
-        V = self.phi_v @ coeffs[:, self.r_u :].T + self.v_ref[:, None]
-        return U, V
-
-
-@functools.cache
-def _checked_kernel():
-    """`_native.load()` when its loop reproduces `integrate_steps` bit for
-    bit on two tiny fixed models, else None.  Their dt M is F-ordered
-    (g-rom) and C-ordered (shifted sp-deim), which np.dot hands to gemv
-    in two different layouts."""
-    kernel = _native.load()
-    if kernel is None:
-        return None
-    n = 8
-    fom = assemble_wave_fom(WaveConfig(n=n))
-    phi = np.linalg.qr(np.cos(np.outer(np.arange(n), [0.7, 1.3, 2.9]) + 0.4))[0]
-    ref = 0.3 * np.sin(np.arange(n))
-    config = IntegratorConfig(dt=0.01, t_final=0.2)
-    z0 = np.cos(np.arange(6.0))
-    for model in (
-        ReducedModel(RomVariant("g-rom"), fom, phi, phi, np.zeros(n), np.zeros(n)),
-        ReducedModel(RomVariant("sp-deim", True), fom, phi, phi, ref, ref, [1, 4, 6], [2.5] * 3),
-    ):
-        expected = integrate_steps(model.make_step(config), z0, config)
-        got = model._integrate_compiled(kernel, z0, config)
-        if not (
-            np.array_equal(got.states, expected.states)
-            and np.array_equal(got.picard_iters, expected.picard_iters)
-        ):
-            return None
-    return kernel
 
 
 def build_rom(variant, basis_u, basis_v, fom, deim=None):

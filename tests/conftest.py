@@ -3,8 +3,19 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from hamrom.snapshots import SnapshotSet, shift
-from hamrom.wave import WaveConfig, assemble_wave_fom, initial_state
+from hamrom import _native, core, rom
+from hamrom.deim import build_deim
+from hamrom.integrator import IntegratorConfig, integrate
+from hamrom.pod import compute_pod
+from hamrom.rom import RomVariant, build_rom
+from hamrom.snapshots import SnapshotSet, collect, shift
+from hamrom.wave import (
+    WaveConfig,
+    assemble_wave_fom,
+    build_laplacian,
+    initial_state,
+    make_wave_rhs,
+)
 
 
 # derandomized hypothesis settings shared by the property tests
@@ -52,6 +63,69 @@ def small_wave():
     """Tiny wave system shared by read-only tests."""
     cfg = WaveConfig(n=24)
     return {"cfg": cfg, "fom": assemble_wave_fom(cfg), "z0": initial_state(cfg)}
+
+
+@pytest.fixture(scope="session")
+def pipe():
+    """Small offline pipeline (n = 40, r = 4) and its five reduced models,
+    shared by the oracle tests (read-only)."""
+    cfg = WaveConfig(n=40)
+    n = cfg.n
+    fom = assemble_wave_fom(cfg)
+    traj = integrate(
+        make_wave_rhs(cfg), initial_state(cfg), IntegratorConfig(dt=0.01, t_final=2.0)
+    )
+    z0 = traj.states[0]
+    u0, v0 = z0[:n], z0[n:]
+    G = fom.G
+    set_u = collect(traj, 10, lambda z: z[:n], "state-u")
+    set_v = collect(traj, 10, lambda z: z[n:], "state-v")
+    set_g = collect(traj, 10, lambda z: G(z[:n]), "nonlinear-G")
+    r, s = 4, 8
+    bases = {
+        False: (compute_pod(set_u, r), compute_pod(set_v, r)),
+        True: (compute_pod(shift(set_u, u0), r), compute_pod(shift(set_v, v0), r)),
+    }
+    deims = {
+        False: build_deim(compute_pod(set_g, s), np.ones(n)),
+        True: build_deim(compute_pod(shift(set_g, G(u0)), s), np.ones(n)),
+    }
+    models = {}
+    for tag in ("g-rom", "sp-pod-1", "sp-pod-2", "sp-deim-1", "sp-deim-2"):
+        variant = RomVariant.from_tag(tag)
+        models[tag] = build_rom(
+            variant,
+            *bases[variant.shifted],
+            fom,
+            deim=deims[variant.shifted] if variant.kind == "sp-deim" else None,
+        )
+    return {
+        "cfg": cfg,
+        "fom": fom,
+        "traj": traj,
+        "z0": z0,
+        "A": build_laplacian(cfg).toarray(),
+        "bases": bases,
+        "deims": deims,
+        "models": models,
+    }
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """Make `TwoBlockSystem.integrate` and `ReducedModel.integrate` fail
+    if they take the numpy path.  Skips where the loops cannot be built
+    (no C compiler, or a numpy or scipy without its bundled OpenBLAS);
+    where they can, their probe must pass."""
+    if _native.load() is None:
+        pytest.skip("the compiled AVF loops are unavailable here")
+    assert _native.checked() is not None
+
+    def numpy_path(*args):
+        raise AssertionError("integrate took the numpy path")
+
+    monkeypatch.setattr(core, "integrate_steps", numpy_path)
+    monkeypatch.setattr(rom, "integrate_steps", numpy_path)
 
 
 def check_skew(matrix, tol):

@@ -646,7 +646,7 @@ def test_online_reads_the_energy_series_fom_wrote(deim_run):
     out, tail = deim_run
     wcfg = build_config(build_parser().parse_args(["fom", *tail])).wave_config()
     traj = load_trajectory(out / "fom_trajectory.bin")
-    series = read_series_csv(out / "fom_energy.csv", len(traj))
+    series = read_series_csv(out / "fom_energy.csv", traj.times)
     expected = energy_series_of_states(assemble_wave_fom(wcfg).energy, traj, wcfg.dx)
     assert np.array_equal(series, expected)
 
@@ -657,6 +657,7 @@ _DAMAGED_ROWS = {
     "nan-value-row-1": (1, None, "nan"),
     "infinite-value": (3, None, "-inf"),
     "time-not-a-number": (4, "banana", None),
+    "time-of-another-row": (3, "0.04", None),  # the time of row 5
 }
 
 

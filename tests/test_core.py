@@ -4,7 +4,7 @@ import scipy.sparse as sparse
 from numpy.testing import assert_allclose
 
 from conftest import check_skew, dense_operators, random_orthonormal, random_skew
-from hamrom import _native, core
+from hamrom import _native
 from hamrom.core import TwoBlockSystem
 from hamrom.integrator import IntegratorConfig, PicardDivergenceError, integrate_steps
 from hamrom.wave import WaveConfig, assemble_wave_fom, build_laplacian, initial_state, sin_average
@@ -189,22 +189,6 @@ def test_dimension_mismatch_errors():
 # TwoBlockSystem.integrate: the compiled loop and the numpy path it replaces.
 
 
-@pytest.fixture
-def compiled(monkeypatch):
-    """Make `TwoBlockSystem.integrate` fail if it takes the numpy path.
-    Skips where the loop cannot be built (no C compiler, or a numpy or
-    scipy without its bundled OpenBLAS); where it can, its probe must
-    pass."""
-    if _native.load_full() is None:
-        pytest.skip("the compiled full-order loop is unavailable here")
-    assert core._checked_loop() is not None
-
-    def numpy_path(*args):
-        raise AssertionError("integrate took the numpy path")
-
-    monkeypatch.setattr(core, "integrate_steps", numpy_path)
-
-
 def wave_system(n, weights):
     cfg = WaveConfig(n=n)
     c_u = np.ones(n) if weights == "unit" else np.random.default_rng(n).uniform(0.5, 2.0, n)
@@ -252,37 +236,28 @@ def test_compiled_picard_failure_matches_the_numpy_path(compiled, case):
         assert failures[0][1] == case[-3:] and failures[0][2] >= 7
 
 
-@pytest.mark.parametrize("loader", ("unavailable", "wrong-loop", "solve-refused"))
+@pytest.mark.parametrize("loader", ("solve-refused",))
 def test_integrate_without_the_compiled_loop_gives_the_same_trajectory(compiled, monkeypatch,
                                                                       loader):
+    # the probe has passed, but this system's solve check fails; the other
+    # cases, where the probe fails, are in test_native
     system = wave_system(40, "random")
     icfg = IntegratorConfig(dt=0.01, t_final=1.0)
     z0 = initial_state(WaveConfig(n=40))
     run = system.integrate(z0, icfg)
     monkeypatch.undo()  # reopens the numpy path that `compiled` closed
-    full = _native.load_full()
-    if loader == "unavailable":
-        monkeypatch.setattr(_native, "load_full", lambda: None)
-    elif loader == "wrong-loop":  # returns at once and leaves the states unset
-        monkeypatch.setattr(_native, "load_full", lambda: full._replace(integrate=lambda *a: -1))
-    else:  # the probe has passed, but this system's solve check fails
-        monkeypatch.setattr(_native, "superlu_factor", lambda *args: None)
-    if loader != "solve-refused":
-        core._checked_loop.cache_clear()
-    try:
-        assert (core._checked_loop() is None) == (loader != "solve-refused")
-        traj = system.integrate(z0, icfg)
-        assert np.array_equal(traj.states, run.states)
-        assert np.array_equal(traj.picard_iters, run.picard_iters)
-    finally:
-        core._checked_loop.cache_clear()
+    monkeypatch.setattr(_native, "superlu_factor", lambda *args: None)
+    assert _native.checked() is not None
+    traj = system.integrate(z0, icfg)
+    assert np.array_equal(traj.states, run.states)
+    assert np.array_equal(traj.picard_iters, run.picard_iters)
 
 
 def test_integrate_takes_the_numpy_path_for_another_segment_mean(monkeypatch):
     def compiled_path(*args):
         raise AssertionError("integrate took the compiled path")
 
-    core._checked_loop()  # its probe runs the compiled path
+    _native.checked()  # its probe runs the compiled path
     monkeypatch.setattr(TwoBlockSystem, "_integrate_compiled", compiled_path)
     n = 16
     system = TwoBlockSystem(build_laplacian(WaveConfig(n=n)), np.ones(n), **COS_SPLIT,

@@ -69,8 +69,8 @@ def test_e_inf_independent_of_chunk(identity_setup):
 
 
 def test_e_inf_equals_column_layout_reference(rng):
-    # the former arithmetic: blocks reconstructed as n x m columns by
-    # `reconstruct_blocks`, one square root per block
+    # the former arithmetic: blocks reconstructed as n x m columns,
+    # phi @ coeffs.T + ref[:, None], one square root per block
     cfg = WaveConfig(n=40)
     fom = assemble_wave_fom(cfg)
     phi = random_orthonormal(rng, cfg.n, 4)
@@ -80,7 +80,9 @@ def test_e_inf_equals_column_layout_reference(rng):
     reduced = Trajectory(rng.standard_normal((70, 8)), np.arange(70.0))
     worst = 0.0
     for k in range(0, 70, 32):
-        U, V = model.reconstruct_blocks(reduced.states[k : k + 32])
+        coeffs = reduced.states[k : k + 32]
+        U = model.phi_u @ coeffs[:, : model.r_u].T + model.u_ref[:, None]
+        V = model.phi_v @ coeffs[:, model.r_u :].T + model.v_ref[:, None]
         du = full.states[k : k + 32, : cfg.n].T - U
         dv = full.states[k : k + 32, cfg.n :].T - V
         worst = max(worst, float(np.sqrt(np.max(du**2 + dv**2))))
@@ -179,6 +181,6 @@ def test_series_csv_roundtrip_is_bit_exact(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "series.csv"
         write_series_csv(path, times, values)
-        back = read_series_csv(path, len(rows))
+        back = read_series_csv(path, times)
     assert back.dtype == np.float64
     assert back.tobytes() == values.tobytes()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from numpy.testing import assert_allclose
 
-from conftest import PROPERTY, random_orthonormal, snapshot_sets
+from conftest import PROPERTY, snapshot_sets
 from hamrom._binio import FileFormatError
 from hamrom.pod import (
     PodBasis,
@@ -39,9 +39,9 @@ def project(basis, u):
 
 
 def reconstruct(basis, a):
-    """phi a + shift_ref, through `reconstruct_blocks`."""
-    U, _ = block_model(basis).reconstruct_blocks(np.concatenate([a, a]))
-    return U[:, 0]
+    """phi a + shift_ref, through the model's u-block basis and reference."""
+    model = block_model(basis)
+    return model.phi_u @ a + model.u_ref
 
 
 def test_rank_one_repeated_column(rng):

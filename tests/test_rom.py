@@ -7,66 +7,14 @@ from numpy.testing import assert_allclose
 from scipy.sparse.linalg import splu
 
 from conftest import check_skew, dense_energy, dense_operators, dense_rhs, random_orthonormal
-from hamrom import _native, rom
+from hamrom import _native
 from hamrom.deim import build_deim
 from hamrom.integrator import IntegratorConfig, PicardDivergenceError, integrate, integrate_steps
 from hamrom.metrics import EvalCounter
-from hamrom.pod import PodBasis, compute_pod
+from hamrom.pod import PodBasis
 from hamrom.rom import VARIANT_TAGS, ReducedModel, RomVariant, build_rom, load_rom, save_rom
-from hamrom.snapshots import collect, shift
-from hamrom.wave import WaveConfig, assemble_wave_fom, initial_state, make_wave_rhs, sin_average
+from hamrom.wave import WaveConfig, assemble_wave_fom, sin_average
 
-N_SMALL = 40
-R_SMALL = 4
-
-
-@pytest.fixture(scope="module")
-def pipe():
-    """Small offline pipeline shared by the oracle tests (read-only)."""
-    cfg = WaveConfig(n=N_SMALL)
-    n = cfg.n
-    fom = assemble_wave_fom(cfg)
-    traj = integrate(
-        make_wave_rhs(cfg), initial_state(cfg), IntegratorConfig(dt=0.01, t_final=2.0)
-    )
-    z0 = traj.states[0]
-    u0, v0 = z0[:n], z0[n:]
-    G = fom.G
-    set_u = collect(traj, 10, lambda z: z[:n], "state-u")
-    set_v = collect(traj, 10, lambda z: z[n:], "state-v")
-    set_g = collect(traj, 10, lambda z: G(z[:n]), "nonlinear-G")
-    r, s = R_SMALL, 2 * R_SMALL
-    bases = {
-        False: (compute_pod(set_u, r), compute_pod(set_v, r)),
-        True: (compute_pod(shift(set_u, u0), r), compute_pod(shift(set_v, v0), r)),
-    }
-    deims = {
-        False: build_deim(compute_pod(set_g, s), np.ones(n)),
-        True: build_deim(compute_pod(shift(set_g, G(u0)), s), np.ones(n)),
-    }
-    models = {}
-    for tag in ("g-rom", "sp-pod-1", "sp-pod-2", "sp-deim-1", "sp-deim-2"):
-        variant = RomVariant.from_tag(tag)
-        models[tag] = build_rom(
-            variant,
-            *bases[variant.shifted],
-            fom,
-            deim=deims[variant.shifted] if variant.kind == "sp-deim" else None,
-        )
-    A = None
-    from hamrom.wave import build_laplacian
-
-    A = build_laplacian(cfg).toarray()
-    return {
-        "cfg": cfg,
-        "fom": fom,
-        "traj": traj,
-        "z0": z0,
-        "A": A,
-        "bases": bases,
-        "deims": deims,
-        "models": models,
-    }
 
 
 def random_reduced_states(model, count, seed=3):
@@ -276,14 +224,14 @@ def test_unshifted_initial_coefficients_are_projections(pipe, rng):
     u_in_range = model.phi_u @ rng.standard_normal(model.r_u)
     z = np.concatenate([u_in_range, np.zeros(n)])
     coeffs = model.initial_coefficients(z)
-    U, _ = model.reconstruct_blocks(coeffs)
-    assert_allclose(U[:, 0], u_in_range, atol=1e-12)
+    assert_allclose(model.phi_u @ coeffs[: model.r_u], u_in_range, atol=1e-12)
     z_rand = rng.standard_normal(2 * n)
     coeffs = model.initial_coefficients(z_rand)
-    U, V = model.reconstruct_blocks(coeffs)
+    u = model.phi_u @ coeffs[: model.r_u]
+    v = model.phi_v @ coeffs[model.r_u :]
     # orthogonal projection: residual orthogonal to both block ranges
-    assert np.max(np.abs(model.phi_u.T @ (z_rand[:n] - U[:, 0]))) <= 1e-10
-    assert np.max(np.abs(model.phi_v.T @ (z_rand[n:] - V[:, 0]))) <= 1e-10
+    assert np.max(np.abs(model.phi_u.T @ (z_rand[:n] - u))) <= 1e-10
+    assert np.max(np.abs(model.phi_v.T @ (z_rand[n:] - v))) <= 1e-10
 
 
 def test_hamiltonian_of_a_stack_matches_each_row(pipe):
@@ -572,21 +520,6 @@ def test_a_step_map_keeps_no_state_between_calls(pipe):
 # ReducedModel.integrate: the compiled loop and the numpy path it replaces.
 
 
-@pytest.fixture
-def compiled(monkeypatch):
-    """Make `ReducedModel.integrate` fail if it takes the numpy path.
-    Skips where the loop cannot be built (no C compiler, or a numpy
-    without its bundled OpenBLAS); where it can, its probe must pass."""
-    if _native.load() is None:
-        pytest.skip("the compiled AVF loop is unavailable here")
-    assert rom._checked_kernel() is not None
-
-    def numpy_path(*args):
-        raise AssertionError("integrate took the numpy path")
-
-    monkeypatch.setattr(rom, "integrate_steps", numpy_path)
-
-
 def test_compiled_integration_reproduces_the_reference_formulas_bitwise(pipe, compiled):
     cfg = IntegratorConfig(dt=0.01, t_final=2.0)
     for tag, model in pipe["models"].items():
@@ -619,28 +552,6 @@ def test_compiled_picard_failure_matches_the_numpy_path(pipe, compiled, case):
         assert failures[0] == failures[1], tag
 
 
-@pytest.mark.parametrize("loader", ("unavailable", "wrong"))
-def test_integrate_without_the_compiled_loop_gives_the_same_trajectory(pipe, compiled,
-                                                                      monkeypatch, loader):
-    cfg = IntegratorConfig(dt=0.01, t_final=1.0)
-    starts = {tag: m.initial_coefficients(pipe["z0"]) for tag, m in pipe["models"].items()}
-    runs = {tag: m.integrate(starts[tag], cfg) for tag, m in pipe["models"].items()}
-    monkeypatch.undo()  # reopens the numpy path that `compiled` closed
-    # a loop that returns at once leaves the states unset: the probe refuses it
-    gemv = _native.load()[1]
-    monkeypatch.setattr(_native, "load",
-                        lambda: None if loader == "unavailable" else (lambda *args: -1, gemv))
-    rom._checked_kernel.cache_clear()
-    try:
-        assert rom._checked_kernel() is None
-        for tag, model in pipe["models"].items():
-            traj = model.integrate(starts[tag], cfg)
-            assert np.array_equal(traj.states, runs[tag].states), tag
-            assert np.array_equal(traj.picard_iters, runs[tag].picard_iters), tag
-    finally:
-        rom._checked_kernel.cache_clear()
-
-
 @pytest.mark.parametrize("case", ("another-g-avg", "one-interpolation-point"))
 def test_integrate_takes_the_numpy_path_where_the_loop_does_not_apply(pipe, monkeypatch, case):
     # the loop computes only wave.sin_average itself, and np.dot computes a
@@ -649,7 +560,7 @@ def test_integrate_takes_the_numpy_path_where_the_loop_does_not_apply(pipe, monk
     def compiled_path(*args):
         raise AssertionError("integrate took the compiled path")
 
-    rom._checked_kernel()  # its probe runs the compiled path
+    _native.checked()  # its probe runs the compiled path
     monkeypatch.setattr(ReducedModel, "_integrate_compiled", compiled_path)
     fom, (bu, bv) = pipe["fom"], pipe["bases"][False]
     if case == "another-g-avg":
@@ -720,7 +631,7 @@ def test_artifact_dimension_mismatch_detected(tmp_path, pipe):
     model = pipe["models"]["sp-pod-1"]
     path = tmp_path / "rom.bin"
     save_rom(model, path)
-    other = assemble_wave_fom(WaveConfig(n=N_SMALL + 2))
+    other = assemble_wave_fom(WaveConfig(n=model.n + 2))
     with pytest.raises(ValueError):
         load_rom(path, other)
 

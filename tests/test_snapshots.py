@@ -2,7 +2,6 @@ import struct
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from hamrom.integrator import IntegratorConfig, Trajectory, integrate
 from hamrom.snapshots import (
