@@ -236,21 +236,27 @@ def test_compiled_picard_failure_matches_the_numpy_path(compiled, case):
         assert failures[0][1] == case[-3:] and failures[0][2] >= 7
 
 
-@pytest.mark.parametrize("loader", ("solve-refused",))
+@pytest.mark.parametrize("loader", ("unavailable", "solve-refused"))
 def test_integrate_without_the_compiled_loop_gives_the_same_trajectory(compiled, monkeypatch,
                                                                       loader):
-    # the probe has passed, but this system's solve check fails; the other
-    # cases, where the probe fails, are in test_native
+    # a loop that fails its probe, for either model kind, is in test_native
     system = wave_system(40, "random")
     icfg = IntegratorConfig(dt=0.01, t_final=1.0)
     z0 = initial_state(WaveConfig(n=40))
     run = system.integrate(z0, icfg)
     monkeypatch.undo()  # reopens the numpy path that `compiled` closed
-    monkeypatch.setattr(_native, "superlu_factor", lambda *args: None)
-    assert _native.checked() is not None
-    traj = system.integrate(z0, icfg)
-    assert np.array_equal(traj.states, run.states)
-    assert np.array_equal(traj.picard_iters, run.picard_iters)
+    if loader == "unavailable":
+        monkeypatch.setattr(_native, "load", lambda: None)
+        _native.checked.cache_clear()
+    else:  # the probe has passed, but this system's solve check fails
+        monkeypatch.setattr(_native, "superlu_factor", lambda *args: None)
+    try:
+        assert (_native.checked() is None) == (loader == "unavailable")
+        traj = system.integrate(z0, icfg)
+        assert np.array_equal(traj.states, run.states)
+        assert np.array_equal(traj.picard_iters, run.picard_iters)
+    finally:
+        _native.checked.cache_clear()
 
 
 def test_integrate_takes_the_numpy_path_for_another_segment_mean(monkeypatch):

@@ -552,6 +552,26 @@ def test_compiled_picard_failure_matches_the_numpy_path(pipe, compiled, case):
         assert failures[0] == failures[1], tag
 
 
+@pytest.mark.parametrize("loader", ("unavailable",))
+def test_integrate_without_the_compiled_loop_gives_the_same_trajectory(pipe, compiled,
+                                                                      monkeypatch, loader):
+    # a loop that fails its probe, for either model kind, is in test_native
+    cfg = IntegratorConfig(dt=0.01, t_final=1.0)
+    starts = {tag: m.initial_coefficients(pipe["z0"]) for tag, m in pipe["models"].items()}
+    runs = {tag: m.integrate(starts[tag], cfg) for tag, m in pipe["models"].items()}
+    monkeypatch.undo()  # reopens the numpy path that `compiled` closed
+    monkeypatch.setattr(_native, "load", lambda: None)
+    _native.checked.cache_clear()
+    try:
+        assert _native.checked() is None
+        for tag, model in pipe["models"].items():
+            traj = model.integrate(starts[tag], cfg)
+            assert np.array_equal(traj.states, runs[tag].states), tag
+            assert np.array_equal(traj.picard_iters, runs[tag].picard_iters), tag
+    finally:
+        _native.checked.cache_clear()
+
+
 @pytest.mark.parametrize("case", ("another-g-avg", "one-interpolation-point"))
 def test_integrate_takes_the_numpy_path_where_the_loop_does_not_apply(pipe, monkeypatch, case):
     # the loop computes only wave.sin_average itself, and np.dot computes a
