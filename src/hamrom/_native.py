@@ -4,14 +4,13 @@
 source and flag set, caches the shared object in this package's
 `__pycache__` (written to a temporary file and renamed into place, so
 concurrent processes never see a partial file), and returns its `Loops`:
-the reduced and full-order loops, SuperLU's solve and supernode partition,
-numpy's own cblas dgemv and the dtrsm and dgemm of the OpenBLAS that scipy
-bundles (the BLAS its SuperLU calls), or None when anything is missing (a
-compiler, a writable cache, either bundled OpenBLAS) or fails.
-`checked()`, run once per process, returns them only when both loops pass
-their probe; otherwise every integration takes the numpy path.
-`superlu_factor` lays out a `splu` factor as `lu_solve` reads it, and
-`integrate` runs either loop into a `Trajectory`.
+the reduced and full-order loops, numpy's own cblas dgemv and the LAPACK
+dpttrs of the OpenBLAS that scipy bundles (the one `scipy.linalg.lapack`
+calls), or None when anything is missing (a compiler, a writable cache,
+either bundled OpenBLAS) or fails.  `checked()`, run once per process,
+returns them only when both loops pass their probe; otherwise every
+integration takes the numpy path.  `integrate` runs either loop into a
+`Trajectory`.
 """
 
 import ctypes
@@ -26,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy
-import scipy.sparse as sparse
 
 from .integrator import (
     IntegratorConfig,
@@ -39,8 +37,6 @@ from .integrator import (
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_avf.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 ROW_MAJOR, COL_MAJOR = 101, 102
-# SuperLU's default relaxed and largest supernode sizes (sp_ienv(2), sp_ienv(3))
-_RELAX, _MAX_SUPER = 10, 200
 
 
 class Matrix(ctypes.Structure):
@@ -51,28 +47,13 @@ class Matrix(ctypes.Structure):
     ]
 
 
-class Factor(ctypes.Structure):
-    """`struct factor` of _avf.c: a SuperLU factor in supernodes."""
-
-    _fields_ = (
-        [("trsm", ctypes.c_void_p), ("gemm", ctypes.c_void_p)]
-        + [(name, ctypes.c_int64) for name in ("n", "nsuper")]
-        + [(name, ctypes.c_void_p) for name in (
-            "perm_r", "perm_c", "xsup", "xlsub", "lsub", "xlusup", "ucolptr", "urow",
-            "lusup", "uval")]
-    )
-
-
 class Loops(NamedTuple):
-    """The entry points of _avf.c and the BLAS they call."""
+    """The entry points of _avf.c and the BLAS and LAPACK routines they call."""
 
     reduced: object
     full: object
-    solve: object
-    supernodes: object
     gemv: int
-    trsm: int
-    gemm: int
+    pttrs: int
 
 
 def matrix(a):
@@ -128,19 +109,14 @@ def load():
     """The `Loops` of _avf.c, or None when any entry point is unavailable."""
     try:
         [gemv] = _symbols(np, "libscipy_openblas64_*.so", "scipy_cblas_dgemv64_")
-        trsm, gemm = _symbols(scipy, "libscipy_openblas-*.so", "scipy_dtrsm_", "scipy_dgemm_")
+        [pttrs] = _symbols(scipy, "libscipy_openblas-*.so", "scipy_dpttrs_")
         lib = _shared_object()
-        loops = Loops(lib.avf_integrate, lib.avf_integrate_full, lib.lu_solve, lib.lu_supernodes,
-                      gemv, trsm, gemm)
+        loops = Loops(lib.avf_integrate, lib.avf_integrate_full, gemv, pttrs)
     except _LOAD_ERRORS:
         return None
     loops.reduced.argtypes = [_P] + [ctypes.POINTER(Matrix)] * 6 + [_P] * 3 + _RUN_ARGS
-    loops.full.argtypes = [_P, ctypes.POINTER(Factor), _P, _D, _P] + _RUN_ARGS
+    loops.full.argtypes = [_P, _P, _I, _P, _P, ctypes.POINTER(Matrix), _P, _D, _P] + _RUN_ARGS
     loops.reduced.restype = loops.full.restype = _I
-    loops.solve.argtypes = [ctypes.POINTER(Factor), _P, _P, _P]
-    loops.solve.restype = None
-    loops.supernodes.argtypes = [_I, _P, _P, _I, _I, _I, _P, _P, _P, _P]
-    loops.supernodes.restype = _I
     return loops
 
 
@@ -148,10 +124,10 @@ def load():
 def checked():
     """`load()` when both loops reproduce `integrate_steps` bit for bit on
     tiny fixed models, else None.  The models share one n = 16 system
-    with weights that are not all one, whose factor has a relaxed
-    supernode of ten columns and a fundamental one of three: the system
-    itself, g-rom and shifted sp-deim.  Their dt M is F-ordered (g-rom)
-    and C-ordered (sp-deim), which np.dot hands to gemv in two different
+    with weights that are not all one, whose step matrix has the corner
+    entries that the full-order solve corrects for: the system itself,
+    g-rom and shifted sp-deim.  Their dt M is F-ordered (g-rom) and
+    C-ordered (sp-deim), which np.dot hands to gemv in two different
     layouts."""
     from . import core, rom, wave  # they import this module
 
@@ -174,88 +150,10 @@ def checked():
     ):
         expected = integrate_steps(model.make_step(config), z0, config)
         got = model._integrate_compiled(loops, z0, config)
-        if got is None or not (
-            np.array_equal(got.states, expected.states)
-            and np.array_equal(got.picard_iters, expected.picard_iters)
-        ):
+        if not (np.array_equal(got.states, expected.states)
+                and np.array_equal(got.picard_iters, expected.picard_iters)):
             return None
     return loops
-
-
-def superlu_factor(loops, a, lu):
-    """The `Factor` of `lu = splu(a)` for `loops.solve`, or None where that
-    solve does not give lu.solve's result bit for bit on fixed vectors.
-
-    The supernodes come from the pattern of a and SuperLU's rules
-    (`lu_supernodes`), not from lu.L, which omits the entries that are
-    exactly zero; the values come from lu.L and lu.U, and every entry
-    that they omit inside a supernode is a stored zero.  The rows below
-    a supernode are taken in ascending order, where SuperLU keeps the
-    order of its depth-first search; dgemm's result can depend on that
-    order once many rows lie below a supernode, so such a factor may be
-    refused.  The wave's supernodes have at most two rows below them.
-    """
-    n = a.shape[0]
-    perm_r = lu.perm_r.astype(np.int64)
-    perm_c = lu.perm_c.astype(np.int64)
-    b = sparse.csc_matrix(a)[:, np.argsort(perm_c)]  # Pc: column j of a is column perm_c[j]
-    colptr = b.indptr.astype(np.int64)
-    rowind = perm_r[b.indices]  # Pr: row i of a is row perm_r[i]
-    xsup, xlsub = np.empty((2, n + 1), dtype=np.int64)
-    work = np.empty(10 * n, dtype=np.int64)
-    capacity = 2 * (lu.L.nnz + n)
-    while True:
-        lsub = np.empty(capacity, dtype=np.int64)
-        nsuper = loops.supernodes(n, colptr.ctypes.data, rowind.ctypes.data, _RELAX, _MAX_SUPER,
-                                  capacity, xsup.ctypes.data, xlsub.ctypes.data,
-                                  lsub.ctypes.data, work.ctypes.data)
-        if nsuper != -1:
-            break
-        capacity *= 2
-    if nsuper < 0:
-        return None
-    xsup, xlsub = xsup[: nsuper + 1], xlsub[: nsuper + 1]
-    nsupc, nsupr = np.diff(xsup), np.diff(xlsub)
-    xlusup = np.concatenate(([0], np.cumsum(nsupc * nsupr)))
-    supno = np.repeat(np.arange(nsuper), nsupc)
-    keys = np.repeat(np.arange(nsuper), nsupr) * n + lsub[: xlsub[-1]]  # ascending
-    lusup = np.zeros(xlusup[-1])
-
-    def entries(m):
-        m = sparse.csc_matrix(m)
-        return m.indices.astype(np.int64), np.repeat(np.arange(n), np.diff(m.indptr)), m.data
-
-    def place(rows, cols, values):
-        """Write entries into their supernodes' blocks; False if one is
-        outside its supernode's rows."""
-        s = supno[cols]
-        at = np.searchsorted(keys, s * n + rows)
-        if np.any(keys[np.minimum(at, keys.size - 1)] != s * n + rows):
-            return False
-        lusup[xlusup[s] + (cols - xsup[s]) * nsupr[s] + at - xlsub[s]] = values
-        return True
-
-    rows, cols, values = entries(lu.L)
-    below = rows > cols  # the unit diagonal is implied
-    u_rows, u_cols, u_values = entries(lu.U)
-    inside = u_rows >= xsup[supno[u_cols]]
-    if not (place(rows[below], cols[below], values[below])
-            and place(u_rows[inside], u_cols[inside], u_values[inside])):
-        return None
-    ucolptr = np.concatenate(([0], np.cumsum(np.bincount(u_cols[~inside], minlength=n))))
-    arrays = [perm_r, perm_c, xsup, xlsub, lsub, xlusup, ucolptr, u_rows[~inside], lusup,
-              u_values[~inside]]
-    arrays = [np.ascontiguousarray(x) for x in arrays]
-    factor = Factor(loops.trsm, loops.gemm, n, nsuper, *(x.ctypes.data for x in arrays))
-    factor.arrays = arrays  # the factor's storage lives as long as it does
-
-    rng = np.random.default_rng(0)
-    x, work = np.empty(n), np.zeros(2 * n)
-    for rhs in (rng.standard_normal(n), rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)):
-        loops.solve(ctypes.byref(factor), rhs.ctypes.data, x.ctypes.data, work.ctypes.data)
-        if x.tobytes() != lu.solve(rhs).tobytes():
-            return None
-    return factor
 
 
 def integrate(run, args, work, z0, config) -> Trajectory:

@@ -15,19 +15,20 @@ n x n (or 2n x 2n) operator is ever formed.
 
 Like a reduced model, the record has an AVF `make_step`, an `integrate`
 that runs it over a time grid and a stacked `energy`.  It is immutable
-after construction and its methods are pure.  For the wave's
-`sin_average`, `integrate` runs the steps in the compiled loop of
-`_avf.c`, whose linear solve repeats SuperLU's on the same factor, with
-the same result bit for bit.
+after construction and its methods are pure.  The AVF step solves with
+I - dt^2/4 A, which for a periodic tridiagonal A is factored as a
+`PeriodicFactor`.  For the wave's `sin_average`, `integrate` runs the
+steps in the compiled loop of `_avf.c`, which calls the same LAPACK and
+BLAS routines on the same factor, with the same result bit for bit.
 """
 
 import ctypes
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg import lapack
 
 from . import _native
 from .integrator import (
@@ -38,7 +39,70 @@ from .integrator import (
     picard_solve,
 )
 
-__all__ = ["TwoBlockSystem"]
+__all__ = ["TwoBlockSystem", "PeriodicFactor"]
+
+# entries of W below this are set to zero: W decays geometrically away
+# from the corners, and a subnormal entry would slow every solve
+_FLUSH = 1e-290
+
+
+class PeriodicFactor(NamedTuple):
+    """Solver of M x = b for a symmetric periodic tridiagonal M: its
+    tridiagonal part T, which must be positive definite, plus the corner
+    entries s = M[0, n-1] = M[n-1, 0].
+
+    T = L D L^T is factored by LAPACK's dpttrf, and `d`, `e` hold D and
+    the subdiagonal of L.  The corners enter by Sherman-Morrison-Woodbury:
+    with U = [e_0, e_{n-1}] and S = [[0, s], [s, 0]], M = T + U S U^T and
+
+        M^-1 b = y - W C (y_0, y_{n-1}),   y = T^-1 b,  W = T^-1 U,
+        C = (I_2 + S U^T W)^-1 S.
+
+    `wc` is the C-ordered n x 2 product W C, or None where s = 0 and M
+    is T.  A diagonal M (e and wc None) is solved by division, where
+    dpttrs's update with a zero off-diagonal would turn an infinite
+    entry into NaN.  Only M's upper triangle is read.
+    """
+
+    d: np.ndarray
+    e: Optional[np.ndarray]
+    wc: Optional[np.ndarray]
+
+    @classmethod
+    def of(cls, m):
+        """The factor of the sparse or dense matrix m.  Raises ValueError
+        where m has a nonzero entry outside the periodic tridiagonal
+        pattern, or where T is not positive definite."""
+        m = sparse.csr_matrix(m, dtype=float)
+        n = m.shape[0]
+        coo = m.tocoo()
+        offset = np.abs(coo.row.astype(np.int64) - coo.col)
+        if np.any(coo.data[(offset > 1) & (offset != n - 1)] != 0):
+            raise ValueError("the AVF step needs a periodic tridiagonal A")
+        d, e = m.diagonal(), m.diagonal(1)
+        s = m[0, n - 1] if n > 2 else 0.0
+        if e.any() or s != 0:
+            d, e, _ = lapack.dpttrf(d, e)  # it stops at a pivot <= 0, which stays in d
+        else:
+            e = None
+        if np.any(d <= 0):
+            raise ValueError("the tridiagonal part of I - dt^2/4 A is not positive definite")
+        if s == 0:
+            return cls(d, e, None)
+        corner_columns = np.zeros((n, 2))
+        corner_columns[[0, n - 1], [0, 1]] = 1.0
+        w, _ = lapack.dpttrs(d, e, corner_columns)
+        w[np.abs(w) < _FLUSH] = 0.0
+        corners = np.array([[0.0, s], [s, 0.0]])
+        c = np.linalg.solve(np.eye(2) + corners @ w[[0, n - 1]], corners)
+        return cls(d, e, np.ascontiguousarray(w @ c))
+
+    def solve(self, b):
+        """x = M^-1 b, a new array."""
+        if self.e is None:
+            return b / self.d
+        y, _ = lapack.dpttrs(self.d, self.e, b)
+        return y if self.wc is None else y - np.dot(self.wc, y[[0, -1]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,12 +178,14 @@ class TwoBlockSystem:
 
         z1 = z0 + dt * (v_m, A u_m - c_u g_avg(u0, u1)), with midpoints u_m,
         v_m, is one equation in u_m, iterated from (u0 + start_u) / 2 with
-        I - dt^2/4 A factored once (splu):
+        I - dt^2/4 A factored once (`PeriodicFactor`):
 
             (I - dt^2/4 A) u_m = u0 + dt/2 v0 - dt^2/4 c_u g_avg(u0, 2 u_m - u0).
 
         Then u1 = 2 u_m - u0 and v1 = 4 (u_m - u0) / dt - v0.  Raises
-        ValueError without `g_avg`.
+        ValueError without `g_avg`, for an A outside the periodic
+        tridiagonal pattern, or where the tridiagonal part of
+        I - dt^2/4 A is not positive definite.
 
         `_avf.c` repeats this step's arithmetic operation by operation for
         `integrate`: a change here must be made there too, or the probe of
@@ -128,8 +194,8 @@ class TwoBlockSystem:
         if self.g_avg is None:
             raise ValueError("AVF stepping needs the segment mean g_avg of the nonlinearity")
         n, dt, g_avg = self.n, config.dt, self.g_avg
-        qc, matrix = self._avf_operators(dt)
-        solve = splu(matrix).solve
+        qc, factor = self._avf_operators(dt)
+        solve = factor.solve
 
         def step(z, start):
             u0 = z[:n]
@@ -145,22 +211,22 @@ class TwoBlockSystem:
         return step
 
     def _avf_operators(self, dt):
-        """qc = dt^2/4 c_u and I - dt^2/4 A (CSC) of the AVF step at dt."""
+        """qc = dt^2/4 c_u and the `PeriodicFactor` of I - dt^2/4 A of the
+        AVF step at dt."""
         q = 0.25 * dt * dt
-        return q * self.c_u, sparse.csc_matrix(sparse.identity(self.n) - q * self.A)
+        return q * self.c_u, PeriodicFactor.of(sparse.identity(self.n) - q * self.A)
 
     def integrate(self, z0, config: IntegratorConfig) -> Trajectory:
         """AVF integration from z0 over config's steps.
 
         The result, Picard failures included, is that of
         `integrate_steps(self.make_step(config), z0, config)` bit for bit.
-        When g_avg is `wave.sin_average`, `_native.checked()` returns the
-        compiled loops of `_avf.c` and their emulation of SuperLU's solve
-        gives this system's `splu(...).solve` bit for bit on fixed vectors,
-        the whole run is one call into the full-order loop, which makes the
-        numpy and SuperLU calls of every Picard iteration in C.  Otherwise
-        `integrate_steps` runs make_step.  Raises ValueError without
-        `g_avg` or for a z0 that is not of length 2n.
+        When g_avg is `wave.sin_average` and `_native.checked()` returns the
+        compiled loops of `_avf.c`, the whole run is one call into the
+        full-order loop, which makes the numpy, LAPACK and BLAS calls of
+        every Picard iteration in C.  Otherwise `integrate_steps` runs
+        make_step.  Raises ValueError for a z0 that is not of length 2n
+        and where make_step does.
         """
         from .wave import sin_average  # wave imports this module
 
@@ -168,19 +234,18 @@ class TwoBlockSystem:
         if z0.shape != (2 * self.n,):
             raise ValueError(f"state has shape {z0.shape}, expected ({2 * self.n},)")
         loops = _native.checked() if self.g_avg is sin_average else None
-        traj = None if loops is None else self._integrate_compiled(loops, z0, config)
-        return integrate_steps(self.make_step(config), z0, config) if traj is None else traj
+        if loops is None:
+            return integrate_steps(self.make_step(config), z0, config)
+        return self._integrate_compiled(loops, z0, config)
 
     def _integrate_compiled(self, loops, z0, config):
-        """`integrate` through the full-order loop of `_native.load`'s
-        `loops`, or None where the emulated solve differs from SuperLU's."""
-        qc, matrix = self._avf_operators(config.dt)
-        factor = _native.superlu_factor(loops, matrix, splu(matrix))
-        if factor is None:
-            return None
-        args = [loops.gemv, ctypes.byref(factor), qc.ctypes.data, config.dt,
-                _EXTRAPOLATION.ctypes.data]
-        return _native.integrate(loops.full, args, np.zeros(11 * self.n), z0, config)
+        """`integrate` through the full-order loop of `_native.load`'s `loops`."""
+        qc, factor = self._avf_operators(config.dt)
+        wc = None if factor.wc is None else ctypes.byref(_native.matrix(factor.wc)[0])
+        e = None if factor.e is None else factor.e.ctypes.data
+        args = [loops.gemv, loops.pttrs, self.n, factor.d.ctypes.data, e, wc, qc.ctypes.data,
+                config.dt, _EXTRAPOLATION.ctypes.data]
+        return _native.integrate(loops.full, args, np.empty(9 * self.n + 2), z0, config)
 
 
 def _check_elementwise_derivative(G, g, step=1e-6):

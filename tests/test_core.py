@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import splu
 
-from conftest import check_skew, dense_operators, random_orthonormal, random_skew
+from conftest import PROPERTY, check_skew, dense_operators, random_orthonormal, random_skew
 from hamrom import _native
-from hamrom.core import TwoBlockSystem
+from hamrom.core import PeriodicFactor, TwoBlockSystem
 from hamrom.integrator import IntegratorConfig, PicardDivergenceError, integrate_steps
 from hamrom.wave import WaveConfig, assemble_wave_fom, build_laplacian, initial_state, sin_average
 
@@ -64,6 +67,24 @@ def test_make_step_conserves_energy_with_non_unit_weights(rng):
 def test_make_step_needs_segment_mean():
     with pytest.raises(ValueError, match="g_avg"):
         quadratic_only(2).make_step(IntegratorConfig())
+
+
+@pytest.mark.parametrize("case", ("pentadiagonal", "not-positive-definite"))
+def test_avf_stepping_needs_a_positive_definite_periodic_tridiagonal_step_matrix(case):
+    n = 12
+    if case == "pentadiagonal":
+        lap = build_laplacian(WaveConfig(n=n))
+        system = TwoBlockSystem(lap + 0.1 * lap @ lap, np.ones(n), **COS_SPLIT,
+                                g_avg=sin_average)
+        icfg, match = IntegratorConfig(dt=0.01, t_final=0.1), "periodic tridiagonal"
+    else:  # I - dt^2/4 * 36000 I = -0.089 I
+        system = TwoBlockSystem(36000.0 * sparse.identity(n), np.ones(n), **COS_SPLIT,
+                                g_avg=sin_average)
+        icfg, match = IntegratorConfig(dt=0.011, t_final=0.11), "positive definite"
+    with pytest.raises(ValueError, match=match):
+        system.make_step(icfg)
+    with pytest.raises(ValueError, match=match):
+        system.integrate(np.zeros(2 * n), icfg)
 
 
 def test_gradient_identity_and_zero_cases():
@@ -186,6 +207,60 @@ def test_dimension_mismatch_errors():
 
 
 # ---------------------------------------------------------------------------
+# PeriodicFactor: the linear solve of the AVF step, against SuperLU.
+
+
+def assert_solves_as_superlu(factor, m, rhs):
+    lu = splu(sparse.csc_matrix(m))
+    for b in rhs:
+        x, expected = factor.solve(b), lu.solve(b)
+        assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def right_hand_sides(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.vstack([rng.standard_normal((4, n)),
+                      rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-100, 100, (2, n))])
+
+
+@pytest.mark.parametrize("dt", (0.01, 0.0025))
+@pytest.mark.parametrize("n", (*range(3, 25), 40, 500, 2000, 8000))
+def test_periodic_solve_is_superlu_solve_to_rounding(n, dt):
+    # every wave step matrix; W C keeps no subnormal entry, also where W
+    # decays far below the smallest normal float (n = 8000)
+    _, factor = assemble_wave_fom(WaveConfig(n=n))._avf_operators(dt)
+    m = sparse.identity(n) - 0.25 * dt * dt * build_laplacian(WaveConfig(n=n))
+    assert factor.e is not None and factor.wc is not None and factor.wc.flags.c_contiguous
+    assert np.all((factor.wc == 0) | (np.abs(factor.wc) >= np.finfo(float).tiny))
+    assert_solves_as_superlu(factor, m, right_hand_sides(n, seed=n))
+
+
+@PROPERTY
+@given(n=st.integers(3, 64), kind=st.sampled_from(["random", "-I", "36000 I"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_periodic_solve_agrees_with_superlu(n, kind, seed):
+    # random diagonally dominant periodic tridiagonal matrices, and the
+    # step matrices of the diagonal systems, for which no correction enters
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        off = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 0.0, n)
+        rows = np.arange(n)
+        m = sparse.coo_matrix((off, (rows, (rows + 1) % n)), shape=(n, n))
+        diagonal = rng.uniform(1.5, 4.0, n) * (np.abs(off) + np.abs(np.roll(off, 1)))
+        m = 10.0 ** rng.uniform(-5.0, 5.0) * (m + m.T + sparse.diags(diagonal))
+    else:
+        scale = -1.0 if kind == "-I" else 36000.0
+        m = sparse.identity(n) - 0.25e-4 * scale * sparse.identity(n)
+    factor = PeriodicFactor.of(m)
+    assert (factor.wc is None) == (factor.e is None) == (kind != "random")
+    rhs = right_hand_sides(n, seed=seed % 1000)
+    assert_solves_as_superlu(factor, m, rhs)
+    if kind != "random":  # a division, which keeps an infinite entry infinite
+        rhs[0, 0] = np.inf
+        assert all(np.array_equal(factor.solve(b), b / m.diagonal()) for b in rhs)
+
+
+# ---------------------------------------------------------------------------
 # TwoBlockSystem.integrate: the compiled loop and the numpy path it replaces.
 
 
@@ -236,7 +311,7 @@ def test_compiled_picard_failure_matches_the_numpy_path(compiled, case):
         assert failures[0][1] == case[-3:] and failures[0][2] >= 7
 
 
-@pytest.mark.parametrize("loader", ("unavailable", "solve-refused"))
+@pytest.mark.parametrize("loader", ("unavailable",))
 def test_integrate_without_the_compiled_loop_gives_the_same_trajectory(compiled, monkeypatch,
                                                                       loader):
     # a loop that fails its probe, for either model kind, is in test_native
@@ -245,13 +320,10 @@ def test_integrate_without_the_compiled_loop_gives_the_same_trajectory(compiled,
     z0 = initial_state(WaveConfig(n=40))
     run = system.integrate(z0, icfg)
     monkeypatch.undo()  # reopens the numpy path that `compiled` closed
-    if loader == "unavailable":
-        monkeypatch.setattr(_native, "load", lambda: None)
-        _native.checked.cache_clear()
-    else:  # the probe has passed, but this system's solve check fails
-        monkeypatch.setattr(_native, "superlu_factor", lambda *args: None)
+    monkeypatch.setattr(_native, "load", lambda: None)
+    _native.checked.cache_clear()
     try:
-        assert (_native.checked() is None) == (loader == "unavailable")
+        assert _native.checked() is None
         traj = system.integrate(z0, icfg)
         assert np.array_equal(traj.states, run.states)
         assert np.array_equal(traj.picard_iters, run.picard_iters)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 from numpy.testing import assert_allclose
-from scipy.sparse.linalg import splu
+from scipy.linalg import lapack
 
 from conftest import check_skew, dense_energy, dense_operators, dense_rhs, random_orthonormal
 from hamrom import _native
@@ -442,7 +442,18 @@ def _reference_fom_step(fom, config):
     n, dt = fom.n, config.dt
     q = 0.25 * dt * dt
     qc = q * fom.c_u
-    solve = splu(sparse.csc_matrix(sparse.identity(n) - q * fom.A)).solve
+    # M = T + s (e_0 e_{n-1}^T + e_{n-1} e_0^T): dpttrs with T, then the
+    # Sherman-Morrison-Woodbury correction for the corners
+    m = (sparse.identity(n) - q * fom.A).toarray()
+    d, e, _ = lapack.dpttrf(np.diag(m).copy(), np.diag(m, 1).copy())
+    w = lapack.dpttrs(d, e, np.eye(n)[:, [0, n - 1]])[0]
+    w[np.abs(w) < 1e-290] = 0.0
+    corners = np.array([[0.0, m[0, n - 1]], [m[n - 1, 0], 0.0]])
+    wc = w @ np.linalg.solve(np.eye(2) + corners @ w[[0, n - 1]], corners)
+
+    def solve(b):
+        y = lapack.dpttrs(d, e, b)[0]
+        return y - np.dot(wc, y[[0, n - 1]])
 
     def step(z, start):
         u0, v0 = z[:n], z[n:]
