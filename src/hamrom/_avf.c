@@ -1,6 +1,7 @@
 /* The AVF integrations of `integrate_steps` with g_avg = `wave.sin_average`,
  * each as one C loop: `avf_integrate` runs `ReducedModel.make_step`,
- * `avf_integrate_full` runs `TwoBlockSystem.make_step`.
+ * `avf_integrate_full` runs `TwoBlockSystem.make_step`, whose linear solve
+ * `avf_periodic_solve` is exported as well.
  *
  * They do the arithmetic of the numpy path operation by operation, so
  * every state comes out bit for bit the same:
@@ -168,9 +169,10 @@ typedef void (*pttrs_fn)(const int *n, const int *nrhs, const double *d, const d
 /* b = M^-1 b in place, as `core.PeriodicFactor.solve` computes it from
  * T's factor (d, e) and W C (wc, NULL where M has no corner entries):
  * y = dpttrs(d, e, b), then y - np.dot(wc, y[[0, -1]]); b / d where M is
- * diagonal (e NULL).  work holds n + 2 doubles. */
-static void periodic_solve(pttrs_fn pttrs, gemv_fn gemv, int n, const double *d,
-                           const double *e, const struct matrix *wc, double *b, double *work)
+ * diagonal (e NULL).  work holds n + 2 doubles.  Exported, so that the
+ * solve can be checked on its own. */
+void avf_periodic_solve(pttrs_fn pttrs, gemv_fn gemv, int n, const double *d, const double *e,
+                        const struct matrix *wc, double *b, double *work)
 {
     if (!e) {
         for (int i = 0; i < n; i++)
@@ -226,7 +228,7 @@ int64_t avf_integrate_full(gemv_fn gemv, pttrs_fn pttrs, int64_t n, const double
             double *next = iterates[it & 1];
             for (int64_t i = 0; i < n; i++)
                 next[i] = base[i] - qc[i] * g[i];
-            periodic_solve(pttrs, gemv, (int)n, d, e, wc, next, solve_work);
+            avf_periodic_solve(pttrs, gemv, (int)n, d, e, wc, next, solve_work);
             for (int64_t i = 0; i < n; i++)
                 update[i] = next[i] - um[i];
             um = next;

@@ -1,5 +1,7 @@
-"""The C source of the compiled loops and the one gate of both loops."""
+"""The C source of the compiled loops, the full-order solve they share
+with the numpy path and the one gate of both loops."""
 
+import ctypes
 import shutil
 import subprocess
 
@@ -10,6 +12,7 @@ from hamrom import _native
 from hamrom.core import TwoBlockSystem
 from hamrom.integrator import IntegratorConfig
 from hamrom.rom import ReducedModel
+from hamrom.wave import WaveConfig, assemble_wave_fom
 
 
 def test_avf_source_compiles_without_a_warning(tmp_path):
@@ -58,3 +61,44 @@ def test_without_the_compiled_loops_every_model_takes_the_numpy_path(pipe, compi
             assert np.array_equal(traj.picard_iters, runs[label].picard_iters), label
     finally:
         _native.checked.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def loops():
+    loops = _native.load()
+    if loops is None:
+        pytest.skip("the compiled AVF loops are unavailable here")
+    return loops
+
+
+def emulated_solve(loops, factor, b):
+    """x = M^-1 b by the C loop's `avf_periodic_solve`."""
+    solve = _native._shared_object().avf_periodic_solve
+    solve.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int] + [ctypes.c_void_p] * 2 + [
+        ctypes.POINTER(_native.Matrix)] + [ctypes.c_void_p] * 2
+    n = b.size
+    x, work = b.copy(), np.zeros(n + 2)
+    wc, _ = _native.matrix(factor.wc)
+    e = None if factor.e is None else factor.e.ctypes.data
+    solve(loops.pttrs, loops.gemv, n, factor.d.ctypes.data, e, ctypes.byref(wc), x.ctypes.data,
+          work.ctypes.data)
+    return x
+
+
+def right_hand_sides(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.vstack([rng.standard_normal((4, n)),
+                      rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-100, 100, (2, n))])
+
+
+@pytest.mark.parametrize("dt", (0.01, 0.0025))
+@pytest.mark.parametrize("n", (*range(3, 25), 40, 500, 2000))
+def test_emulated_solve_is_superlu_solve_bitwise(loops, n, dt):
+    # every wave step matrix: the C solve is `PeriodicFactor.solve` bit for
+    # bit, corner correction included, and so within 1e-14 of SuperLU's
+    # solve (test_core checks that bound).  The name dates from the loop's
+    # earlier replay of SuperLU's own solve.
+    _, factor = assemble_wave_fom(WaveConfig(n=n))._avf_operators(dt)
+    assert factor.wc is not None
+    for b in right_hand_sides(n, seed=n):
+        assert emulated_solve(loops, factor, b).tobytes() == factor.solve(b).tobytes()
