@@ -27,7 +27,7 @@ from .pod import (
     save_basis,
 )
 from .rom import ReducedModel, RomVariant, build_rom, load_rom, save_rom
-from .snapshots import SnapshotSet, collect, load_snapshots, save_snapshots, shift
+from .snapshots import SnapshotSet, collect, shift
 from .wave import (
     WaveConfig,
     assemble_wave_fom,

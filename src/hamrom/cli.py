@@ -27,9 +27,9 @@ import numpy as np
 from ._binio import FileFormatError
 from .deim import build_deim
 
-# The pipeline does not call `integrate`, `make_wave_rhs` or
+# The pipeline does not call `integrate`, `save_basis`, `make_wave_rhs` or
 # `make_wave_energy`; they stay in this namespace because perfbench calls
-# them and its tracer wraps them.
+# them or its tracer wraps them.
 from .integrator import (
     IntegratorConfig,
     PicardDivergenceError,
@@ -46,7 +46,11 @@ from .metrics import (
     time_online,
     write_series_csv,
 )
-from .pod import RankDeficientError, compute_pod, save_basis
+from .pod import (
+    RankDeficientError,
+    compute_pod,
+    save_basis,  # noqa: F401
+)
 from .rom import VARIANT_TAGS, RomVariant, build_rom, load_rom, save_rom
 from .snapshots import collect, shift
 from .wave import (
@@ -363,8 +367,6 @@ def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
             entry["sigma_u" + suffix] = bu.singular_values[:50].tolist()
             if not flag:
                 entry["sigma_v"] = bv.singular_values[:50].tolist()
-            save_basis(bu, out / f"basis_u{suffix}_r{r}.bin")
-            save_basis(bv, out / f"basis_v{suffix}_r{r}.bin")
             deim = None
             if deim_max is not None:
                 deim = deim_max.truncated(cfg.deim_mult * r)
@@ -498,7 +500,7 @@ def cmd_reproduce(cfg: PipelineConfig) -> dict:
     payload = {
         "config": cfg.benchmark_dict(),
         "fom": fom_summary,
-        "runs": [json.loads(rep.to_json()) for rep in reports],
+        "runs": [asdict(rep) for rep in reports],
     }
     _write_json(out / "reproduce.json", payload)
     print(table, end="")

@@ -13,10 +13,9 @@ series written by `write_series_csv` reads back bit-exactly with
 `read_series_csv`.
 """
 
-import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +53,6 @@ class RunReport:
     online_seconds: float
     steps: int
     picard_avg_iters: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=1, allow_nan=False)
 
 
 class EvalCounter:

@@ -1,36 +1,15 @@
-"""Snapshot collection, shifting, and binary persistence.
+"""Snapshot collection and shifting.
 
 Snapshot sets hold columns of sampled states or nonlinear-function values.
 A set may carry a shift reference: its columns then store (sample - ref),
 which makes reduced bases exact at the reference state.
-
-On-disk container (all little-endian):
-
-    "HRSNAP01" | u32 version=1 | u32 kind | u64 n | u64 M | u8 has_shift
-    | shift_ref (n f64, if flagged) | sample_steps (M u64)
-    | columns, column-major (n*M f64)
 """
-
-import struct
 
 import numpy as np
 
-from ._binio import FileFormatError, check_payload, read_array, read_exact, write_array
+__all__ = ["SnapshotSet", "SNAPSHOT_KINDS", "collect", "shift"]
 
-__all__ = [
-    "SnapshotSet",
-    "SNAPSHOT_KINDS",
-    "collect",
-    "shift",
-    "save_snapshots",
-    "load_snapshots",
-    "FileFormatError",
-]
-
-_MAGIC = b"HRSNAP01"
-
-# "basis" is used when the container is reused for POD basis persistence.
-SNAPSHOT_KINDS = ("state-u", "state-v", "nonlinear-G", "basis")
+SNAPSHOT_KINDS = ("state-u", "state-v", "nonlinear-G")
 
 
 class SnapshotSet:
@@ -99,50 +78,3 @@ def shift(snapshots: SnapshotSet, ref) -> SnapshotSet:
         shift_ref=ref,
     )
 
-
-def _kind_code(kind):
-    return SNAPSHOT_KINDS.index(kind)
-
-
-def write_container(fh, columns, sample_steps, kind, shift_ref):
-    n, m = columns.shape
-    has_shift = shift_ref is not None
-    fh.write(struct.pack("<8sIIQQB", _MAGIC, 1, _kind_code(kind), n, m, has_shift))
-    if has_shift:
-        write_array(fh, shift_ref)
-    write_array(fh, np.asarray(sample_steps), dtype="<u8")
-    write_array(fh, columns.T)  # column-major payload
-
-
-def read_container(fh, path):
-    head = read_exact(fh, struct.calcsize("<8sIIQQB"), "snapshot header")
-    magic, version, kind_code, n, m, has_shift = struct.unpack("<8sIIQQB", head)
-    if magic != _MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}")
-    if version != 1:
-        raise FileFormatError(f"{path}: unsupported version {version}")
-    if kind_code >= len(SNAPSHOT_KINDS):
-        raise FileFormatError(f"{path}: unknown kind code {kind_code}")
-    if n == 0 or m == 0:
-        raise FileFormatError(f"{path}: implausible dimensions {n} x {m}")
-    # read_array checks every size the header claims against the bytes
-    # that follow before it allocates
-    shift_ref = read_array(fh, (n,), "shift reference") if has_shift else None
-    steps = read_array(fh, (m,), "sample steps", dtype="<u8").astype(np.int64)
-    columns = read_array(fh, (m, n), "column data").T
-    return columns, steps, SNAPSHOT_KINDS[kind_code], shift_ref
-
-
-def save_snapshots(snapshots: SnapshotSet, path):
-    with open(path, "wb") as fh:
-        write_container(
-            fh, snapshots.columns, snapshots.sample_steps, snapshots.kind,
-            snapshots.shift_ref,
-        )
-
-
-def load_snapshots(path) -> SnapshotSet:
-    with open(path, "rb") as fh:
-        columns, steps, kind, shift_ref = read_container(fh, path)
-        check_payload(fh, 0, "trailing data", path)
-    return SnapshotSet(columns, steps, kind, shift_ref=shift_ref)

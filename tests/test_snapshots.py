@@ -1,17 +1,8 @@
-import struct
-
 import numpy as np
 import pytest
 
 from hamrom.integrator import IntegratorConfig, Trajectory, integrate
-from hamrom.snapshots import (
-    FileFormatError,
-    SnapshotSet,
-    collect,
-    load_snapshots,
-    save_snapshots,
-    shift,
-)
+from hamrom.snapshots import SnapshotSet, collect, shift
 from hamrom.wave import WaveConfig, initial_state, make_wave_rhs, spline_initial_condition
 
 
@@ -91,87 +82,6 @@ def test_shifted_svd_matches_explicit_oracle():
     oracle = np.linalg.svd(base.columns - ref[:, None], full_matrices=False)[0][:, :5]
     angles = np.linalg.svd(left.T @ oracle, compute_uv=False)
     assert np.max(np.abs(angles - 1.0)) < 1e-10  # principal angles ~ 0
-
-
-def test_roundtrip_is_bit_exact(tmp_path, rng):
-    cols = rng.standard_normal((10, 7))
-    base = SnapshotSet(cols, np.arange(7) * 3, "nonlinear-G")
-    path = tmp_path / "snap.bin"
-    save_snapshots(base, path)
-    back = load_snapshots(path)
-    assert back.columns.tobytes() == base.columns.tobytes()
-    assert np.all(back.sample_steps == base.sample_steps)
-    assert back.kind == base.kind and back.shift_ref is None
-
-
-def test_roundtrip_property_many_random_sets(tmp_path, rng):
-    for i in range(100):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 5))
-        base = SnapshotSet(
-            rng.standard_normal((n, m)),
-            np.sort(rng.choice(1000, size=m, replace=False)),
-            "state-v",
-            shift_ref=rng.standard_normal(n) if rng.random() < 0.5 else None,
-        )
-        path = tmp_path / f"s{i}.bin"
-        save_snapshots(base, path)
-        back = load_snapshots(path)
-        assert back.columns.tobytes() == base.columns.tobytes()
-        assert np.all(back.sample_steps == base.sample_steps)
-        if base.shift_ref is None:
-            assert back.shift_ref is None
-        else:
-            assert back.shift_ref.tobytes() == base.shift_ref.tobytes()
-
-
-def test_header_fields_benchmark_sized(tmp_path, rng):
-    cols = rng.standard_normal((500, 101))
-    base = shift(SnapshotSet(cols, 50 * np.arange(101), "state-u"), cols[:, 0].copy())
-    path = tmp_path / "big.bin"
-    save_snapshots(base, path)
-    back = load_snapshots(path)
-    assert (back.n, back.count, back.kind) == (500, 101, "state-u")
-    assert back.shift_ref is not None
-
-
-def test_truncated_file_names_missing_section(tmp_path, rng):
-    base = SnapshotSet(rng.standard_normal((6, 4)), np.arange(4), "state-u")
-    path = tmp_path / "snap.bin"
-    save_snapshots(base, path)
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) - 10])
-    with pytest.raises(FileFormatError, match="column data"):
-        load_snapshots(path)
-    path.write_bytes(data[:40])  # header is 33 bytes; cut inside the steps block
-    with pytest.raises(FileFormatError, match="sample steps"):
-        load_snapshots(path)
-
-
-def test_oversized_header_rejected_before_allocation(tmp_path, rng):
-    # a header claiming 2^39 rows (4 TiB of columns) over a few bytes of data
-    path = tmp_path / "snap.bin"
-    save_snapshots(SnapshotSet(rng.standard_normal((6, 1)), [0], "state-u"), path)
-    data = bytearray(path.read_bytes())
-    struct.pack_into("<Q", data, 16, 1 << 39)
-    path.write_bytes(bytes(data))
-    with pytest.raises(FileFormatError, match="column data"):
-        load_snapshots(path)
-
-
-def test_trailing_bytes_rejected(tmp_path, rng):
-    path = tmp_path / "snap.bin"
-    save_snapshots(SnapshotSet(rng.standard_normal((4, 2)), [0, 1], "state-u"), path)
-    path.write_bytes(path.read_bytes() + b"\0" * 24)
-    with pytest.raises(FileFormatError, match="trailing data"):
-        load_snapshots(path)
-
-
-def test_bad_magic_rejected(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTSNAP!" + b"\0" * 64)
-    with pytest.raises(FileFormatError, match="magic"):
-        load_snapshots(path)
 
 
 def test_empty_trajectory_rejected():
