@@ -167,10 +167,10 @@ typedef void (*pttrs_fn)(const int *n, const int *nrhs, const double *d, const d
                          double *b, const int *ldb, int *info);
 
 /* b = M^-1 b in place, as `core.PeriodicFactor.solve` computes it from
- * T's factor (d, e) and W C (wc, NULL where M has no corner entries):
- * y = dpttrs(d, e, b), then y - np.dot(wc, y[[0, -1]]); b / d where M is
- * diagonal (e NULL).  work holds n + 2 doubles.  Exported, so that the
- * solve can be checked on its own. */
+ * T's factor (d, e) and W C (wc): y = dpttrs(d, e, b), then
+ * y - np.dot(wc, y[[0, -1]]); b / d where M is diagonal (e and wc NULL).
+ * work holds n + 2 doubles.  Exported, so that the solve can be checked
+ * on its own. */
 void avf_periodic_solve(pttrs_fn pttrs, gemv_fn gemv, int n, const double *d, const double *e,
                         const struct matrix *wc, double *b, double *work)
 {
@@ -181,8 +181,6 @@ void avf_periodic_solve(pttrs_fn pttrs, gemv_fn gemv, int n, const double *d, co
     }
     int one = 1, info;
     pttrs(&n, &one, d, e, b, &n, &info);
-    if (!wc)
-        return;
     double *corners = work, *correction = work + 2;
     corners[0] = b[0];
     corners[1] = b[n - 1];

@@ -9,8 +9,9 @@ dpttrs of the OpenBLAS that scipy bundles (the one `scipy.linalg.lapack`
 calls), or None when anything is missing (a compiler, a writable cache,
 either bundled OpenBLAS) or fails.  `checked()`, run once per process,
 returns them only when both loops pass their probe; otherwise every
-integration takes the numpy path.  `integrate` runs either loop into a
-`Trajectory`.
+integration takes the numpy path.  `integrate` is the one place that
+chooses between a loop and the numpy step, for the full-order system and
+the reduced models alike; `run` runs either loop into a `Trajectory`.
 """
 
 import ctypes
@@ -156,15 +157,41 @@ def checked():
     return loops
 
 
-def integrate(run, args, work, z0, config) -> Trajectory:
-    """The trajectory from z0 of the compiled loop `run` called with its
+def integrate(system, z0, config) -> Trajectory:
+    """AVF integration of `system`, a `core.TwoBlockSystem` or a
+    `rom.ReducedModel`, from z0 over config's steps.
+
+    The result, Picard failures included, is that of
+    `integrate_steps(system.make_step(config), z0, config)` bit for bit.
+    When system.g_avg is `wave.sin_average` and `checked()` returns the
+    loops, `system._integrate_compiled` runs the whole integration in one
+    call of its loop, which makes the numpy, LAPACK and BLAS calls of
+    every step in C, unless it returns None for a system that its loop
+    does not take.  Otherwise `integrate_steps` runs make_step.  Raises
+    ValueError for a z0 that is not of length system.dim and where
+    make_step does.
+    """
+    from .wave import sin_average  # wave imports this module through core
+
+    z0 = np.asarray(z0, dtype=float)
+    if z0.shape != (system.dim,):
+        raise ValueError(f"state has shape {z0.shape}, expected ({system.dim},)")
+    loops = checked() if system.g_avg is sin_average else None
+    traj = None if loops is None else system._integrate_compiled(loops, z0, config)
+    if traj is None:
+        traj = integrate_steps(system.make_step(config), z0, config)
+    return traj
+
+
+def run(loop, args, work, z0, config) -> Trajectory:
+    """The trajectory from z0 of the compiled `loop` called with its
     leading arguments `args` and the doubles `work`.  Raises
     PicardDivergenceError where a solve fails, as `integrate_steps` does."""
     states = allocate_states(z0, config)
     steps = states.shape[0] - 1
     iterations = np.zeros(steps, dtype=np.int64)
     residual = ctypes.c_double()
-    failed = run(*args, config.picard_tol, config.picard_max_iter, steps, states.ctypes.data,
+    failed = loop(*args, config.picard_tol, config.picard_max_iter, steps, states.ctypes.data,
                  iterations.ctypes.data, work.ctypes.data, ctypes.byref(residual))
     if failed >= 0:
         raise PicardDivergenceError(int(iterations[failed]), residual.value, step=failed)

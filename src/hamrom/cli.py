@@ -469,8 +469,6 @@ def _render_table(reports, cfg, fom_summary):
     width = 12
     for r in cfg.r_list:
         rows = [rep for rep in reports if rep.r == r]
-        if not rows:
-            continue
         header = f"{'r=' + str(r):<22}" + "".join(
             f"{rep.variant:>{width}}" for rep in rows
         )

@@ -31,13 +31,7 @@ import scipy.sparse as sparse
 from scipy.linalg import lapack
 
 from . import _native
-from .integrator import (
-    _EXTRAPOLATION,
-    IntegratorConfig,
-    Trajectory,
-    integrate_steps,
-    picard_solve,
-)
+from .integrator import _EXTRAPOLATION, IntegratorConfig, Trajectory, picard_solve
 
 __all__ = ["TwoBlockSystem", "PeriodicFactor"]
 
@@ -58,10 +52,10 @@ class PeriodicFactor(NamedTuple):
         M^-1 b = y - W C (y_0, y_{n-1}),   y = T^-1 b,  W = T^-1 U,
         C = (I_2 + S U^T W)^-1 S.
 
-    `wc` is the C-ordered n x 2 product W C, or None where s = 0 and M
-    is T.  A diagonal M (e and wc None) is solved by division, where
-    dpttrs's update with a zero off-diagonal would turn an infinite
-    entry into NaN.  Only M's upper triangle is read.
+    `wc` is the C-ordered n x 2 product W C, which is zero where s = 0.
+    A diagonal M (e and wc None) is solved by division, where dpttrs's
+    update with a zero off-diagonal would turn an infinite entry into NaN.
+    Only M's upper triangle is read.
     """
 
     d: np.ndarray
@@ -87,8 +81,8 @@ class PeriodicFactor(NamedTuple):
             e = None
         if np.any(d <= 0):
             raise ValueError("the tridiagonal part of I - dt^2/4 A is not positive definite")
-        if s == 0:
-            return cls(d, e, None)
+        if e is None:
+            return cls(d, None, None)
         corner_columns = np.zeros((n, 2))
         corner_columns[[0, n - 1], [0, 1]] = 1.0
         w, _ = lapack.dpttrs(d, e, corner_columns)
@@ -102,7 +96,7 @@ class PeriodicFactor(NamedTuple):
         if self.e is None:
             return b / self.d
         y, _ = lapack.dpttrs(self.d, self.e, b)
-        return y if self.wc is None else y - np.dot(self.wc, y[[0, -1]])
+        return y - np.dot(self.wc, y[[0, -1]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,10 +149,15 @@ class TwoBlockSystem:
         """Block dimension; states have length 2n."""
         return self.A.shape[0]
 
+    @property
+    def dim(self) -> int:
+        """State length 2n."""
+        return 2 * self.n
+
     def _blocks(self, z, stack=False):
         z = np.asarray(z, dtype=float)
-        if z.shape[-1:] != (2 * self.n,) or z.ndim > 1 + stack:
-            raise ValueError(f"state has shape {z.shape}, expected ({2 * self.n},)")
+        if z.shape[-1:] != (self.dim,) or z.ndim > 1 + stack:
+            raise ValueError(f"state has shape {z.shape}, expected ({self.dim},)")
         return z[..., : self.n], z[..., self.n :]
 
     def energy(self, z):
@@ -217,35 +216,18 @@ class TwoBlockSystem:
         return q * self.c_u, PeriodicFactor.of(sparse.identity(self.n) - q * self.A)
 
     def integrate(self, z0, config: IntegratorConfig) -> Trajectory:
-        """AVF integration from z0 over config's steps.
-
-        The result, Picard failures included, is that of
-        `integrate_steps(self.make_step(config), z0, config)` bit for bit.
-        When g_avg is `wave.sin_average` and `_native.checked()` returns the
-        compiled loops of `_avf.c`, the whole run is one call into the
-        full-order loop, which makes the numpy, LAPACK and BLAS calls of
-        every Picard iteration in C.  Otherwise `integrate_steps` runs
-        make_step.  Raises ValueError for a z0 that is not of length 2n
-        and where make_step does.
-        """
-        from .wave import sin_average  # wave imports this module
-
-        z0 = np.asarray(z0, dtype=float)
-        if z0.shape != (2 * self.n,):
-            raise ValueError(f"state has shape {z0.shape}, expected ({2 * self.n},)")
-        loops = _native.checked() if self.g_avg is sin_average else None
-        if loops is None:
-            return integrate_steps(self.make_step(config), z0, config)
-        return self._integrate_compiled(loops, z0, config)
+        """AVF integration from z0 over config's steps; see `_native.integrate`."""
+        return _native.integrate(self, z0, config)
 
     def _integrate_compiled(self, loops, z0, config):
         """`integrate` through the full-order loop of `_native.load`'s `loops`."""
         qc, factor = self._avf_operators(config.dt)
-        wc = None if factor.wc is None else ctypes.byref(_native.matrix(factor.wc)[0])
+        wc = None if factor.wc is None else _native.matrix(factor.wc)
         e = None if factor.e is None else factor.e.ctypes.data
-        args = [loops.gemv, loops.pttrs, self.n, factor.d.ctypes.data, e, wc, qc.ctypes.data,
-                config.dt, _EXTRAPOLATION.ctypes.data]
-        return _native.integrate(loops.full, args, np.empty(9 * self.n + 2), z0, config)
+        args = [loops.gemv, loops.pttrs, self.n, factor.d.ctypes.data, e,
+                None if wc is None else ctypes.byref(wc[0]), qc.ctypes.data, config.dt,
+                _EXTRAPOLATION.ctypes.data]
+        return _native.run(loops.full, args, np.empty(9 * self.n + 2), z0, config)
 
 
 def _check_elementwise_derivative(G, g, step=1e-6):

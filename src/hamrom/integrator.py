@@ -287,9 +287,13 @@ def allocate_states(z0, config: IntegratorConfig) -> np.ndarray:
 def save_trajectory(traj: Trajectory, path, dt=None):
     """Write a trajectory to disk (magic HRTRAJ01, float64 payload).
 
-    The file is written as `<path>.tmp` and renamed over `path`: a
-    trajectory loaded from the old file keeps mapping the old contents.
+    The step stored is `dt`, else `traj.dt`, else the first time
+    difference (0.0 for a single state).  The file is written as
+    `<path>.tmp` and renamed over `path`: a trajectory loaded from the
+    old file keeps mapping the old contents.
     """
+    if dt is None:
+        dt = traj.dt
     if dt is None:
         dt = float(traj.times[1] - traj.times[0]) if len(traj) > 1 else 0.0
     header = _TRAJ_HEADER.pack(_TRAJ_MAGIC, 1, traj.dim, len(traj), dt, float(traj.times[0]))

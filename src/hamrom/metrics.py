@@ -70,11 +70,11 @@ class EvalCounter:
         return self.fn(x)
 
 
-def e_inf(fom_traj: Trajectory, rom_traj: Trajectory, model, chunk=_BLOCK) -> float:
+def e_inf(fom_traj: Trajectory, rom_traj: Trajectory, model) -> float:
     """Spatio-temporal max error of a reduced run against the full one.
 
     Every stored full-order state is compared against the reconstruction
-    of the reduced coefficients of the same step, `chunk` steps at a time.
+    of the reduced coefficients of the same step, `_BLOCK` steps at a time.
     A block is reconstructed in trajectory layout, one state per row
     (coeffs @ phi^T + ref), and the squared mismatch is reduced in place;
     the square root is taken once, of the largest square, which gives the
@@ -86,9 +86,9 @@ def e_inf(fom_traj: Trajectory, rom_traj: Trajectory, model, chunk=_BLOCK) -> fl
     n, r_u = model.n, model.r_u
     phi_u_t, phi_v_t = model.phi_u.T, model.phi_v.T
     worst = 0.0
-    for start in range(0, len(fom_traj), chunk):
-        block = fom_traj.states[start : start + chunk]
-        coeffs = rom_traj.states[start : start + chunk]
+    for start in range(0, len(fom_traj), _BLOCK):
+        block = fom_traj.states[start : start + _BLOCK]
+        coeffs = rom_traj.states[start : start + _BLOCK]
         du = coeffs[:, :r_u] @ phi_u_t
         du += model.u_ref
         du -= block[:, :n]

@@ -49,14 +49,7 @@ import numpy as np
 
 from . import _native
 from ._binio import FileFormatError, check_payload, read_array, read_exact, write_array
-from .integrator import (
-    _EXTRAPOLATION,
-    IntegratorConfig,
-    Trajectory,
-    integrate_steps,
-    picard_solve,
-)
-from .wave import sin_average
+from .integrator import _EXTRAPOLATION, IntegratorConfig, Trajectory, picard_solve
 
 __all__ = [
     "RomVariant",
@@ -225,6 +218,11 @@ class ReducedModel:
     def tag(self) -> str:
         return self.variant.tag
 
+    @property
+    def dim(self) -> int:
+        """Reduced state length r_u + r_v."""
+        return self.r_u + self.r_v
+
     def reduced_skew(self) -> np.ndarray:
         """Assembled reduced coupling [[0, cuv], [-cuv^T, 0]]."""
         ru, rv = self.r_u, self.r_v
@@ -310,34 +308,23 @@ class ReducedModel:
         return K, K_plus, k_inv, k_inv[:, self.r_u :] @ dt_m, dt_m, dt * self._c
 
     def integrate(self, z0, config: IntegratorConfig) -> Trajectory:
-        """AVF integration from the reduced state z0 over config's steps.
-
-        The result, Picard failures included, is that of
-        `integrate_steps(self.make_step(config), z0, config)` bit for bit.
-        When g_avg is `wave.sin_average`, every operator has at least two
-        rows and two columns (so that np.dot hands each product to BLAS
-        gemv) and `_native.checked()` returns the compiled loops of `_avf.c`,
-        the whole run is one call into the reduced loop, which makes the ~50
-        numpy calls of a step in C.  Otherwise `integrate_steps` runs make_step.
-        """
-        z0 = np.asarray(z0, dtype=float)
-        dim = self.r_u + self.r_v
-        if z0.shape != (dim,):
-            raise ValueError(f"reduced state has shape {z0.shape}, expected ({dim},)")
-        loops = _native.checked() if self.g_avg is sin_average else None
-        if loops is None or min(self.r_u, self.r_v, self._P.shape[0]) < 2:
-            return integrate_steps(self.make_step(config), z0, config)
-        return self._integrate_compiled(loops, z0, config)
+        """AVF integration from the reduced state z0 over config's steps; see
+        `_native.integrate`."""
+        return _native.integrate(self, z0, config)
 
     def _integrate_compiled(self, loops, z0, config):
-        """`integrate` through the reduced loop of `_native.load`'s `loops`."""
+        """`integrate` through the reduced loop of `_native.load`'s `loops`,
+        or None where an operator has a single row or column, which np.dot
+        multiplies without BLAS gemv."""
+        if min(self.r_u, self.r_v, self._P.shape[0]) < 2:
+            return None
         K, K_plus, k_inv, B, dt_m, dt_c = self._avf_operators(config.dt)
         matrices = [_native.matrix(a) for a in (K_plus, k_inv, K, B, dt_m, self._P)]
         vectors = [np.ascontiguousarray(v) for v in (dt_c, self._x_ref, _EXTRAPOLATION)]
         args = [loops.gemv, *(ctypes.byref(m) for m, _ in matrices),
                 *(v.ctypes.data for v in vectors)]
         work = np.empty(9 * z0.size + 3 * self._P.shape[0])
-        return _native.integrate(loops.reduced, args, work, z0, config)
+        return _native.run(loops.reduced, args, work, z0, config)
 
     def rhs(self, z) -> np.ndarray:
         return self.make_rhs()(z)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from hamrom import _native, core, rom
+from hamrom import _native
 from hamrom.deim import build_deim
 from hamrom.integrator import IntegratorConfig, integrate
 from hamrom.pod import compute_pod
@@ -116,7 +116,9 @@ def compiled(monkeypatch):
     """Make `TwoBlockSystem.integrate` and `ReducedModel.integrate` fail
     if they take the numpy path.  Skips where the loops cannot be built
     (no C compiler, or a numpy or scipy without its bundled OpenBLAS);
-    where they can, their probe must pass."""
+    where they can, their probe must pass.  The probe runs first, since
+    it calls the same `integrate_steps`; while the patch is active no test
+    may clear `_native.checked`'s cache."""
     if _native.load() is None:
         pytest.skip("the compiled AVF loops are unavailable here")
     assert _native.checked() is not None
@@ -124,8 +126,7 @@ def compiled(monkeypatch):
     def numpy_path(*args):
         raise AssertionError("integrate took the numpy path")
 
-    monkeypatch.setattr(core, "integrate_steps", numpy_path)
-    monkeypatch.setattr(rom, "integrate_steps", numpy_path)
+    monkeypatch.setattr(_native, "integrate_steps", numpy_path)
 
 
 def check_skew(matrix, tol):

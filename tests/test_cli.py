@@ -574,6 +574,23 @@ def test_trajectory_of_another_time_grid_is_a_config_error(deim_run, tmp_path, c
     assert not fresh.exists()
 
 
+def test_trajectory_of_another_grid_size_is_a_config_error(deim_run, tmp_path, capsys):
+    out, tail = deim_run
+    fresh = tmp_path / "fresh"
+    assert main(["offline", *tail, "--n", "64", "--traj", str(out / "fom_trajectory.bin"),
+                 "--out", str(fresh)]) == 2
+    assert "trajectory dimension 64 does not match 2*n = 128" in capsys.readouterr().err
+    assert not fresh.exists()
+
+
+def test_empty_variant_list_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["fom", "--n", "16", "--t-final", "0.1", "--variants", ",",
+                 "--out", str(out)]) == 2
+    assert "variant list is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_fom_run_leaves_no_output_directory(tmp_path, capsys):
     # one Picard iteration per step cannot converge: exit 3, and --out,
     # which did not exist, still does not

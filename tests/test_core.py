@@ -4,6 +4,7 @@ import scipy.sparse as sparse
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from conftest import PROPERTY, check_skew, dense_operators, random_orthonormal, random_skew
@@ -236,14 +237,17 @@ def test_periodic_solve_is_superlu_solve_to_rounding(n, dt):
 
 
 @PROPERTY
-@given(n=st.integers(3, 64), kind=st.sampled_from(["random", "-I", "36000 I"]),
+@given(n=st.integers(3, 64), kind=st.sampled_from(["random", "tridiagonal", "-I", "36000 I"]),
        seed=st.integers(0, 2**32 - 1))
 def test_periodic_solve_agrees_with_superlu(n, kind, seed):
-    # random diagonally dominant periodic tridiagonal matrices, and the
-    # step matrices of the diagonal systems, for which no correction enters
+    # random diagonally dominant periodic tridiagonal matrices, the same
+    # without corner entries, and the step matrices of the diagonal
+    # systems, for which no correction enters
     rng = np.random.default_rng(seed)
-    if kind == "random":
+    if kind in ("random", "tridiagonal"):
         off = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 0.0, n)
+        if kind == "tridiagonal":
+            off[-1] = 0.0  # the corner entry M[n-1, 0]
         rows = np.arange(n)
         m = sparse.coo_matrix((off, (rows, (rows + 1) % n)), shape=(n, n))
         diagonal = rng.uniform(1.5, 4.0, n) * (np.abs(off) + np.abs(np.roll(off, 1)))
@@ -252,10 +256,14 @@ def test_periodic_solve_agrees_with_superlu(n, kind, seed):
         scale = -1.0 if kind == "-I" else 36000.0
         m = sparse.identity(n) - 0.25e-4 * scale * sparse.identity(n)
     factor = PeriodicFactor.of(m)
-    assert (factor.wc is None) == (factor.e is None) == (kind != "random")
+    assert (factor.wc is None) == (factor.e is None) == (kind not in ("random", "tridiagonal"))
     rhs = right_hand_sides(n, seed=seed % 1000)
     assert_solves_as_superlu(factor, m, rhs)
-    if kind != "random":  # a division, which keeps an infinite entry infinite
+    if kind == "tridiagonal":  # C = 0, so the correction leaves dpttrs's solve as it is
+        assert not factor.wc.any()
+        assert all(factor.solve(b).tobytes() == lapack.dpttrs(factor.d, factor.e, b)[0].tobytes()
+                   for b in rhs)
+    if factor.e is None:  # a division, which keeps an infinite entry infinite
         rhs[0, 0] = np.inf
         assert all(np.array_equal(factor.solve(b), b / m.diagonal()) for b in rhs)
 
@@ -336,7 +344,7 @@ def test_integrate_takes_the_numpy_path_for_another_segment_mean(monkeypatch):
         raise AssertionError("integrate took the compiled path")
 
     _native.checked()  # its probe runs the compiled path
-    monkeypatch.setattr(TwoBlockSystem, "_integrate_compiled", compiled_path)
+    monkeypatch.setattr(_native, "run", compiled_path)
     n = 16
     system = TwoBlockSystem(build_laplacian(WaveConfig(n=n)), np.ones(n), **COS_SPLIT,
                             g_avg=lambda x0, x1: sin_average(x0, x1))

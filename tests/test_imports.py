@@ -1,12 +1,14 @@
-"""Every name that a module of the package imports is used: a stdlib
-stand-in for a linter's unused-import check (pyflakes' F401)."""
+"""Every name that a module of the package, a test or a demo imports is
+used: a stdlib stand-in for a linter's unused-import check (pyflakes'
+F401)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hamrom"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hamrom"
 
 
 def unused_imports(source):
@@ -40,10 +42,13 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["pi"]
 
 
-# the package's __init__ only re-exports
-MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+# the package's modules by name (its __init__ only re-exports), the
+# tests and the demos by their path in the repository
+SOURCES = {path.name: path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+SOURCES.update((path.relative_to(ROOT).as_posix(), path)
+               for folder in ("tests", "demos") for path in sorted((ROOT / folder).glob("*.py")))
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("name", SOURCES)
 def test_every_import_is_used(name):
-    assert unused_imports((PACKAGE / name).read_text()) == []
+    assert unused_imports(SOURCES[name].read_text()) == []

@@ -217,6 +217,22 @@ def test_trajectory_roundtrip(tmp_path, rng):
     assert_allclose(back.times, traj.times)
 
 
+def test_trajectory_roundtrip_keeps_the_step_of_the_run(tmp_path):
+    # without dt= the file stores traj.dt: a single state has no time
+    # difference, and one after t0 != 0 is off by rounding
+    path = tmp_path / "traj.bin"
+    cfg = IntegratorConfig(dt=0.01, t_final=0.0)
+    single = integrate_steps(lambda z, start: (z, 1), np.ones(3), cfg)
+    save_trajectory(single, path)
+    back = load_trajectory(path)
+    assert len(back) == 1 and back.dt == 0.01
+    assert back.states.tobytes() == single.states.tobytes()
+    shifted = Trajectory(np.zeros((3, 2)), 0.7 + 0.1 * np.arange(3), dt=0.1)
+    assert shifted.times[1] - shifted.times[0] != 0.1
+    save_trajectory(shifted, path)
+    assert load_trajectory(path).dt == 0.1
+
+
 def test_trajectory_truncation_detected(tmp_path, rng):
     path = tmp_path / "traj.bin"
     save_trajectory(Trajectory(rng.standard_normal((5, 3)), np.arange(5.0)), path, dt=1.0)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import PROPERTY, random_orthonormal
+from hamrom import metrics
 from hamrom.integrator import IntegratorConfig, Trajectory, integrate
 from hamrom.metrics import (
     RunReport,
@@ -60,12 +61,13 @@ def test_e_inf_single_step_toy():
     assert_allclose(e_inf(full, reduced, model), 1.0)
 
 
-def test_e_inf_independent_of_chunk(identity_setup):
+def test_e_inf_independent_of_chunk(identity_setup, monkeypatch):
     _, model, traj = identity_setup
     rng = np.random.default_rng(0)
     coeffs = Trajectory(traj.states + 0.01 * rng.standard_normal(traj.states.shape), traj.times)
     whole = e_inf(traj, coeffs, model)
-    assert e_inf(traj, coeffs, model, chunk=7) == whole
+    monkeypatch.setattr(metrics, "_BLOCK", 7)
+    assert e_inf(traj, coeffs, model) == whole
     assert whole > 0
 
 

@@ -2,16 +2,16 @@
 with the numpy path and the one gate of both loops."""
 
 import ctypes
+import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hamrom import _native
-from hamrom.core import TwoBlockSystem
 from hamrom.integrator import IntegratorConfig
-from hamrom.rom import ReducedModel
 from hamrom.wave import WaveConfig, assemble_wave_fom
 
 
@@ -26,6 +26,29 @@ def test_avf_source_compiles_without_a_warning(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_the_build_caches_one_shared_object_and_needs_a_compiler(tmp_path, monkeypatch):
+    # a source of its own misses the package's cache: the first call builds
+    # into tmp_path/__pycache__, a later one reads the cache without a
+    # compiler, and with neither a compiler nor a cached build `load()` is None
+    if shutil.which("cc") is None and shutil.which("gcc") is None:
+        pytest.skip("no C compiler on PATH")
+    source = tmp_path / "built" / "_avf.c"
+    source.parent.mkdir()
+    source.write_bytes(Path(_native._SOURCE).read_bytes())
+    monkeypatch.setattr(_native, "_SOURCE", str(source))
+    assert _native._shared_object().avf_integrate_full
+    [built] = (source.parent / "__pycache__").iterdir()
+    assert re.fullmatch(r"_avf-[0-9a-f]{16}\.so", built.name)
+    monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+    assert _native._shared_object().avf_integrate_full
+    unbuilt = tmp_path / "unbuilt" / "_avf.c"
+    unbuilt.parent.mkdir()
+    unbuilt.write_bytes(source.read_bytes())
+    monkeypatch.setattr(_native, "_SOURCE", str(unbuilt))
+    assert _native.load() is None
+    assert not (unbuilt.parent / "__pycache__").exists()
 
 
 @pytest.mark.parametrize("loader", ("unavailable", "reduced-loop-wrong", "full-loop-wrong"))
@@ -53,8 +76,7 @@ def test_without_the_compiled_loops_every_model_takes_the_numpy_path(pipe, compi
     _native.checked.cache_clear()
     try:
         assert _native.checked() is None
-        monkeypatch.setattr(TwoBlockSystem, "_integrate_compiled", compiled_path)
-        monkeypatch.setattr(ReducedModel, "_integrate_compiled", compiled_path)
+        monkeypatch.setattr(_native, "run", compiled_path)
         for label, (model, z0) in starts.items():
             traj = model.integrate(z0, cfg)
             assert np.array_equal(traj.states, runs[label].states), label

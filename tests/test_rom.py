@@ -592,7 +592,7 @@ def test_integrate_takes_the_numpy_path_where_the_loop_does_not_apply(pipe, monk
         raise AssertionError("integrate took the compiled path")
 
     _native.checked()  # its probe runs the compiled path
-    monkeypatch.setattr(ReducedModel, "_integrate_compiled", compiled_path)
+    monkeypatch.setattr(_native, "run", compiled_path)
     fom, (bu, bv) = pipe["fom"], pipe["bases"][False]
     if case == "another-g-avg":
         wrapped = dataclasses.replace(fom, g_avg=lambda x0, x1: sin_average(x0, x1))
