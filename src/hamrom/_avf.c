@@ -6,8 +6,9 @@
  * They do the arithmetic of the numpy path operation by operation, so
  * every state comes out bit for bit the same:
  *  - each matrix-vector product calls numpy's own cblas dgemv with the
- *    arguments np.dot passes for that operand's memory layout (see
- *    `struct matrix`);
+ *    arguments np.dot passes for a C-contiguous matrix: every operand is
+ *    C-ordered, which `ReducedModel`'s constructor and `PeriodicFactor.of`
+ *    guarantee;
  *  - the full-order linear solve is `core.PeriodicFactor.solve`: the
  *    LAPACK dpttrs of the OpenBLAS that scipy bundles (the one
  *    scipy.linalg.lapack calls), with the arguments its wrapper passes,
@@ -27,18 +28,12 @@ typedef void (*gemv_fn)(int order, int trans, int64_t m, int64_t n, double alpha
                         const double *a, int64_t lda, const double *x, int64_t incx,
                         double beta, double *y, int64_t incy);
 
-/* A matrix of at least two rows and two columns, stored C-contiguous
- * (order ROW_MAJOR) or F-contiguous (COL_MAJOR = 102). */
-struct matrix {
-    const double *data;
-    int64_t rows, cols, order;
-};
-
-/* y = A x as np.dot(A, x, y) computes it */
-static void product(gemv_fn gemv, const struct matrix *a, const double *x, double *y)
+/* y = A x as np.dot(A, x, y) computes it for the C-ordered rows x cols
+ * matrix A, of at least two rows and two columns */
+static void product(gemv_fn gemv, int64_t rows, int64_t cols, const double *a, const double *x,
+                    double *y)
 {
-    int64_t lda = a->order == ROW_MAJOR ? a->cols : a->rows;
-    gemv((int)a->order, NO_TRANS, a->rows, a->cols, 1.0, a->data, lda, x, 1, 0.0, y, 1);
+    gemv(ROW_MAJOR, NO_TRANS, rows, cols, 1.0, a, cols, x, 1, 0.0, y, 1);
 }
 
 /* max|a_i| as np.abs, argmax and item find it: the first NaN if any */
@@ -93,19 +88,19 @@ static void extrapolate(gemv_fn gemv, const double *extrapolation, int64_t dim, 
 }
 
 /* Integrate `steps` AVF steps from states[0] into states[1..steps]
- * (rows of dim = k->rows values) and the Picard iterations of each step
- * into iterations[].  work holds 9 dim + 3 m doubles, m = p->rows.
+ * (rows of dim values) and the Picard iterations of each step into
+ * iterations[].  k_plus, k_inv and k are dim x dim, b is dim x m, dt_m
+ * (dim - ru) x m and p m x ru; work holds 9 dim + 3 m doubles.
  * Returns -1, or the index of the step whose solve failed: then
  * iterations[step] and *residual hold the failing update's count and
  * max-norm, as in PicardDivergenceError. */
-int64_t avf_integrate(gemv_fn gemv, const struct matrix *k_plus, const struct matrix *k_inv,
-                      const struct matrix *k, const struct matrix *b,
-                      const struct matrix *dt_m, const struct matrix *p,
-                      const double *dt_c, const double *x_ref, const double *extrapolation,
-                      double tol, int64_t max_iter, int64_t steps, double *states,
-                      int64_t *iterations, double *work, double *residual)
+int64_t avf_integrate(gemv_fn gemv, int64_t dim, int64_t ru, int64_t m, const double *k_plus,
+                      const double *k_inv, const double *k, const double *b,
+                      const double *dt_m, const double *p, const double *dt_c,
+                      const double *x_ref, const double *extrapolation, double tol,
+                      int64_t max_iter, int64_t steps, double *states, int64_t *iterations,
+                      double *work, double *residual)
 {
-    int64_t dim = k->rows, ru = p->cols, m = p->rows;
     double *y = work, *w = y + dim, *start = w + dim, *r = start + dim;
     double *correction = r + dim, *iterates[2] = {correction + dim, correction + 2 * dim};
     double *update = correction + 3 * dim, *m_q = update + dim;
@@ -117,21 +112,21 @@ int64_t avf_integrate(gemv_fn gemv, const struct matrix *k_plus, const struct ma
             extrapolate(gemv, extrapolation, dim, z, start);
             z1 = start;
         }
-        product(gemv, k_plus, z, y);
+        product(gemv, dim, dim, k_plus, z, y);
         for (int64_t i = 0; i < dim; i++)
             y[i] += dt_c[i];
-        product(gemv, k_inv, y, w);
-        product(gemv, p, z, x0);
+        product(gemv, dim, dim, k_inv, y, w);
+        product(gemv, m, ru, p, z, x0);
         for (int64_t i = 0; i < m; i++)
             x0[i] += x_ref[i];
         int64_t it = 1;
         for (;; it++) {
-            product(gemv, p, z1, x1);
+            product(gemv, m, ru, p, z1, x1);
             for (int64_t i = 0; i < m; i++)
                 x1[i] += x_ref[i];
             sin_average(m, x0, x1, q);
             double *z_next = iterates[it & 1];
-            product(gemv, b, q, z_next);
+            product(gemv, dim, m, b, q, z_next);
             for (int64_t i = 0; i < dim; i++) {
                 z_next[i] += w[i];
                 update[i] = z_next[i] - z1[i];
@@ -146,13 +141,13 @@ int64_t avf_integrate(gemv_fn gemv, const struct matrix *k_plus, const struct ma
             }
         }
         iterations[step] = it;
-        product(gemv, k, z1, r);
+        product(gemv, dim, dim, k, z1, r);
         for (int64_t i = 0; i < dim; i++)
             r[i] -= y[i];
-        product(gemv, dt_m, q, m_q);
+        product(gemv, dim - ru, m, dt_m, q, m_q);
         for (int64_t i = ru; i < dim; i++)
             r[i] -= m_q[i - ru];
-        product(gemv, k_inv, r, correction);
+        product(gemv, dim, dim, k_inv, r, correction);
         double *z_out = states + (step + 1) * dim;
         for (int64_t i = 0; i < dim; i++)
             z_out[i] = z1[i] - correction[i];
@@ -167,12 +162,12 @@ typedef void (*pttrs_fn)(const int *n, const int *nrhs, const double *d, const d
                          double *b, const int *ldb, int *info);
 
 /* b = M^-1 b in place, as `core.PeriodicFactor.solve` computes it from
- * T's factor (d, e) and W C (wc): y = dpttrs(d, e, b), then
- * y - np.dot(wc, y[[0, -1]]); b / d where M is diagonal (e and wc NULL).
- * work holds n + 2 doubles.  Exported, so that the solve can be checked
- * on its own. */
+ * T's factor (d, e) and the C-ordered n x 2 W C (wc): y = dpttrs(d, e, b),
+ * then y - np.dot(wc, y[[0, -1]]); b / d where M is diagonal (e and wc
+ * NULL).  work holds n + 2 doubles.  Exported, so that the solve can be
+ * checked on its own. */
 void avf_periodic_solve(pttrs_fn pttrs, gemv_fn gemv, int n, const double *d, const double *e,
-                        const struct matrix *wc, double *b, double *work)
+                        const double *wc, double *b, double *work)
 {
     if (!e) {
         for (int i = 0; i < n; i++)
@@ -184,7 +179,7 @@ void avf_periodic_solve(pttrs_fn pttrs, gemv_fn gemv, int n, const double *d, co
     double *corners = work, *correction = work + 2;
     corners[0] = b[0];
     corners[1] = b[n - 1];
-    product(gemv, wc, corners, correction);
+    product(gemv, n, 2, wc, corners, correction);
     for (int i = 0; i < n; i++)
         b[i] -= correction[i];
 }
@@ -196,7 +191,7 @@ void avf_periodic_solve(pttrs_fn pttrs, gemv_fn gemv, int n, const double *d, co
  *     u_m <- (I - dt^2/4 A)^-1 (u0 + dt/2 v0 - qc sin_average(u0, 2 u_m - u0)).
  * work holds 9 n + 2 doubles.  Returns as avf_integrate does. */
 int64_t avf_integrate_full(gemv_fn gemv, pttrs_fn pttrs, int64_t n, const double *d,
-                           const double *e, const struct matrix *wc, const double *qc, double dt,
+                           const double *e, const double *wc, const double *qc, double dt,
                            const double *extrapolation, double tol, int64_t max_iter,
                            int64_t steps, double *states, int64_t *iterations, double *work,
                            double *residual)

@@ -37,15 +37,6 @@ from .integrator import (
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_avf.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-ROW_MAJOR, COL_MAJOR = 101, 102
-
-
-class Matrix(ctypes.Structure):
-    """`struct matrix` of _avf.c."""
-
-    _fields_ = [("data", ctypes.c_void_p)] + [
-        (name, ctypes.c_int64) for name in ("rows", "cols", "order")
-    ]
 
 
 class Loops(NamedTuple):
@@ -55,17 +46,6 @@ class Loops(NamedTuple):
     full: object
     gemv: int
     pttrs: int
-
-
-def matrix(a):
-    """(Matrix, array) for a float matrix as np.dot hands it to gemv: an
-    F-contiguous one column-major, any other one row-major, in C order
-    (copied if it is not).  The array must outlive every use of the
-    Matrix."""
-    if not a.flags.f_contiguous:
-        a = np.ascontiguousarray(a)
-    order = ROW_MAJOR if a.flags.c_contiguous else COL_MAJOR
-    return Matrix(a.ctypes.data, a.shape[0], a.shape[1], order), a
 
 
 def _symbols(package, pattern, *names):
@@ -115,8 +95,8 @@ def load():
         loops = Loops(lib.avf_integrate, lib.avf_integrate_full, gemv, pttrs)
     except _LOAD_ERRORS:
         return None
-    loops.reduced.argtypes = [_P] + [ctypes.POINTER(Matrix)] * 6 + [_P] * 3 + _RUN_ARGS
-    loops.full.argtypes = [_P, _P, _I, _P, _P, ctypes.POINTER(Matrix), _P, _D, _P] + _RUN_ARGS
+    loops.reduced.argtypes = [_P] + [_I] * 3 + [_P] * 9 + _RUN_ARGS
+    loops.full.argtypes = [_P, _P, _I] + [_P] * 4 + [_D, _P] + _RUN_ARGS
     loops.reduced.restype = loops.full.restype = _I
     return loops
 
@@ -127,9 +107,9 @@ def checked():
     tiny fixed models, else None.  The models share one n = 16 system
     with weights that are not all one, whose step matrix has the corner
     entries that the full-order solve corrects for: the system itself,
-    g-rom and shifted sp-deim.  Their dt M is F-ordered (g-rom) and
-    C-ordered (sp-deim), which np.dot hands to gemv in two different
-    layouts."""
+    g-rom (Galerkin L, zero references) and shifted sp-deim (symplectic
+    L, references and interpolation points).  Every operand reaches the
+    loops C-ordered, as the models build it."""
     from . import core, rom, wave  # they import this module
 
     loops = load()

@@ -22,7 +22,6 @@ steps in the compiled loop of `_avf.c`, which calls the same LAPACK and
 BLAS routines on the same factor, with the same result bit for bit.
 """
 
-import ctypes
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -222,11 +221,9 @@ class TwoBlockSystem:
     def _integrate_compiled(self, loops, z0, config):
         """`integrate` through the full-order loop of `_native.load`'s `loops`."""
         qc, factor = self._avf_operators(config.dt)
-        wc = None if factor.wc is None else _native.matrix(factor.wc)
-        e = None if factor.e is None else factor.e.ctypes.data
-        args = [loops.gemv, loops.pttrs, self.n, factor.d.ctypes.data, e,
-                None if wc is None else ctypes.byref(wc[0]), qc.ctypes.data, config.dt,
-                _EXTRAPOLATION.ctypes.data]
+        e, wc = (None if a is None else a.ctypes.data for a in (factor.e, factor.wc))
+        args = [loops.gemv, loops.pttrs, self.n, factor.d.ctypes.data, e, wc, qc.ctypes.data,
+                config.dt, _EXTRAPOLATION.ctypes.data]
         return _native.run(loops.full, args, np.empty(9 * self.n + 2), z0, config)
 
 

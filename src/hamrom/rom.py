@@ -41,7 +41,6 @@ with the same P and x_ref, sampling weights W and a constant C fixed by
 H_r(0) = H(z_ref).  Its cost is O(r^2) plus the nonlinear term.
 """
 
-import ctypes
 import struct
 from dataclasses import dataclass
 
@@ -136,14 +135,16 @@ class ReducedModel:
         deim_indices=None,
         deim_weights=None,
     ):
-        # C order makes the derived operators independent of the layout
-        # the caller's arrays happen to have: a model built from bases and
-        # one loaded from their artifact compute bit-identically
+        # The constructor owns the memory layout: every array it stores or
+        # derives is C-contiguous, whatever the layout of the caller's
+        # arrays, so a model built from bases and one loaded from their
+        # artifact compute bit-identically, and the compiled loop takes
+        # each operand as the C-ordered matrix that np.dot sees
         self.variant = variant
         self.phi_u = np.ascontiguousarray(phi_u, dtype=float)
         self.phi_v = np.ascontiguousarray(phi_v, dtype=float)
-        self.u_ref = np.asarray(u_ref, dtype=float)
-        self.v_ref = np.asarray(v_ref, dtype=float)
+        self.u_ref = np.ascontiguousarray(u_ref, dtype=float)
+        self.v_ref = np.ascontiguousarray(v_ref, dtype=float)
         self.c_u = fom.c_u
         self.G_fn = fom.G
         self.g_fn = fom.g
@@ -206,7 +207,7 @@ class ReducedModel:
         self._c = np.concatenate([self.cuv @ self.lin_v, self.cuv.T @ self.lin_u])
         if variant.kind == "g-rom":
             self._L[ru:, :ru] = self.phi_v.T @ A_phi_u
-            self._m_b = -(self.phi_v.T * self.c_u)
+            self._m_b = np.ascontiguousarray(-(self.phi_v.T * self.c_u))
         else:
             self._L[ru:, :ru] = self.cuv.T @ self.a_red
             self._m_b = -self.cuv.T @ (self._P.T * self._W)
@@ -319,11 +320,10 @@ class ReducedModel:
         if min(self.r_u, self.r_v, self._P.shape[0]) < 2:
             return None
         K, K_plus, k_inv, B, dt_m, dt_c = self._avf_operators(config.dt)
-        matrices = [_native.matrix(a) for a in (K_plus, k_inv, K, B, dt_m, self._P)]
-        vectors = [np.ascontiguousarray(v) for v in (dt_c, self._x_ref, _EXTRAPOLATION)]
-        args = [loops.gemv, *(ctypes.byref(m) for m, _ in matrices),
-                *(v.ctypes.data for v in vectors)]
-        work = np.empty(9 * z0.size + 3 * self._P.shape[0])
+        m = self._P.shape[0]
+        operands = (K_plus, k_inv, K, B, dt_m, self._P, dt_c, self._x_ref, _EXTRAPOLATION)
+        args = [loops.gemv, self.dim, self.r_u, m, *(a.ctypes.data for a in operands)]
+        work = np.empty(9 * self.dim + 3 * m)
         return _native.run(loops.reduced, args, work, z0, config)
 
     def rhs(self, z) -> np.ndarray:

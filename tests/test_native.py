@@ -96,13 +96,11 @@ def loops():
 def emulated_solve(loops, factor, b):
     """x = M^-1 b by the C loop's `avf_periodic_solve`."""
     solve = _native._shared_object().avf_periodic_solve
-    solve.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int] + [ctypes.c_void_p] * 2 + [
-        ctypes.POINTER(_native.Matrix)] + [ctypes.c_void_p] * 2
+    solve.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int] + [ctypes.c_void_p] * 5
     n = b.size
     x, work = b.copy(), np.zeros(n + 2)
-    wc, _ = _native.matrix(factor.wc)
-    e = None if factor.e is None else factor.e.ctypes.data
-    solve(loops.pttrs, loops.gemv, n, factor.d.ctypes.data, e, ctypes.byref(wc), x.ctypes.data,
+    e, wc = (None if a is None else a.ctypes.data for a in (factor.e, factor.wc))
+    solve(loops.pttrs, loops.gemv, n, factor.d.ctypes.data, e, wc, x.ctypes.data,
           work.ctypes.data)
     return x
 

@@ -531,11 +531,48 @@ def test_a_step_map_keeps_no_state_between_calls(pipe):
 # ReducedModel.integrate: the compiled loop and the numpy path it replaces.
 
 
+def test_every_operand_of_the_avf_step_is_c_contiguous(tmp_path, pipe):
+    # the compiled loop reads each matrix row-major, as np.dot hands a
+    # C-contiguous one to gemv: built or loaded, a model stores them so
+    for tag, built in pipe["models"].items():
+        save_rom(built, tmp_path / "rom.bin")
+        for model in (built, load_rom(tmp_path / "rom.bin", pipe["fom"])):
+            for operand in (*model._avf_operators(0.01), model._P, model._x_ref):
+                assert operand.flags.c_contiguous, tag
+
+
+def test_a_model_of_any_layout_integrates_as_its_c_contiguous_copy(pipe, compiled):
+    # F-ordered bases and strided references (with NaN between their
+    # entries): the constructor copies them into C order and keeps the
+    # copies that the compiled loop reads
+    cfg = IntegratorConfig(dt=0.01, t_final=1.0)
+
+    def strided(v):
+        return np.stack([v, np.full_like(v, np.nan)], axis=1)[:, 0]
+
+    fom, deim = pipe["fom"], pipe["deims"][True]
+    for tag, interpolation in (("g-rom", (None, None)),
+                               ("sp-deim-2", (deim.indices, deim.weights))):
+        variant = RomVariant.from_tag(tag)
+        basis_u, basis_v = pipe["bases"][variant.shifted]
+        u_ref, v_ref = (b.shift_ref if b.shifted else np.zeros(fom.n) for b in (basis_u, basis_v))
+        fortran = (np.asfortranarray(basis_u.phi), np.asfortranarray(basis_v.phi),
+                   strided(u_ref), strided(v_ref))
+        assert not any(a.flags.c_contiguous for a in fortran)
+        c_ordered = [np.array(a, order="C") for a in fortran]
+        models = [ReducedModel(variant, fom, *arrays, *interpolation)
+                  for arrays in (fortran, c_ordered)]
+        z0 = models[1].initial_coefficients(pipe["z0"])
+        for run in (lambda m: m.integrate(z0, cfg),
+                    lambda m: integrate_steps(m.make_step(cfg), z0, cfg)):
+            got, expected = (run(m) for m in models)
+            assert got.states.tobytes() == expected.states.tobytes(), tag
+            assert np.array_equal(got.picard_iters, expected.picard_iters), tag
+
+
 def test_compiled_integration_reproduces_the_reference_formulas_bitwise(pipe, compiled):
     cfg = IntegratorConfig(dt=0.01, t_final=2.0)
     for tag, model in pipe["models"].items():
-        # np.dot hands g-rom's dt M to gemv column-major, the others row-major
-        assert (model.variant.kind == "g-rom") == (cfg.dt * model._m_b).flags.f_contiguous
         z0 = model.initial_coefficients(pipe["z0"])
         traj = model.integrate(z0, cfg)
         [(states, iterations)] = _lockstep(_reference_reduced_step(model, cfg), [z0],
