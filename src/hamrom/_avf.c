@@ -1,7 +1,9 @@
-/* The AVF integrations of `integrate_steps` with g_avg = `wave.sin_average`,
- * each as one C loop: `avf_integrate` runs `ReducedModel.make_step`,
- * `avf_integrate_full` runs `TwoBlockSystem.make_step`, whose linear solve
- * `avf_periodic_solve` is exported as well.
+/* The AVF integrations of `integrator.advance_steps` with g_avg =
+ * `wave.sin_average`, each as one C loop: `avf_integrate` runs
+ * `ReducedModel.make_step`, `avf_integrate_full` runs
+ * `TwoBlockSystem.make_step`, whose linear solve `avf_periodic_solve` is
+ * exported as well.  Either loop resumes an integration in a new window
+ * of states, as advance_steps does.
  *
  * They do the arithmetic of the numpy path operation by operation, so
  * every state comes out bit for bit the same:
@@ -87,19 +89,22 @@ static void extrapolate(gemv_fn gemv, const double *extrapolation, int64_t dim, 
     gemv(ROW_MAJOR, TRANS, 8, dim, 1.0, z - 7 * dim, dim, extrapolation, 1, 0.0, start, 1);
 }
 
-/* Integrate `steps` AVF steps from states[0] into states[1..steps]
- * (rows of dim values) and the Picard iterations of each step into
- * iterations[].  k_plus, k_inv and k are dim x dim, b is dim x m, dt_m
- * (dim - ru) x m and p m x ru; work holds 9 dim + 3 m doubles.
- * Returns -1, or the index of the step whose solve failed: then
- * iterations[step] and *residual hold the failing update's count and
- * max-norm, as in PicardDivergenceError. */
+/* Integrate `steps` AVF steps from states[history] into
+ * states[history + 1 .. history + steps] (rows of dim values) and the
+ * Picard iterations of each step into iterations[].  The `history` <= 7
+ * rows before the first state are the states that preceded it, the last
+ * seven or all of them, so that a run resumed in a new window makes the
+ * degree-7 start from the rows that one run would.  k_plus, k_inv and k
+ * are dim x dim, b is dim x m, dt_m (dim - ru) x m and p m x ru; work
+ * holds 9 dim + 3 m doubles.  Returns -1, or the index of the step whose
+ * solve failed: then iterations[step] and *residual hold the failing
+ * update's count and max-norm, as in PicardDivergenceError. */
 int64_t avf_integrate(gemv_fn gemv, int64_t dim, int64_t ru, int64_t m, const double *k_plus,
                       const double *k_inv, const double *k, const double *b,
                       const double *dt_m, const double *p, const double *dt_c,
                       const double *x_ref, const double *extrapolation, double tol,
-                      int64_t max_iter, int64_t steps, double *states, int64_t *iterations,
-                      double *work, double *residual)
+                      int64_t max_iter, int64_t history, int64_t steps, double *states,
+                      int64_t *iterations, double *work, double *residual)
 {
     double *y = work, *w = y + dim, *start = w + dim, *r = start + dim;
     double *correction = r + dim, *iterates[2] = {correction + dim, correction + 2 * dim};
@@ -107,8 +112,9 @@ int64_t avf_integrate(gemv_fn gemv, int64_t dim, int64_t ru, int64_t m, const do
     double *x0 = m_q + dim, *x1 = x0 + m, *q = x1 + m;
 
     for (int64_t step = 0; step < steps; step++) {
-        const double *z = states + step * dim, *z1 = z;
-        if (step >= 7) {
+        int64_t row = history + step;
+        const double *z = states + row * dim, *z1 = z;
+        if (row >= 7) {
             extrapolate(gemv, extrapolation, dim, z, start);
             z1 = start;
         }
@@ -148,7 +154,7 @@ int64_t avf_integrate(gemv_fn gemv, int64_t dim, int64_t ru, int64_t m, const do
         for (int64_t i = ru; i < dim; i++)
             r[i] -= m_q[i - ru];
         product(gemv, dim, dim, k_inv, r, correction);
-        double *z_out = states + (step + 1) * dim;
+        double *z_out = states + (row + 1) * dim;
         for (int64_t i = 0; i < dim; i++)
             z_out[i] = z1[i] - correction[i];
     }
@@ -185,16 +191,17 @@ void avf_periodic_solve(pttrs_fn pttrs, gemv_fn gemv, int n, const double *d, co
 }
 
 /* Integrate `steps` full-order AVF steps of u' = v, v' = A u - c_u g(u)
- * from states[0] into states[1..steps] (rows of 2 n values), where d, e
- * and wc are the `PeriodicFactor` of I - dt^2/4 A and qc = dt^2/4 c_u;
+ * from states[history], after `history` earlier states, as avf_integrate
+ * does (rows of 2 n values), where d, e and wc are the `PeriodicFactor` of
+ * I - dt^2/4 A and qc = dt^2/4 c_u;
  * each step iterates
  *     u_m <- (I - dt^2/4 A)^-1 (u0 + dt/2 v0 - qc sin_average(u0, 2 u_m - u0)).
  * work holds 9 n + 2 doubles.  Returns as avf_integrate does. */
 int64_t avf_integrate_full(gemv_fn gemv, pttrs_fn pttrs, int64_t n, const double *d,
                            const double *e, const double *wc, const double *qc, double dt,
                            const double *extrapolation, double tol, int64_t max_iter,
-                           int64_t steps, double *states, int64_t *iterations, double *work,
-                           double *residual)
+                           int64_t history, int64_t steps, double *states, int64_t *iterations,
+                           double *work, double *residual)
 {
     int64_t dim = 2 * n;
     double half_dt = 0.5 * dt, rate = 4.0 / dt;
@@ -203,8 +210,9 @@ int64_t avf_integrate_full(gemv_fn gemv, pttrs_fn pttrs, int64_t n, const double
     double *solve_work = update + 3 * n;
 
     for (int64_t step = 0; step < steps; step++) {
-        const double *u0 = states + step * dim, *v0 = u0 + n, *first = u0;
-        if (step >= 7) {
+        int64_t row = history + step;
+        const double *u0 = states + row * dim, *v0 = u0 + n, *first = u0;
+        if (row >= 7) {
             extrapolate(gemv, extrapolation, dim, u0, start);
             first = start;
         }
@@ -234,7 +242,7 @@ int64_t avf_integrate_full(gemv_fn gemv, pttrs_fn pttrs, int64_t n, const double
             }
         }
         iterations[step] = it;
-        double *u1 = states + (step + 1) * dim, *v1 = u1 + n;
+        double *u1 = states + (row + 1) * dim, *v1 = u1 + n;
         for (int64_t i = 0; i < n; i++) {
             u1[i] = 2.0 * um[i] - u0[i];
             v1[i] = rate * (um[i] - u0[i]) - v0[i];

@@ -27,17 +27,22 @@ import numpy as np
 from ._binio import FileFormatError
 from .deim import build_deim
 
-# The pipeline does not call `integrate`, `save_basis`, `make_wave_rhs` or
-# `make_wave_energy`; they stay in this namespace because perfbench calls
-# them or its tracer wraps them.
+# The pipeline does not call `integrate`, `load_trajectory`,
+# `save_trajectory`, `save_basis`, `make_wave_rhs` or `make_wave_energy`;
+# they stay in this namespace because perfbench calls them or its tracer
+# wraps them.
 from .integrator import (
     IntegratorConfig,
     PicardDivergenceError,
+    Trajectory,
     integrate,  # noqa: F401
-    load_trajectory,
-    save_trajectory,
+    load_trajectory,  # noqa: F401
+    open_trajectory,
+    save_trajectory,  # noqa: F401
+    trajectory_writer,
 )
 from .metrics import (
+    _BLOCK,
     RunReport,
     e_inf,
     energy_series_of_states,
@@ -208,8 +213,8 @@ def build_config(args) -> PipelineConfig:
         raise ConfigError(str(exc)) from exc
     if cfg.stride < 1 or cfg.deim_mult < 1:
         raise ConfigError("stride and deim_mult must be positive")
-    # checked before anything is allocated: every stage holds the whole
-    # full-order trajectory in memory
+    # checked before anything is allocated or written: a trajectory file
+    # larger than physical memory marks a run that cannot be meant
     size = 8 * 2 * cfg.n * (steps + 1)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if size > memory:
@@ -247,24 +252,46 @@ def _timed_run(run, model):
 
 def cmd_fom(cfg: PipelineConfig) -> dict:
     """Run the full-order model (AVF steps) and persist trajectory + energy
-    series.  `--out` is created only once the run has succeeded."""
+    series.
+
+    The run goes in blocks of `_BLOCK` states through one window: each
+    block's energies are taken and the block is appended to a temporary
+    file in `--out`, or beside it when it does not exist yet, which
+    becomes `fom_trajectory.bin` once the run has succeeded; only then is
+    `--out` created.  `online_seconds` is the integration time of the
+    blocks."""
     wcfg = cfg.wave_config()
     icfg = cfg.integrator_config()
     fom = assemble_wave_fom(wcfg)
-    traj, seconds = _timed_run(
-        lambda: fom.integrate(initial_state(wcfg), icfg), "the full-order model"
-    )
-    series = energy_series_of_states(fom.energy, traj, wcfg.dx)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_trajectory(traj, out / "fom_trajectory.bin", dt=cfg.dt)
-    write_series_csv(out / "fom_energy.csv", traj.times, series)
+    count = icfg.step_count() + 1
+    times = np.arange(count) * cfg.dt
+    blocks = fom.integrate_blocks(initial_state(wcfg), icfg, _BLOCK)
+    series, iterations, seconds = [], [], 0.0
+    # the file grows in --out when it exists, else beside it, which may be
+    # another directory to write in
+    directory = out if out.is_dir() else out.parent
+    directory.mkdir(parents=True, exist_ok=True)
+    with trajectory_writer(out / "fom_trajectory.bin", fom.dim, count, cfg.dt,
+                           directory=directory) as append:
+        for start in range(0, count, _BLOCK):
+            (states, iters), block_seconds = _timed_run(lambda: next(blocks),
+                                                        "the full-order model")
+            block = Trajectory(states, times[start : start + _BLOCK])
+            series.append(energy_series_of_states(fom.energy, block, wcfg.dx))
+            iterations.append(iters)
+            append(states)
+            seconds += block_seconds
+        out.mkdir(exist_ok=True)
+    series = np.concatenate(series)
+    iterations = np.concatenate(iterations)
+    write_series_csv(out / "fom_energy.csv", times, series)
     summary = {
         "h_dx": float(series[0]),
         "h_dx_drift_max": float(np.max(np.abs(series - series[0]))),
-        "steps": traj.steps,
+        "steps": count - 1,
         "online_seconds": seconds,
-        "picard_avg_iters": float(np.mean(traj.picard_iters)) if traj.steps else 0.0,
+        "picard_avg_iters": float(np.mean(iterations)) if count > 1 else 0.0,
     }
     _write_json(out / "fom_summary.json", summary)
     return summary
@@ -274,11 +301,10 @@ def _fom_trajectory_path(cfg, traj_path=None):
     return Path(traj_path) if traj_path else Path(cfg.out) / "fom_trajectory.bin"
 
 
-def _load_fom_trajectory(cfg, traj_path=None):
-    """The full-order trajectory (default: cfg.out's), checked against the
+def _check_fom_trajectory(cfg, traj):
+    """Check the full-order trajectory file `traj` against the
     configuration: 2n values per state, step size dt and one state per
     step of t_final/dt, the initial state included."""
-    traj = load_trajectory(_fom_trajectory_path(cfg, traj_path))
     if traj.dim != 2 * cfg.n:
         raise ConfigError(
             f"trajectory dimension {traj.dim} does not match 2*n = {2 * cfg.n}"
@@ -291,7 +317,6 @@ def _load_fom_trajectory(cfg, traj_path=None):
             f"trajectory holds {len(traj)} states, but t_final = {cfg.t_final!r} "
             f"at dt = {cfg.dt!r} takes {count}"
         )
-    return traj
 
 
 def _offline_step(what, build, *args):
@@ -305,7 +330,6 @@ def _offline_step(what, build, *args):
 def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
     """Build bases, interpolation models, and reduced-model artifacts."""
     n = cfg.n
-    traj = _load_fom_trajectory(cfg, traj_path)
     fom = assemble_wave_fom(cfg.wave_config())
     G_fn = fom.G
     variants = [RomVariant.from_tag(tag) for tag in cfg.variants]
@@ -314,25 +338,29 @@ def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
         flag: any(v.kind == "sp-deim" and v.shifted == flag for v in variants)
         for flag in sorted({v.shifted for v in variants})
     }
-
-    set_u = collect(traj, cfg.stride, lambda z: z[:n], "state-u")
-    # each basis needs r (each interpolation basis s >= r) snapshot columns
     r_max = max(cfg.r_list)
     s_max = cfg.deim_mult * r_max
     needs_g = any(deim_for.values())
-    what, size = f"rank r={r_max}", r_max
-    if needs_g:
-        what, size = f"interpolation size s={s_max} (r={r_max})", s_max
-    if size > min(n, set_u.count):
-        raise ConfigError(
-            f"{what} exceeds min(n, snapshot count) = min({n}, {set_u.count}): "
-            f"stride {cfg.stride} samples {set_u.count} of {len(traj)} states"
-        )
-    set_v = collect(traj, cfg.stride, lambda z: z[n:], "state-v")
-    set_g = collect(traj, cfg.stride, lambda z: G_fn(z[:n]), "nonlinear-G") if needs_g else None
+
+    # only the sampled states are read
+    with open_trajectory(_fom_trajectory_path(cfg, traj_path)) as traj:
+        _check_fom_trajectory(cfg, traj)
+        set_u = collect(traj, cfg.stride, lambda z: z[:n], "state-u")
+        # each basis needs r (each interpolation basis s >= r) snapshot columns
+        what, size = f"rank r={r_max}", r_max
+        if needs_g:
+            what, size = f"interpolation size s={s_max} (r={r_max})", s_max
+        if size > min(n, set_u.count):
+            raise ConfigError(
+                f"{what} exceeds min(n, snapshot count) = min({n}, {set_u.count}): "
+                f"stride {cfg.stride} samples {set_u.count} of {len(traj)} states"
+            )
+        set_v = collect(traj, cfg.stride, lambda z: z[n:], "state-v")
+        set_g = collect(traj, cfg.stride, lambda z: G_fn(z[:n]), "nonlinear-G") if needs_g else None
+        [z0] = traj.rows([0])
     sets = {False: (set_u, set_v, set_g)}
     if True in deim_for:
-        u0, v0 = traj.states[0, :n], traj.states[0, n:]
+        u0, v0 = z0[:n], z0[n:]
         set_g_shift = shift(set_g, G_fn(u0)) if deim_for[True] else None
         sets[True] = (shift(set_u, u0), shift(set_v, v0), set_g_shift)
 
@@ -388,10 +416,10 @@ def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
 _TIMING_REPEATS = 3
 
 
-def _online_run(cfg, model, fom_traj, fom_series):
+def _online_run(cfg, model, fom_traj, z0, fom_series):
     icfg = cfg.integrator_config()
     dx = cfg.wave_config().dx
-    coeffs0 = model.initial_coefficients(fom_traj.states[0])
+    coeffs0 = model.initial_coefficients(z0)
 
     def run():
         return model.integrate(coeffs0, icfg)
@@ -434,25 +462,29 @@ def _online_stage(cfg, rom_paths, traj_path=None):
     except ValueError as exc:  # an artifact was built for another n
         raise ConfigError(str(exc)) from None
     traj_path = _fom_trajectory_path(cfg, traj_path)
-    fom_traj = _load_fom_trajectory(cfg, traj_path)
-    fom_series = read_series_csv(traj_path.with_name("fom_energy.csv"), fom_traj.times)
-    # the configured system must be the one that wrote the trajectory: its
-    # energy of the first state (c and length enter through A and dx) is
-    # the series' first value, up to the rounding of the stacked sums
-    h0 = wcfg.dx * float(fom.energy(fom_traj.states[0]))
-    if not math.isclose(h0, float(fom_series[0]), rel_tol=1e-12):
-        raise ConfigError(
-            f"the configured system gives the trajectory's initial state the energy "
-            f"H*dx = {h0!r}, but fom_energy.csv starts at {float(fom_series[0])!r}: "
-            "the trajectory was run with another wave speed or domain length"
-        )
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    reports = []
-    for model in models:
-        report, rom_traj, series = _online_run(cfg, model, fom_traj, fom_series)
-        _write_report(out, report, rom_traj.times, series)
-        reports.append(report)
+    # e_inf reads the full-order states one block at a time
+    with open_trajectory(traj_path) as fom_traj:
+        _check_fom_trajectory(cfg, fom_traj)
+        fom_series = read_series_csv(traj_path.with_name("fom_energy.csv"), fom_traj.times)
+        # the configured system must be the one that wrote the trajectory:
+        # its energy of the first state (c and length enter through A and
+        # dx) is the series' first value, up to the rounding of the stacked
+        # sums
+        [z0] = fom_traj.rows([0])
+        h0 = wcfg.dx * float(fom.energy(z0))
+        if not math.isclose(h0, float(fom_series[0]), rel_tol=1e-12):
+            raise ConfigError(
+                f"the configured system gives the trajectory's initial state the energy "
+                f"H*dx = {h0!r}, but fom_energy.csv starts at {float(fom_series[0])!r}: "
+                "the trajectory was run with another wave speed or domain length"
+            )
+        out = Path(cfg.out)
+        out.mkdir(parents=True, exist_ok=True)
+        reports = []
+        for model in models:
+            report, rom_traj, series = _online_run(cfg, model, fom_traj, z0, fom_series)
+            _write_report(out, report, rom_traj.times, series)
+            reports.append(report)
     return reports
 
 

@@ -218,13 +218,19 @@ class TwoBlockSystem:
         """AVF integration from z0 over config's steps; see `_native.integrate`."""
         return _native.integrate(self, z0, config)
 
-    def _integrate_compiled(self, loops, z0, config):
-        """`integrate` through the full-order loop of `_native.load`'s `loops`."""
+    def integrate_blocks(self, z0, config: IntegratorConfig, rows):
+        """The states of `integrate` in blocks of `rows`, each with its
+        Picard iterations, from one reused window; see `_native.blocks`."""
+        return _native.blocks(self, z0, config, rows)
+
+    def _compiled(self, loops, config):
+        """The full-order loop of `_native.load`'s `loops`, its leading
+        arguments at config.dt, arrays for pointers, and its work doubles,
+        for `_native.run`."""
         qc, factor = self._avf_operators(config.dt)
-        e, wc = (None if a is None else a.ctypes.data for a in (factor.e, factor.wc))
-        args = [loops.gemv, loops.pttrs, self.n, factor.d.ctypes.data, e, wc, qc.ctypes.data,
-                config.dt, _EXTRAPOLATION.ctypes.data]
-        return _native.run(loops.full, args, np.empty(9 * self.n + 2), z0, config)
+        args = [loops.gemv, loops.pttrs, self.n, factor.d, factor.e, factor.wc, qc, config.dt,
+                _EXTRAPOLATION]
+        return loops.full, args, np.empty(9 * self.n + 2)
 
 
 def _check_elementwise_derivative(G, g, step=1e-6):

@@ -26,42 +26,49 @@ but the full-order step solves its linear part exactly, so they cost no
 extra iterations.
 
 Through `TwoBlockSystem.integrate` and `ReducedModel.integrate`, the
-pipeline gives `integrate_steps` the average-vector-field (AVF)
-discrete-gradient steps of `TwoBlockSystem.make_step` and
-`ReducedModel.make_step`: they replace the nonlinearity at the midpoint
-by its exact mean over the step, which conserves every energy of the
-form z' = D grad H(z), and they solve with the stiff linear part
-factored once.  With no nonlinearity AVF is exactly the midpoint rule.
-For the wave, both `integrate` methods run their steps in a compiled
-loop instead, which repeats this module's extrapolated start and
-stopping rule bit for bit; the loops share `allocate_states` with
-`integrate_steps`.
+pipeline gives `advance_steps`, the stepping loop of `integrate_steps`,
+the average-vector-field (AVF) discrete-gradient steps of
+`TwoBlockSystem.make_step` and `ReducedModel.make_step`: they replace the
+nonlinearity at the midpoint by its exact mean over the step, which
+conserves every energy of the form z' = D grad H(z), and they solve with
+the stiff linear part factored once.  With no nonlinearity AVF is exactly
+the midpoint rule.  For the wave, both `integrate` methods run their
+steps in a compiled loop instead, which repeats this module's
+extrapolated start and stopping rule bit for bit.
 
 Every solve stops by `picard_converged`: convergence is measured on the
 iterate update in max-norm, relative with absolute floor 1, and a
 non-finite update stops the solve at once.  `picard_solve` iterates any
 map that returns a new iterate; the midpoint step and both AVF steps
-solve with it.  `integrate_steps` keeps the extrapolated first iterates
+solve with it.  `advance_steps` keeps the extrapolated first iterates
 in two buffers of its own, used in turn, so `start` is valid only during
 the call that receives it.
 
-Trajectory states never live in the malloc heap, where tens of MB would
+Memory.  `advance_steps` and the compiled loops resume an integration
+from a window whose rows before the current state hold the last seven
+states, so an integration can run block by block in one small window
+(`TwoBlockSystem.integrate_blocks`) with the states of one run, bit for
+bit.  `hamrom fom` runs that way and appends each block to the file
+through `trajectory_writer`; `open_trajectory` reads the file back a few
+states at a time with pread.  No stage holds the whole full-order
+trajectory, so its memory does not grow with the run length.  Whole
+trajectories (`integrate_steps`, the reduced runs) live in an anonymous
+mapping of their own, never in the malloc heap, where tens of MB would
 stay resident after they are freed and leave a hole that later
-allocations fragment, so the process's peak memory would depend on the
-order of unrelated small allocations.  `integrate_steps` writes them into
-an anonymous mapping of their own; `load_trajectory` returns a private
-copy-on-write map of the file, which reads pages on first touch instead
-of copying the whole payload, and keeps the states writable without
-changing the file.  Either mapping is unmapped when the array is freed.
-`save_trajectory` writes a new file and renames it over the old one, so a
-file that a loaded trajectory still maps is never truncated under it.
+allocations fragment; the mapping is unmapped when the array is freed.
+`load_trajectory` maps a whole file copy-on-write.  Every file is written
+under a unique temporary name and renamed over the old one, so a file
+that a loaded trajectory still maps is never truncated under it.
 """
 
+import contextlib
+import functools
 import itertools
 import math
 import mmap
 import os
 import struct
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +83,12 @@ __all__ = [
     "picard_solve",
     "integrate",
     "integrate_steps",
+    "advance_steps",
     "allocate_states",
     "save_trajectory",
+    "trajectory_writer",
+    "TrajectoryFile",
+    "open_trajectory",
     "load_trajectory",
 ]
 
@@ -170,6 +181,15 @@ class Trajectory:
     def steps(self) -> int:
         return self.states.shape[0] - 1
 
+    def rows(self, indices) -> np.ndarray:
+        """The states at `indices`, one row each."""
+        return self.states[np.asarray(indices, dtype=np.intp)]
+
+    def blocks(self, size):
+        """Yield (start, states[start : start + size]) for start = 0, size, ..."""
+        for start in range(0, len(self), size):
+            yield start, self.states[start : start + size]
+
 
 def picard_converged(update, x, iteration, config: IntegratorConfig) -> bool:
     """The stopping rule of every Picard solve, after update `iteration`.
@@ -237,46 +257,59 @@ def integrate_steps(step, z0, config: IntegratorConfig, observer=None) -> Trajec
 
     `step(z, start)` returns (z_new, iterations), solving from the first
     iterate `start`, and is built for config.dt (`TwoBlockSystem.make_step`,
-    `ReducedModel.make_step`).  `start` is z for the first seven steps and
-    the degree-7 extrapolation of the last eight stored states afterwards,
-    written into one of two buffers in turn; the step may read it, or
-    return it as z_new, but not keep it past the next call.
-    The observer, if given, is called after each step as
-    observer(step_index, t, state).  Picard failures are re-raised with
-    the offending step index attached.
+    `ReducedModel.make_step`); `advance_steps` runs it.  The observer, if
+    given, is called after each step as observer(step_index, t, state).
+    Picard failures are re-raised with the offending step index attached.
     """
-    states = allocate_states(z0, config)
-    steps = states.shape[0] - 1
-    z = states[0]
-    # two start buffers in turn: a step that returns its start leaves the
-    # next state in the buffer that the next extrapolation does not write
-    starts = tuple(np.empty((2, z.shape[0])))
-    iters = []
     dt = config.dt
-    for k in range(steps):
-        start = z if k < 7 else np.dot(_EXTRAPOLATION, states[k - 7 : k + 1], starts[k & 1])
-        try:
-            z, it = step(z, start)
-        except PicardDivergenceError as exc:
-            raise PicardDivergenceError(exc.iterations, exc.residual, step=k) from None
-        iters.append(it)
-        states[k + 1] = z
-        if observer is not None:
-            observer(k + 1, (k + 1) * dt, z)
-    iters = np.array(iters, dtype=np.int64)
-    times = np.arange(steps + 1) * dt
+    states = allocate_states(z0, config.step_count() + 1)
+    watch = None if observer is None else lambda k, z: observer(k, k * dt, z)
+    iters = advance_steps(step, states, 0, states.shape[0] - 1, watch)
+    times = np.arange(states.shape[0]) * dt
     return Trajectory(states, times, picard_iters=iters, dt=dt)
 
 
-def allocate_states(z0, config: IntegratorConfig) -> np.ndarray:
-    """The states of an integration of `config` from z0: round(t_final/dt)
-    + 1 rows in an anonymous mapping of their own, z0 in the first row
-    and the others unset.  Raises ValueError for a non-finite z0."""
+def advance_steps(step, window, history, steps, observer=None) -> np.ndarray:
+    """Apply the one-step map `step` `steps` times from the state
+    window[history], writing window[history + 1 : history + 1 + steps];
+    returns the Picard iterations of each step.
+
+    The `history` <= 7 rows before window[history] hold the states that
+    preceded it, the last seven or all of them, so an integration resumed
+    in a new window solves from the first iterates that one run would:
+    `start` is z for the first seven steps of the integration and the
+    degree-7 extrapolation of the last eight states afterwards, written
+    into one of two buffers in turn; the step may read it, or return it as
+    z_new, but not keep it past the next call.  The observer, if given, is
+    called after each step as observer(row, state).  Picard failures are
+    re-raised with the index of the failing step of this call attached.
+    """
+    z = window[history]
+    # two start buffers in turn: a step that returns its start leaves the
+    # next state in the buffer that the next extrapolation does not write
+    starts = tuple(np.empty((2, z.shape[0])))
+    iters = np.empty(steps, dtype=np.int64)
+    for j in range(steps):
+        k = history + j
+        start = z if k < 7 else np.dot(_EXTRAPOLATION, window[k - 7 : k + 1], starts[k & 1])
+        try:
+            z, iters[j] = step(z, start)
+        except PicardDivergenceError as exc:
+            raise PicardDivergenceError(exc.iterations, exc.residual, step=j) from None
+        window[k + 1] = z
+        if observer is not None:
+            observer(k + 1, z)
+    return iters
+
+
+def allocate_states(z0, rows, first=0) -> np.ndarray:
+    """`rows` states in an anonymous mapping of their own, z0 in row
+    `first` and the others unset.  Raises ValueError for a non-finite z0."""
     z0 = np.asarray(z0, dtype=float)
     if not np.all(np.isfinite(z0)):
         raise ValueError("initial state contains non-finite entries")
-    states = _mapped_empty((config.step_count() + 1, z0.shape[0]))
-    states[0] = z0
+    states = _mapped_empty((rows, z0.shape[0]))
+    states[first] = z0
     return states
 
 
@@ -285,28 +318,128 @@ def allocate_states(z0, config: IntegratorConfig) -> np.ndarray:
 
 
 def save_trajectory(traj: Trajectory, path, dt=None):
-    """Write a trajectory to disk (magic HRTRAJ01, float64 payload).
+    """Write a trajectory to disk (magic HRTRAJ01, float64 payload) through
+    `trajectory_writer`.
 
     The step stored is `dt`, else `traj.dt`, else the first time
-    difference (0.0 for a single state).  The file is written as
-    `<path>.tmp` and renamed over `path`: a trajectory loaded from the
-    old file keeps mapping the old contents.
+    difference (0.0 for a single state).
     """
     if dt is None:
         dt = traj.dt
     if dt is None:
         dt = float(traj.times[1] - traj.times[0]) if len(traj) > 1 else 0.0
-    header = _TRAJ_HEADER.pack(_TRAJ_MAGIC, 1, traj.dim, len(traj), dt, float(traj.times[0]))
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        write_array(fh, traj.states)
-    os.replace(tmp, path)
+    with trajectory_writer(path, traj.dim, len(traj), dt, float(traj.times[0])) as append:
+        append(traj.states)
 
 
-def load_trajectory(path) -> Trajectory:
-    """Read a trajectory file; its states are a copy-on-write map of it."""
-    with open(path, "rb") as fh:
+@contextlib.contextmanager
+def trajectory_writer(path, dim, count, dt, t0=0.0, directory=None):
+    """Write the trajectory file of `count` states of `dim` values block
+    by block: the with-block receives append(states), which writes rows
+    after those appended before.
+
+    The rows go to a new temporary file of a unique name in `directory`
+    (default: the directory of `path`), which is renamed over `path` once
+    the with-block has ended without an error and appended exactly `count`
+    states.  On any failure the file is removed, and `path` is left as it
+    was.  A trajectory loaded from an old file keeps mapping its contents.
+    """
+    if directory is None:
+        directory = os.path.dirname(os.fspath(path)) or os.curdir
+    fd, tmp = tempfile.mkstemp(prefix=".trajectory-", suffix=".tmp", dir=directory)
+    try:
+        os.fchmod(fd, 0o666 & ~_umask())  # the mode that open() would give
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_TRAJ_HEADER.pack(_TRAJ_MAGIC, 1, dim, count, dt, t0))
+            yield functools.partial(write_array, fh)
+            if fh.tell() != _TRAJ_HEADER.size + 8 * dim * count:
+                raise ValueError(f"{path}: {count} states announced, "
+                                 f"{(fh.tell() - _TRAJ_HEADER.size) // (8 * dim)} written")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _umask():
+    """The process's file mode creation mask, which only setting it reads."""
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
+class TrajectoryFile:
+    """A trajectory file opened for reading a few states at a time.
+
+    `open_trajectory` checks the header and the payload size before any
+    state is read.  `rows` and `blocks` read states with pread, so a
+    process holds only the states it has asked for: a mapping of the file
+    would bring whole large folios of the page cache into its resident set
+    around every page it touches.  Use it as a context manager, or close
+    it.
+    """
+
+    def __init__(self, path, fh, dim, count, dt, t0):
+        self.path = path
+        self._fh = fh
+        self.dim = dim
+        self.dt = dt
+        self.times = t0 + np.arange(count) * dt
+        self._row_bytes = 8 * dim
+
+    def __len__(self):
+        return self.times.shape[0]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        self._fh.close()
+
+    def rows(self, indices) -> np.ndarray:
+        """The states at `indices`, one pread each."""
+        indices = np.asarray(indices, dtype=np.intp)
+        out = np.empty((indices.shape[0], self.dim), dtype="<f8")
+        for row, k in zip(out, indices.tolist()):
+            self._read(k, row)
+        return out
+
+    def blocks(self, size):
+        """Yield (start, states[start : start + size]) for start = 0, size,
+        ..., each block read with one pread into the same buffer, which the
+        next block overwrites."""
+        buffer = np.empty((min(size, len(self)), self.dim), dtype="<f8")
+        for start in range(0, len(self), size):
+            block = buffer[: min(size, len(self) - start)]
+            self._read(start, block)
+            yield start, block
+
+    def _read(self, start, out):
+        """Read states start, start + 1, ... into the C-ordered `out`."""
+        if not 0 <= start < len(self):
+            raise IndexError(f"state {start} of a trajectory of {len(self)} states")
+        view = memoryview(out).cast("B")
+        offset = _TRAJ_HEADER.size + start * self._row_bytes
+        done = 0
+        while done < len(view):
+            got = os.preadv(self._fh.fileno(), [view[done:]], offset + done)
+            if got == 0:
+                raise FileFormatError(
+                    f"{self.path}: truncated file: expected {len(view)} bytes of state "
+                    f"data from state {start}, got {done}"
+                )
+            done += got
+
+
+def open_trajectory(path) -> TrajectoryFile:
+    """Open a trajectory file for reading; raises FileFormatError naming the
+    file for a bad header or a payload of another size than it claims."""
+    fh = open(path, "rb")
+    try:
         head = read_exact(fh, _TRAJ_HEADER.size, "trajectory header")
         magic, version, dim, count, dt, t0 = _TRAJ_HEADER.unpack(head)
         if magic != _TRAJ_MAGIC:
@@ -316,6 +449,22 @@ def load_trajectory(path) -> Trajectory:
         if dim == 0 or count == 0:
             raise FileFormatError(f"{path}: implausible dimensions {dim} x {count}")
         check_payload(fh, 8 * dim * count, "state data", path)
-    states = np.memmap(path, "<f8", mode="c", offset=_TRAJ_HEADER.size, shape=(count, dim))
-    times = t0 + np.arange(count) * dt
-    return Trajectory(states, times, dt=dt)
+    except BaseException:
+        fh.close()
+        raise
+    return TrajectoryFile(path, fh, dim, count, dt, t0)
+
+
+def load_trajectory(path) -> Trajectory:
+    """Read a whole trajectory file; its states are a private copy-on-write
+    map of it, checked as `open_trajectory` checks it.
+
+    The map is writable without changing the file.  Touching a page of it
+    maps the page cache around that page, whole large folios of it, so the
+    resident set grows by more than the states read; `open_trajectory`
+    reads only what is asked for.
+    """
+    with open_trajectory(path) as traj:
+        shape = (len(traj), traj.dim)
+    states = np.memmap(path, "<f8", mode="c", offset=_TRAJ_HEADER.size, shape=shape)
+    return Trajectory(states, traj.times, dt=traj.dt)

@@ -5,12 +5,13 @@ point of the Euclidean mismatch in the (u, v) pair,
 
     e_inf = max_k max_i sqrt((u_h - u_r)_i^2 + (v_h - v_r)_i^2),
 
-evaluated against the full-order trajectory in blocks of states.
-Energy series are reported scaled by the mesh size dx, which makes them
-consistent approximations of the continuum Hamiltonian; every series,
-full-order or reduced, takes one energy call per block of states.  A
-series written by `write_series_csv` reads back bit-exactly with
-`read_series_csv`.
+evaluated against the full-order trajectory in blocks of states, which
+it reads one block at a time (`Trajectory.blocks`, or
+`TrajectoryFile.blocks` for a trajectory file).  Energy series are
+reported scaled by the mesh size dx, which makes them consistent
+approximations of the continuum Hamiltonian; every series, full-order or
+reduced, takes one energy call per block of states.  A series written by
+`write_series_csv` reads back bit-exactly with `read_series_csv`.
 """
 
 import math
@@ -33,9 +34,9 @@ __all__ = [
     "read_series_csv",
 ]
 
-# States per energy call and per e_inf block: each holds a few arrays of
-# _BLOCK x n entries, which 32 rows keep cache-sized for n up to a few
-# thousand.  (On a 2-core x86 VM, 256-row full-order energy calls at
+# States per energy call, per e_inf block and per block of `hamrom fom`:
+# each holds a few arrays of _BLOCK x n entries, which 32 rows keep
+# cache-sized for n up to a few thousand.  (On a 2-core x86 VM, 256-row full-order energy calls at
 # n=2000, 4 MB per array, took 4x longer per state than one-state calls.)
 _BLOCK = 32
 
@@ -70,10 +71,11 @@ class EvalCounter:
         return self.fn(x)
 
 
-def e_inf(fom_traj: Trajectory, rom_traj: Trajectory, model) -> float:
+def e_inf(fom_traj, rom_traj: Trajectory, model) -> float:
     """Spatio-temporal max error of a reduced run against the full one.
 
-    Every stored full-order state is compared against the reconstruction
+    Every stored full-order state of `fom_traj`, a `Trajectory` or an
+    `integrator.TrajectoryFile`, is compared against the reconstruction
     of the reduced coefficients of the same step, `_BLOCK` steps at a time.
     A block is reconstructed in trajectory layout, one state per row
     (coeffs @ phi^T + ref), and the squared mismatch is reduced in place;
@@ -86,8 +88,7 @@ def e_inf(fom_traj: Trajectory, rom_traj: Trajectory, model) -> float:
     n, r_u = model.n, model.r_u
     phi_u_t, phi_v_t = model.phi_u.T, model.phi_v.T
     worst = 0.0
-    for start in range(0, len(fom_traj), _BLOCK):
-        block = fom_traj.states[start : start + _BLOCK]
+    for start, block in fom_traj.blocks(_BLOCK):
         coeffs = rom_traj.states[start : start + _BLOCK]
         du = coeffs[:, :r_u] @ phi_u_t
         du += model.u_ref
@@ -124,9 +125,7 @@ def hamiltonian_series(model, rom_traj: Trajectory, dx, fom_series=None):
 
 def energy_series_of_states(energy_fn, traj: Trajectory, dx) -> np.ndarray:
     """Scaled energy of every state, one `energy_fn` call per block of states."""
-    return dx * np.concatenate(
-        [energy_fn(traj.states[k : k + _BLOCK]) for k in range(0, len(traj), _BLOCK)]
-    )
+    return dx * np.concatenate([energy_fn(states) for _, states in traj.blocks(_BLOCK)])
 
 
 def time_online(fn):
@@ -139,10 +138,10 @@ def time_online(fn):
 def write_series_csv(path, times, values):
     """Write a `t,value` CSV; each number is the shortest repr that
     round-trips its float64 value."""
+    times, values = (np.asarray(a, dtype=float).tolist() for a in (times, values))
+    text = "".join([f"{t!r},{v!r}\n" for t, v in zip(times, values)])
     with open(path, "w") as fh:
-        fh.write("t,value\n")
-        for t, v in zip(times, values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+        fh.write("t,value\n" + text)
 
 
 def read_series_csv(path, times) -> np.ndarray:

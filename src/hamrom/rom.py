@@ -313,18 +313,18 @@ class ReducedModel:
         `_native.integrate`."""
         return _native.integrate(self, z0, config)
 
-    def _integrate_compiled(self, loops, z0, config):
-        """`integrate` through the reduced loop of `_native.load`'s `loops`,
-        or None where an operator has a single row or column, which np.dot
-        multiplies without BLAS gemv."""
+    def _compiled(self, loops, config):
+        """The reduced loop of `_native.load`'s `loops`, its leading
+        arguments at config.dt, arrays for pointers, and its work doubles,
+        for `_native.run`; None where an operator has a single row or
+        column, which np.dot multiplies without BLAS gemv."""
         if min(self.r_u, self.r_v, self._P.shape[0]) < 2:
             return None
         K, K_plus, k_inv, B, dt_m, dt_c = self._avf_operators(config.dt)
         m = self._P.shape[0]
-        operands = (K_plus, k_inv, K, B, dt_m, self._P, dt_c, self._x_ref, _EXTRAPOLATION)
-        args = [loops.gemv, self.dim, self.r_u, m, *(a.ctypes.data for a in operands)]
-        work = np.empty(9 * self.dim + 3 * m)
-        return _native.run(loops.reduced, args, work, z0, config)
+        args = [loops.gemv, self.dim, self.r_u, m, K_plus, k_inv, K, B, dt_m, self._P, dt_c,
+                self._x_ref, _EXTRAPOLATION]
+        return loops.reduced, args, np.empty(9 * self.dim + 3 * m)
 
     def rhs(self, z) -> np.ndarray:
         return self.make_rhs()(z)

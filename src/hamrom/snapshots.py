@@ -45,8 +45,10 @@ class SnapshotSet:
 def collect(traj, stride, extractor, kind) -> SnapshotSet:
     """Sample a trajectory at steps 0, stride, 2*stride, ..., final inclusive.
 
-    The extractor maps a full state row to the sampled vector (for example
-    a block slice, or a nonlinear function of it).
+    `traj` is a `Trajectory` or an `integrator.TrajectoryFile`, which reads
+    only the sampled states.  The extractor maps a full state row to the
+    sampled vector (for example a block slice, or a nonlinear function of
+    it).
     """
     if len(traj) < 1:
         raise ValueError("cannot collect snapshots from an empty trajectory")
@@ -56,7 +58,7 @@ def collect(traj, stride, extractor, kind) -> SnapshotSet:
     steps = list(range(0, last + 1, stride))
     if steps[-1] != last:
         steps.append(last)
-    cols = np.column_stack([extractor(traj.states[k]) for k in steps])
+    cols = np.column_stack([extractor(z) for z in traj.rows(steps)])
     return SnapshotSet(cols, steps, kind)
 
 

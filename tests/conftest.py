@@ -117,8 +117,8 @@ def compiled(monkeypatch):
     if they take the numpy path.  Skips where the loops cannot be built
     (no C compiler, or a numpy or scipy without its bundled OpenBLAS);
     where they can, their probe must pass.  The probe runs first, since
-    it calls the same `integrate_steps`; while the patch is active no test
-    may clear `_native.checked`'s cache."""
+    it calls `integrate_steps`; while the patch is active no test may
+    clear `_native.checked`'s cache."""
     if _native.load() is None:
         pytest.skip("the compiled AVF loops are unavailable here")
     assert _native.checked() is not None
@@ -126,7 +126,7 @@ def compiled(monkeypatch):
     def numpy_path(*args):
         raise AssertionError("integrate took the numpy path")
 
-    monkeypatch.setattr(_native, "integrate_steps", numpy_path)
+    monkeypatch.setattr(_native, "advance_steps", numpy_path)
 
 
 def check_skew(matrix, tol):

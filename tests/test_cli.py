@@ -1,8 +1,11 @@
 import ast
 import importlib.util
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -599,6 +602,13 @@ def test_failed_fom_run_leaves_no_output_directory(tmp_path, capsys):
     assert main(argv) == 3
     assert "full-order model at step 0" in capsys.readouterr().err
     assert not out.exists()
+    assert list(tmp_path.iterdir()) == []  # nor a temporary file beside it
+    # over an earlier run, a failed one leaves that run's files as they were
+    assert main(argv[:5] + argv[7:]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main(argv) == 3
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert list(tmp_path.iterdir()) == [out]
 
 
 @pytest.mark.parametrize("flags", (["--c-speed", "0.3"], ["--length", "2"]))
@@ -757,3 +767,36 @@ def test_every_shim_is_a_name_the_benchmark_uses():
     }
     assert shims, "no shim found: the check would pass vacuously"
     assert sorted(shims - set(tracer.SPANNED) - used) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_memory_does_not_grow_with_the_horizon(tmp_path):
+    # each stage in a process of its own at n = 500, over t = 5 and t = 50
+    # with 101 snapshots each; the full-order trajectory is 4 MB and 40 MB.
+    # The child reports the peak of its own memory map, VmHWM: Linux keeps
+    # ru_maxrss over fork and exec, so a child's reads at least the size
+    # of the test process.
+    script = (
+        "import sys\n"
+        "from hamrom import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "[peak] = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+        "print(code, peak.split()[1])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get(
+        "PYTHONPATH"))))}
+    peak_mb = {}
+    for t_final, stride in (("5", "5"), ("50", "50")):
+        out = tmp_path / f"t{t_final}"
+        flags = ["--n", "500", "--t-final", t_final, "--stride", stride, "--r", "10",
+                 "--variants", "sp-deim-2", "--out", str(out)]
+        for stage, extra in (("fom", []), ("offline", []),
+                             ("online", ["--rom", str(out / "rom_sp-deim-2_r10.bin")])):
+            run = subprocess.run([sys.executable, "-c", script, stage, *flags, *extra], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            code, kib = run.stdout.split()
+            assert (run.returncode, code) == (0, "0"), run.stderr
+            peak_mb[stage, t_final] = int(kib) / 1024
+    for stage in ("fom", "offline", "online"):
+        assert abs(peak_mb[stage, "50"] - peak_mb[stage, "5"]) < 8, peak_mb

@@ -11,6 +11,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 import hamrom
+from hamrom import integrator
 from hamrom._binio import FileFormatError
 from hamrom.integrator import (
     IntegratorConfig,
@@ -19,8 +20,10 @@ from hamrom.integrator import (
     integrate,
     integrate_steps,
     load_trajectory,
+    open_trajectory,
     picard_solve,
     save_trajectory,
+    trajectory_writer,
 )
 from hamrom.wave import WaveConfig, assemble_wave_fom, build_laplacian, initial_state
 
@@ -231,6 +234,68 @@ def test_trajectory_roundtrip_keeps_the_step_of_the_run(tmp_path):
     assert shifted.times[1] - shifted.times[0] != 0.1
     save_trajectory(shifted, path)
     assert load_trajectory(path).dt == 0.1
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, rng, monkeypatch):
+    # the old file stays as it was, and nothing else is left beside it
+    path = tmp_path / "traj.bin"
+    save_trajectory(Trajectory(rng.standard_normal((4, 3)), np.arange(4.0)), path, dt=1.0)
+    old = path.read_bytes()
+
+    def full_disk(fh, arr):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(integrator, "write_array", full_disk)
+    with pytest.raises(OSError, match="No space"):
+        save_trajectory(Trajectory(np.zeros((2, 3)), np.arange(2.0)), path, dt=1.0)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="3 states announced, 2 written"):
+        with trajectory_writer(path, 3, 3, 1.0) as append:
+            append(np.zeros((2, 3)))
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == old
+
+
+def test_concurrent_writers_do_not_share_a_temporary_file(tmp_path, rng):
+    # the writer that finishes last wins; neither sees the other's rows
+    path = tmp_path / "traj.bin"
+    first, second = rng.standard_normal((2, 5, 3))
+    with trajectory_writer(path, 3, 5, 0.5) as append_first:
+        append_first(first[:2])
+        with trajectory_writer(path, 3, 5, 0.5) as append_second:
+            append_second(second)
+            assert len(list(tmp_path.iterdir())) == 2
+        assert load_trajectory(path).states.tobytes() == second.tobytes()
+        append_first(first[2:])
+    assert load_trajectory(path).states.tobytes() == first.tobytes()
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_trajectory_file_reads_the_states_it_is_asked_for(tmp_path, rng):
+    path = tmp_path / "traj.bin"
+    states = rng.standard_normal((10, 4))
+    save_trajectory(Trajectory(states, 0.5 + 0.25 * np.arange(10)), path, dt=0.25)
+    with open_trajectory(path) as traj:
+        assert (len(traj), traj.dim, traj.dt) == (10, 4, 0.25)
+        assert np.array_equal(traj.times, load_trajectory(path).times)
+        assert traj.rows([9, 0, 4]).tobytes() == states[[9, 0, 4]].tobytes()
+        starts, blocks = zip(*((start, block.copy()) for start, block in traj.blocks(4)))
+        assert starts == (0, 4, 8) and [len(b) for b in blocks] == [4, 4, 2]
+        assert np.concatenate(blocks).tobytes() == states.tobytes()
+        with pytest.raises(IndexError):
+            traj.rows([10])
+
+
+def test_a_file_truncated_after_its_check_fails_to_read_naming_the_file(tmp_path, rng):
+    path = tmp_path / "traj.bin"
+    save_trajectory(Trajectory(rng.standard_normal((6, 3)), np.arange(6.0)), path, dt=1.0)
+    with open_trajectory(path) as traj:
+        os.truncate(path, path.stat().st_size - 8)
+        assert traj.rows([4]).shape == (1, 3)
+        with pytest.raises(FileFormatError, match=f"{path}: truncated file.*state 5"):
+            traj.rows([5])
+        with pytest.raises(FileFormatError, match=f"{path}: truncated file.*state 4"):
+            list(traj.blocks(2))
 
 
 def test_trajectory_truncation_detected(tmp_path, rng):

@@ -171,6 +171,19 @@ def test_series_csv_format(tmp_path):
     assert back.tobytes() == np.column_stack([times, values]).tobytes()
 
 
+def test_series_csv_bytes_are_those_of_one_row_at_a_time(tmp_path, rng):
+    # random float64 bit patterns, each finite one, with -0.0, subnormals
+    # and the extremes; the reference is the former per-row formatting
+    bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+    special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
+    values = np.concatenate([bits[np.isfinite(bits)], special])
+    times = values[::-1]
+    path = tmp_path / "series.csv"
+    write_series_csv(path, times, values)
+    rows = "".join(f"{float(t)!r},{float(v)!r}\n" for t, v in zip(times, values))
+    assert path.read_bytes() == ("t,value\n" + rows).encode()
+
+
 # every finite float64: subnormals, -0.0 and +-max included
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
