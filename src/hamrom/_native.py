@@ -12,11 +12,11 @@ compiler, a writable cache, either bundled OpenBLAS) or fails.
 `checked()`, run once per process, returns them only when both loops pass
 their probe; otherwise every integration takes the numpy path.
 
-`blocks` is the one runner of an AVF integration, for the full-order
-system and the reduced models alike, and the one place that chooses
-between a loop (`run`) and the numpy step (`advance_steps`); it yields
-the states block by block from one window.  `integrate` is its one-block
-case.
+`blocks` runs an AVF integration, for the full-order system and the
+reduced models alike, and is the one place that chooses between a loop
+(`run`) and the numpy step (`advance_steps`); it yields the states block
+by block from the one window of `integrator.run_blocks`.  `integrate` is
+its one-block case.
 """
 
 import ctypes
@@ -33,12 +33,13 @@ import numpy as np
 import scipy
 
 from .integrator import (
+    _EXTRAPOLATION,
     IntegratorConfig,
     PicardDivergenceError,
     Trajectory,
     advance_steps,
-    allocate_states,
     integrate_steps,
+    run_blocks,
 )
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_avf.c")
@@ -154,7 +155,7 @@ def checked():
     ):
         expected = integrate_steps(model.make_step(config), z0, config)
         got = [(states.copy(), iterations)
-               for states, iterations in _blocks(_advance(model, config, loops), z0, config, 5)]
+               for states, iterations in run_blocks(_advance(model, config, loops), z0, config, 5)]
         if not (np.array_equal(np.concatenate([s for s, _ in got]), expected.states)
                 and np.array_equal(np.concatenate([i for _, i in got]), expected.picard_iters)):
             return None
@@ -169,10 +170,7 @@ def integrate(system, z0, config) -> Trajectory:
     The result, Picard failures included, is that of
     `integrate_steps(system.make_step(config), z0, config)` bit for bit.
     """
-    steps = config.step_count()
-    [(states, iterations)] = blocks(system, z0, config, steps + 1)
-    return Trajectory(states, np.arange(steps + 1) * config.dt, picard_iters=iterations,
-                      dt=config.dt)
+    return Trajectory.of_run(blocks(system, z0, config, config.step_count() + 1), config.dt)
 
 
 def blocks(system, z0, config, rows):
@@ -201,7 +199,7 @@ def blocks(system, z0, config, rows):
     if rows < 1:
         raise ValueError(f"a block holds at least one state, not {rows}")
     loops = checked() if system.g_avg is sin_average else None
-    return _blocks(_advance(system, config, loops), z0, config, rows)
+    return run_blocks(_advance(system, config, loops), z0, config, rows)
 
 
 def _advance(system, config, loops):
@@ -211,32 +209,11 @@ def _advance(system, config, loops):
     if compiled is None:
         return functools.partial(advance_steps, system.make_step(config))
     loop, args, work = compiled
-    # each array becomes a pointer that keeps it, once for every block
-    args = [a.ctypes.data_as(ctypes.c_void_p) if isinstance(a, np.ndarray) else a for a in args]
+    # each array becomes a pointer that keeps it, once for every block; the
+    # weights of the degree-7 start end the leading arguments of both loops
+    args = [a.ctypes.data_as(ctypes.c_void_p) if isinstance(a, np.ndarray) else a
+            for a in [*args, _EXTRAPOLATION]]
     return functools.partial(run, loop, [*args, config.picard_tol, config.picard_max_iter], work)
-
-
-def _blocks(advance, z0, config, rows):
-    """The blocks of `blocks`, made by `advance` in a window whose rows
-    0..7 hold the last states before the block, the current one in row 7,
-    and whose rows from 8 on hold the block."""
-    steps = config.step_count()
-    rows = min(rows, steps + 1)
-    window = allocate_states(z0, rows + 8, first=7)
-    done, first, count = 0, 7, min(rows - 1, steps)
-    while True:
-        history = min(done, 7)
-        try:
-            iterations = advance(window[7 - history :], history, count)
-        except PicardDivergenceError as exc:  # at the step of the whole run
-            step = done + exc.step
-            raise PicardDivergenceError(exc.iterations, exc.residual, step=step) from None
-        yield window[first : 8 + count], iterations
-        done += count
-        if done == steps:
-            return
-        window[:8] = window[count : count + 8]
-        first, count = 8, min(rows, steps - done)
 
 
 def run(loop, args, work, window, history, steps) -> np.ndarray:

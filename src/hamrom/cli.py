@@ -213,16 +213,34 @@ def build_config(args) -> PipelineConfig:
         raise ConfigError(str(exc)) from exc
     if cfg.stride < 1 or cfg.deim_mult < 1:
         raise ConfigError("stride and deim_mult must be positive")
-    # checked before anything is allocated or written: a trajectory file
-    # larger than physical memory marks a run that cannot be meant
-    size = 8 * 2 * cfg.n * (steps + 1)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if size > memory:
-        raise ConfigError(
-            f"the full-order trajectory needs {Decimal(size):.3e} bytes, more than "
-            f"the {memory} bytes of physical memory"
-        )
+    # checked before anything is allocated or written: a full-order run
+    # streams its trajectory to the file system of --out and keeps 24 bytes
+    # per state (times, energies, Picard counts)
+    if args.command in ("fom", "reproduce"):
+        size = 8 * 2 * cfg.n * (steps + 1)
+        free, where = _free_bytes(cfg.out)
+        if size > free:
+            raise ConfigError(
+                f"the full-order trajectory needs {Decimal(size):.3e} bytes, more than "
+                f"the {free} bytes free on the file system of {where}"
+            )
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if 24 * (steps + 1) > memory:
+            raise ConfigError(
+                f"the full-order run keeps {Decimal(24 * (steps + 1)):.3e} bytes of times, "
+                f"energies and Picard counts, more than the {memory} bytes of physical memory"
+            )
     return cfg
+
+
+def _free_bytes(out):
+    """(free bytes, directory): the space an unprivileged process may fill
+    on the file system of the nearest existing directory of `out`."""
+    where = os.path.abspath(out)
+    while not os.path.isdir(where):
+        where = os.path.dirname(where)
+    fs = os.statvfs(where)
+    return fs.f_bavail * fs.f_frsize, where
 
 
 def _write_json(path, payload):

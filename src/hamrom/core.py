@@ -30,7 +30,7 @@ import scipy.sparse as sparse
 from scipy.linalg import lapack
 
 from . import _native
-from .integrator import _EXTRAPOLATION, IntegratorConfig, Trajectory, picard_solve
+from .integrator import IntegratorConfig, Trajectory, picard_solve
 
 __all__ = ["TwoBlockSystem", "PeriodicFactor"]
 
@@ -225,11 +225,10 @@ class TwoBlockSystem:
 
     def _compiled(self, loops, config):
         """The full-order loop of `_native.load`'s `loops`, its leading
-        arguments at config.dt, arrays for pointers, and its work doubles,
-        for `_native.run`."""
+        arguments at config.dt before the extrapolation weights, arrays for
+        pointers, and its work doubles, for `_native.run`."""
         qc, factor = self._avf_operators(config.dt)
-        args = [loops.gemv, loops.pttrs, self.n, factor.d, factor.e, factor.wc, qc, config.dt,
-                _EXTRAPOLATION]
+        args = [loops.gemv, loops.pttrs, self.n, factor.d, factor.e, factor.wc, qc, config.dt]
         return loops.full, args, np.empty(9 * self.n + 2)
 
 

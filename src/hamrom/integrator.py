@@ -44,16 +44,17 @@ solve with it.  `advance_steps` keeps the extrapolated first iterates
 in two buffers of its own, used in turn, so `start` is valid only during
 the call that receives it.
 
-Memory.  `advance_steps` and the compiled loops resume an integration
-from a window whose rows before the current state hold the last seven
-states, so an integration can run block by block in one small window
-(`TwoBlockSystem.integrate_blocks`) with the states of one run, bit for
-bit.  `hamrom fom` runs that way and appends each block to the file
-through `trajectory_writer`; `open_trajectory` reads the file back a few
-states at a time with pread.  No stage holds the whole full-order
-trajectory, so its memory does not grow with the run length.  Whole
-trajectories (`integrate_steps`, the reduced runs) live in an anonymous
-mapping of their own, never in the malloc heap, where tens of MB would
+Memory.  `run_blocks` runs every integration in a window whose rows
+before the current state hold the last seven states, from which
+`advance_steps` and the compiled loops resume it, so an integration can
+run block by block in one small window (`TwoBlockSystem.integrate_blocks`)
+with the states of one run, bit for bit.  `hamrom fom` runs that way and
+appends each block to the file through `trajectory_writer`;
+`open_trajectory` reads the file back a few states at a time with pread.
+No stage holds the whole full-order trajectory, so its memory does not
+grow with the run length.  A whole run (`integrate_steps`, the reduced
+runs) is the one block of its window.  Every window is an anonymous
+mapping of its own, never in the malloc heap, where tens of MB would
 stay resident after they are freed and leave a hole that later
 allocations fragment; the mapping is unmapped when the array is freed.
 `load_trajectory` maps a whole file copy-on-write.  Every file is written
@@ -68,7 +69,6 @@ import math
 import mmap
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +84,7 @@ __all__ = [
     "integrate",
     "integrate_steps",
     "advance_steps",
-    "allocate_states",
+    "run_blocks",
     "save_trajectory",
     "trajectory_writer",
     "TrajectoryFile",
@@ -185,6 +185,12 @@ class Trajectory:
         """The states at `indices`, one row each."""
         return self.states[np.asarray(indices, dtype=np.intp)]
 
+    @classmethod
+    def of_run(cls, blocks, dt):
+        """The trajectory of a run that `run_blocks` yields in one block."""
+        [(states, iterations)] = blocks
+        return cls(states, np.arange(len(states)) * dt, picard_iters=iterations, dt=dt)
+
     def blocks(self, size):
         """Yield (start, states[start : start + size]) for start = 0, size, ..."""
         for start in range(0, len(self), size):
@@ -257,16 +263,15 @@ def integrate_steps(step, z0, config: IntegratorConfig, observer=None) -> Trajec
 
     `step(z, start)` returns (z_new, iterations), solving from the first
     iterate `start`, and is built for config.dt (`TwoBlockSystem.make_step`,
-    `ReducedModel.make_step`); `advance_steps` runs it.  The observer, if
-    given, is called after each step as observer(step_index, t, state).
-    Picard failures are re-raised with the offending step index attached.
+    `ReducedModel.make_step`); `advance_steps` runs it in the one block of
+    `run_blocks`.  The observer, if given, is called after each step as
+    observer(step_index, t, state).  Picard failures are re-raised with the
+    offending step index attached.
     """
     dt = config.dt
-    states = allocate_states(z0, config.step_count() + 1)
     watch = None if observer is None else lambda k, z: observer(k, k * dt, z)
-    iters = advance_steps(step, states, 0, states.shape[0] - 1, watch)
-    times = np.arange(states.shape[0]) * dt
-    return Trajectory(states, times, picard_iters=iters, dt=dt)
+    advance = functools.partial(advance_steps, step, observer=watch)
+    return Trajectory.of_run(run_blocks(advance, z0, config, config.step_count() + 1), dt)
 
 
 def advance_steps(step, window, history, steps, observer=None) -> np.ndarray:
@@ -302,15 +307,32 @@ def advance_steps(step, window, history, steps, observer=None) -> np.ndarray:
     return iters
 
 
-def allocate_states(z0, rows, first=0) -> np.ndarray:
-    """`rows` states in an anonymous mapping of their own, z0 in row
-    `first` and the others unset.  Raises ValueError for a non-finite z0."""
+def run_blocks(advance, z0, config: IntegratorConfig, rows):
+    """The blocks of `_native.blocks`, made by advance(window, history,
+    steps) -> iterations (`advance_steps` or `_native.run`) in a window
+    whose rows 0..7 hold the last states before the block, the current one
+    in row 7, and whose rows from 8 on hold the block."""
+    steps = config.step_count()
+    rows = min(rows, steps + 1)
     z0 = np.asarray(z0, dtype=float)
     if not np.all(np.isfinite(z0)):
         raise ValueError("initial state contains non-finite entries")
-    states = _mapped_empty((rows, z0.shape[0]))
-    states[first] = z0
-    return states
+    window = _mapped_empty((rows + 8, z0.shape[0]))
+    window[7] = z0
+    done, first, count = 0, 7, min(rows - 1, steps)
+    while True:
+        history = min(done, 7)
+        try:
+            iterations = advance(window[7 - history :], history, count)
+        except PicardDivergenceError as exc:  # at the step of the whole run
+            step = done + exc.step
+            raise PicardDivergenceError(exc.iterations, exc.residual, step=step) from None
+        yield window[first : 8 + count], iterations
+        done += count
+        if done == steps:
+            return
+        window[:8] = window[count : count + 8]
+        first, count = 8, min(rows, steps - done)
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +360,19 @@ def trajectory_writer(path, dim, count, dt, t0=0.0, directory=None):
     by block: the with-block receives append(states), which writes rows
     after those appended before.
 
-    The rows go to a new temporary file of a unique name in `directory`
-    (default: the directory of `path`), which is renamed over `path` once
-    the with-block has ended without an error and appended exactly `count`
-    states.  On any failure the file is removed, and `path` is left as it
-    was.  A trajectory loaded from an old file keeps mapping its contents.
+    The rows go to a new file of a random 128-bit name in `directory`
+    (default: the directory of `path`), created by open() and so with the
+    mode that open() gives.  It is renamed over `path` once the with-block
+    has ended without an error and appended exactly `count` states; on any
+    later failure it is removed, and `path` is left as it was.  A
+    trajectory loaded from an old file keeps mapping its contents.
     """
     if directory is None:
         directory = os.path.dirname(os.fspath(path)) or os.curdir
-    fd, tmp = tempfile.mkstemp(prefix=".trajectory-", suffix=".tmp", dir=directory)
+    tmp = os.path.join(directory, f".trajectory-{os.urandom(16).hex()}.tmp")
+    fh = open(tmp, "xb")  # never an existing file, which a failure would remove
     try:
-        os.fchmod(fd, 0o666 & ~_umask())  # the mode that open() would give
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(_TRAJ_HEADER.pack(_TRAJ_MAGIC, 1, dim, count, dt, t0))
             yield functools.partial(write_array, fh)
             if fh.tell() != _TRAJ_HEADER.size + 8 * dim * count:
@@ -360,13 +383,6 @@ def trajectory_writer(path, dim, count, dt, t0=0.0, directory=None):
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-
-
-def _umask():
-    """The process's file mode creation mask, which only setting it reads."""
-    mask = os.umask(0o022)
-    os.umask(mask)
-    return mask
 
 
 class TrajectoryFile:

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _native
 from ._binio import FileFormatError, check_payload, read_array, read_exact, write_array
-from .integrator import _EXTRAPOLATION, IntegratorConfig, Trajectory, picard_solve
+from .integrator import IntegratorConfig, Trajectory, picard_solve
 
 __all__ = [
     "RomVariant",
@@ -314,16 +314,16 @@ class ReducedModel:
         return _native.integrate(self, z0, config)
 
     def _compiled(self, loops, config):
-        """The reduced loop of `_native.load`'s `loops`, its leading
-        arguments at config.dt, arrays for pointers, and its work doubles,
-        for `_native.run`; None where an operator has a single row or
-        column, which np.dot multiplies without BLAS gemv."""
+        """The reduced loop of `_native.load`'s `loops`, its leading arguments
+        at config.dt before the extrapolation weights, arrays for pointers,
+        and its work doubles, for `_native.run`; None where an operator has
+        a single row or column, which np.dot multiplies without BLAS gemv."""
         if min(self.r_u, self.r_v, self._P.shape[0]) < 2:
             return None
         K, K_plus, k_inv, B, dt_m, dt_c = self._avf_operators(config.dt)
         m = self._P.shape[0]
         args = [loops.gemv, self.dim, self.r_u, m, K_plus, k_inv, K, B, dt_m, self._P, dt_c,
-                self._x_ref, _EXTRAPOLATION]
+                self._x_ref]
         return loops.reduced, args, np.empty(9 * self.dim + 3 * m)
 
     def rhs(self, z) -> np.ndarray:

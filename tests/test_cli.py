@@ -3,12 +3,14 @@ import importlib.util
 import json
 import os
 import re
+import stat
 import struct
 import subprocess
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PROPERTY
-from hamrom import cli
+from hamrom import cli, rom
 from hamrom.cli import (
     _CONFIG_PARSERS,
     ConfigError,
@@ -30,8 +32,8 @@ from hamrom.cli import (
     main,
     parse_config_file,
 )
-from hamrom.integrator import load_trajectory
-from hamrom.metrics import energy_series_of_states, read_series_csv
+from hamrom.integrator import IntegratorConfig, Trajectory, load_trajectory, save_trajectory
+from hamrom.metrics import EvalCounter, energy_series_of_states, read_series_csv
 from hamrom.pod import PodBasis
 from hamrom.rom import VARIANT_TAGS, RomVariant, build_rom, load_rom, save_rom
 from hamrom.wave import WaveConfig, assemble_wave_fom
@@ -269,6 +271,52 @@ def test_oversized_trajectory_is_a_config_error(tmp_path, capsys):
         build_config(args)
 
 
+def test_the_trajectory_is_bounded_by_the_free_space_of_its_file_system(tmp_path, monkeypatch,
+                                                                      capsys):
+    # n = 500 over 2e6 steps: a 1.6e10-byte trajectory, only the
+    # configuration is built; the file system is that of the nearest
+    # existing directory of --out, and `offline` and `online` write no
+    # trajectory
+    size = 8 * 2 * 500 * (2_000_000 + 1)
+    out = tmp_path / "new" / "run"
+    flags = ["--n", "500", "--t-final", "20000", "--out", str(out)]
+    asked = []
+
+    def disk(free):
+        def statvfs(path):
+            asked.append(path)
+            return SimpleNamespace(f_bavail=free, f_frsize=1)
+        return statvfs
+
+    monkeypatch.setattr(os, "statvfs", disk(size))
+    for command in ("fom", "reproduce", "offline", "online --rom x"):
+        args = build_parser().parse_args([*command.split(), *flags])
+        assert build_config(args).t_final == 20000.0
+    assert asked == [str(tmp_path)] * 2
+    monkeypatch.setattr(os, "statvfs", disk(size - 1))
+    for command in ("fom", "reproduce"):
+        assert main([command, *flags]) == 2
+        assert "needs 1.600e+10 bytes" in capsys.readouterr().err
+    assert build_config(build_parser().parse_args(["offline", *flags])).t_final == 20000.0
+    # the 24 bytes per state that `fom` keeps are bounded by physical memory
+    monkeypatch.setattr(os, "statvfs", disk(size))
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 11718}.get)
+    assert main(["fom", *flags]) == 2
+    assert "keeps 4.800e+7 bytes" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_written_files_get_the_mode_that_open_gives(tmp_path):
+    mask = os.umask(0o027)
+    try:
+        assert main(["fom", "--n", "16", "--t-final", "0.1", "--out", str(tmp_path / "run")]) == 0
+        save_trajectory(Trajectory(np.zeros((2, 3)), np.arange(2.0)), tmp_path / "t.bin")
+    finally:
+        os.umask(mask)
+    for path in (tmp_path / "run" / "fom_trajectory.bin", tmp_path / "t.bin"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640, path
+
+
 def test_rank_above_snapshot_count_is_a_config_error(tmp_path, capsys):
     # 100 steps at stride 50 give 3 snapshots, fewer than the default ranks
     out = str(tmp_path / "few")
@@ -357,7 +405,7 @@ SETTING_TEXT = (
 @PROPERTY
 @given(key=st.sampled_from(sorted(_CONFIG_PARSERS)), text=SETTING_TEXT)
 def test_any_flag_text_gives_a_config_or_a_config_error(key, text):
-    # only the configuration is built, never a run, so the memory check
+    # only the configuration is built, never a run, so the size checks
     # must refuse an oversized trajectory before anything is allocated
     args = build_parser().parse_args(["fom", "--" + key.replace("_", "-") + "=" + text])
     try:
@@ -746,6 +794,36 @@ def test_names_the_benchmark_uses_exist():
     eye = PodBasis(np.eye(8), np.ones(8))
     model = build_rom(RomVariant.from_tag("sp-pod-1"), eye, eye, fom)
     assert model.make_rhs(g=model.g_fn)(np.zeros(16)).shape == (16,)
+
+
+def test_the_traced_benchmark_path_runs(tmp_path):
+    # perfbench's tracer calls integrate(f, z0, config, observer) and
+    # save_trajectory(traj, path, dt=dt) through its wrappers, which only
+    # a traced benchmark run reaches otherwise
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", root / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    before = {name: getattr(cli, name) for name in tracer.SPANNED}
+    make_rhs = rom.ReducedModel.make_rhs
+    recorder = tracer.Tracer()
+    undo = tracer.install(recorder, cli, rom, EvalCounter)
+    try:
+        out = tmp_path / "run"
+        assert main(["reproduce", "--n", "32", "--t-final", "0.5", "--stride", "5", "--r", "3",
+                     "--variants", "sp-deim-2", "--out", str(out)]) == 0
+        wcfg = WaveConfig(n=32)
+        model = cli.load_rom(out / "rom_sp-deim-2_r3.bin", cli.assemble_wave_fom(wcfg))
+        a0 = model.initial_coefficients(cli.initial_state(wcfg))
+        traj = cli.integrate(model.make_rhs(), a0, IntegratorConfig(dt=0.01, t_final=0.1))
+        cli.save_trajectory(traj, tmp_path / "rom.bin", dt=0.01)
+    finally:
+        undo()
+    assert len(recorder.durations("cli.cmd_fom")) == 1
+    assert recorder.picard["sp-deim-2"][1] == 10
+    assert recorder.traj_bytes >= traj.states.nbytes > 0
+    assert {name: getattr(cli, name) for name in tracer.SPANNED} == before
+    assert rom.ReducedModel.make_rhs is make_rhs
 
 
 def test_every_shim_is_a_name_the_benchmark_uses():

@@ -375,3 +375,14 @@ def test_oversized_header_rejected_before_allocation(tmp_path, rng):
     path.write_bytes(bytes(data))
     with pytest.raises(FileFormatError, match="state data"):
         load_trajectory(path)
+
+
+def test_a_failed_create_leaves_the_file_in_its_way(tmp_path, monkeypatch):
+    # a temporary name that is taken already is neither opened nor removed
+    monkeypatch.setattr(integrator.os, "urandom", bytes)
+    taken = tmp_path / f".trajectory-{bytes(16).hex()}.tmp"
+    taken.write_bytes(b"not a trajectory")
+    with pytest.raises(FileExistsError):
+        save_trajectory(Trajectory(np.zeros((2, 3)), np.arange(2.0)), tmp_path / "t.bin", dt=1.0)
+    assert list(tmp_path.iterdir()) == [taken]
+    assert taken.read_bytes() == b"not a trajectory"

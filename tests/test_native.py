@@ -221,3 +221,21 @@ def test_a_failure_in_a_later_block_names_the_step_of_the_whole_run(path, rows):
 def test_a_block_holds_at_least_one_state(pipe):
     with pytest.raises(ValueError, match="at least one state"):
         _native.blocks(pipe["fom"], pipe["z0"], IntegratorConfig(t_final=0.1), 0)
+
+
+@pytest.mark.parametrize("run", ("integrate_steps", "system", "model", "first block"))
+def test_a_non_finite_initial_state_is_refused(pipe, run):
+    cfg = IntegratorConfig(dt=0.01, t_final=0.1)
+    fom, model = pipe["fom"], pipe["models"]["sp-deim-2"]
+    z0 = pipe["z0"].copy()
+    z0[3] = np.nan
+    a0 = model.initial_coefficients(pipe["z0"])
+    a0[1] = np.inf
+    runs = {
+        "integrate_steps": lambda: integrate_steps(fom.make_step(cfg), z0, cfg),
+        "system": lambda: fom.integrate(z0, cfg),
+        "model": lambda: model.integrate(a0, cfg),
+        "first block": lambda: next(fom.integrate_blocks(z0, cfg, 4)),
+    }
+    with pytest.raises(ValueError, match="non-finite"):
+        runs[run]()
