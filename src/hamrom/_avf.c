@@ -3,7 +3,8 @@
  * `ReducedModel.make_step`, `avf_integrate_full` runs
  * `TwoBlockSystem.make_step`, whose linear solve `avf_periodic_solve` is
  * exported as well.  Either loop resumes an integration in a new window
- * of states, as advance_steps does.
+ * of states, as advance_steps does.  `avf_max_mismatch` is the elementwise
+ * pass of `metrics.e_inf`.
  *
  * They do the arithmetic of the numpy path operation by operation, so
  * every state comes out bit for bit the same:
@@ -249,4 +250,52 @@ int64_t avf_integrate_full(gemv_fn gemv, pttrs_fn pttrs, int64_t n, const double
         }
     }
     return -1;
+}
+
+/* ---------------------------------------------------------------------
+ * The error check of `metrics.e_inf`. */
+
+/* ((gu + u_ref) - u)^2 + ((gv + v_ref) - v)^2 at entry i, rounded as
+ * e_inf's numpy sweeps round it */
+static double square(const double *gu, const double *gv, const double *u_ref,
+                     const double *v_ref, const double *u, const double *v, int64_t i)
+{
+    double du = (gu[i] + u_ref[i]) - u[i], dv = (gv[i] + v_ref[i]) - v[i];
+    return du * du + dv * dv;
+}
+
+/* The largest `square` over a block of `rows` states (rows of 2 n values,
+ * u then v) and their reconstructions gu and gv (rows x n), or NaN where
+ * any is NaN, as np.max gives it.  Four running maxima keep the compares
+ * off one chain; a NaN shows in the sum of four squares, which cannot
+ * make one otherwise, since each is >= 0. */
+double avf_max_mismatch(int64_t rows, int64_t n, const double *gu, const double *gv,
+                        const double *u_ref, const double *v_ref, const double *states)
+{
+    double b0 = 0.0, b1 = 0.0, b2 = 0.0, b3 = 0.0;
+    for (int64_t k = 0; k < rows; k++) {
+        const double *a = gu + k * n, *b = gv + k * n, *u = states + 2 * k * n, *v = u + n;
+        int64_t i = 0;
+        for (; i + 4 <= n; i += 4) {
+            double s0 = square(a, b, u_ref, v_ref, u, v, i);
+            double s1 = square(a, b, u_ref, v_ref, u, v, i + 1);
+            double s2 = square(a, b, u_ref, v_ref, u, v, i + 2);
+            double s3 = square(a, b, u_ref, v_ref, u, v, i + 3);
+            if (isnan(s0 + s1 + s2 + s3))
+                return NAN;
+            b0 = s0 > b0 ? s0 : b0;
+            b1 = s1 > b1 ? s1 : b1;
+            b2 = s2 > b2 ? s2 : b2;
+            b3 = s3 > b3 ? s3 : b3;
+        }
+        for (; i < n; i++) {
+            double s = square(a, b, u_ref, v_ref, u, v, i);
+            if (isnan(s))
+                return NAN;
+            b0 = s > b0 ? s : b0;
+        }
+    }
+    b0 = b1 > b0 ? b1 : b0;
+    b2 = b3 > b2 ? b3 : b2;
+    return b2 > b0 ? b2 : b0;
 }

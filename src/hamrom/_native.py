@@ -5,12 +5,14 @@ source and flag set, caches the shared object (written to a temporary
 file and renamed into place, so concurrent processes never see a partial
 file) in this package's `__pycache__`, or where that cannot be written
 in the user's cache, `$XDG_CACHE_HOME/hamrom` (default `~/.cache/hamrom`),
-and returns its `Loops`: the reduced and full-order loops, numpy's own
-cblas dgemv and the LAPACK dpttrs of the OpenBLAS that scipy bundles (the
-one `scipy.linalg.lapack` calls), or None when anything is missing (a
+and returns its `Loops`: the reduced and full-order loops, the
+elementwise pass of `metrics.e_inf`, numpy's own cblas dgemv and the
+LAPACK dpttrs of the OpenBLAS that scipy bundles (the one
+`scipy.linalg.lapack` calls), or None when anything is missing (a
 compiler, a writable cache, either bundled OpenBLAS) or fails.
 `checked()`, run once per process, returns them only when both loops pass
-their probe; otherwise every integration takes the numpy path.
+their probe; otherwise every integration, and `metrics.e_inf`, takes the
+numpy path.
 
 `blocks` runs an AVF integration, for the full-order system and the
 reduced models alike, and is the one place that chooses between a loop
@@ -19,6 +21,7 @@ by block from the one window of `integrator.run_blocks`.  `integrate` is
 its one-block case.
 """
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -51,6 +54,7 @@ class Loops(NamedTuple):
 
     reduced: object
     full: object
+    max_mismatch: object
     gemv: int
     pttrs: int
 
@@ -73,7 +77,8 @@ def _cache_dirs():
 
 def _shared_object():
     """The compiled `_avf.c` from the first cache that holds it, else built
-    into the first cache that can be written."""
+    into the first cache that can be written, whose builds of other
+    sources or flags are then removed."""
     with open(_SOURCE, "rb") as fh:
         key = hashlib.sha256(fh.read() + " ".join(_FLAGS).encode()).hexdigest()[:16]
     paths = [os.path.join(cache, f"_avf-{key}.so") for cache in _cache_dirs()]
@@ -98,6 +103,10 @@ def _shared_object():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for stale in glob.glob(os.path.join(os.path.dirname(path), "_avf-*.so")):
+            if stale != path:  # the build of another source or flag set
+                with contextlib.suppress(OSError):
+                    os.unlink(stale)
         return ctypes.CDLL(path)
     raise unwritable
 
@@ -115,12 +124,15 @@ def load():
         [gemv] = _symbols(np, "libscipy_openblas64_*.so", "scipy_cblas_dgemv64_")
         [pttrs] = _symbols(scipy, "libscipy_openblas-*.so", "scipy_dpttrs_")
         lib = _shared_object()
-        loops = Loops(lib.avf_integrate, lib.avf_integrate_full, gemv, pttrs)
+        loops = Loops(lib.avf_integrate, lib.avf_integrate_full, lib.avf_max_mismatch, gemv,
+                      pttrs)
     except _LOAD_ERRORS:
         return None
     loops.reduced.argtypes = [_P] + [_I] * 3 + [_P] * 9 + _RUN_ARGS
     loops.full.argtypes = [_P, _P, _I] + [_P] * 4 + [_D, _P] + _RUN_ARGS
     loops.reduced.restype = loops.full.restype = _I
+    loops.max_mismatch.argtypes = [_I, _I] + [_P] * 5
+    loops.max_mismatch.restype = _D
     return loops
 
 

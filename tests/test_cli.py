@@ -742,15 +742,20 @@ _DAMAGED_ROWS = {
 }
 
 
-@pytest.mark.parametrize("case", ("missing", "one-row-short", "garbled", *_DAMAGED_ROWS))
+@pytest.mark.parametrize("case", ("missing", "bad-header", "one-row-short", "garbled",
+                                  "extra-column", *_DAMAGED_ROWS))
 def test_online_needs_the_energy_series_beside_the_trajectory(deim_run, tmp_path, case, capsys):
     out, tail = deim_run
     (tmp_path / "fom_trajectory.bin").write_bytes((out / "fom_trajectory.bin").read_bytes())
     lines = (out / "fom_energy.csv").read_text().splitlines(keepends=True)
-    if case == "one-row-short":
+    if case == "bad-header":
+        lines[0] = "t,energy\n"
+    elif case == "one-row-short":
         lines = lines[:-1]
     elif case == "garbled":
         lines[3] = lines[3].replace(",", ",x")
+    elif case == "extra-column":
+        lines[2] = lines[2].replace("\n", ",0.5\n")
     elif case in _DAMAGED_ROWS:
         row, t, value = _DAMAGED_ROWS[case]
         old_t, old_value = lines[row].rstrip("\n").split(",")
@@ -765,6 +770,8 @@ def test_online_needs_the_energy_series_beside_the_trajectory(deim_run, tmp_path
     assert str(tmp_path / "fom_energy.csv") in err
     if case in _DAMAGED_ROWS:
         assert f"row {_DAMAGED_ROWS[case][0]} " in err
+    if case == "extra-column":
+        assert "row 2 " in err
     assert not fresh.exists()
 
 

@@ -1,5 +1,8 @@
 import json
+import math
+import re
 import tempfile
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -10,8 +13,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import PROPERTY, random_orthonormal
-from hamrom import metrics
-from hamrom.integrator import IntegratorConfig, Trajectory, integrate
+from hamrom import _native, metrics
+from hamrom.integrator import (
+    IntegratorConfig,
+    Trajectory,
+    integrate,
+    open_trajectory,
+    save_trajectory,
+)
 from hamrom.metrics import (
     RunReport,
     e_inf,
@@ -93,6 +102,98 @@ def test_e_inf_equals_column_layout_reference(rng):
     # a NaN anywhere is not dropped by the running maximum
     reduced.states[40, 1] = np.nan
     assert np.isnan(e_inf(full, reduced, model))
+
+
+@pytest.fixture
+def e_inf_numpy(monkeypatch):
+    """e_inf with `_native.load` forced to None, so by the numpy sweeps."""
+    def run(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(_native, "load", lambda: None)
+            _native.checked.cache_clear()
+            try:
+                assert _native.checked() is None
+                return e_inf(*args)
+            finally:
+                _native.checked.cache_clear()
+    return run
+
+
+def e_inf_cases(model, rng):
+    """(full, reduced) state arrays for `model`, a shifted sp-pod-2 at
+    n = 43, where the compiled pass groups the entries of a row in fours
+    and ends with three: 70 states in blocks of 32, 32 and 6, one state,
+    and NaN or +-inf in the first, a middle or the last block of either,
+    in each place of a group and in the last three.  The full states lie
+    near the references, 1e3 in size, so the order in which the mismatch
+    is summed shows in its rounding."""
+    n = model.n
+    full = 1e-3 * rng.standard_normal((70, 2 * n))
+    full += np.concatenate([model.u_ref, model.v_ref])
+    reduced = 1e-3 * rng.standard_normal((70, 8))
+    cases = {"ragged": (full, reduced), "one-state": (full[:1], reduced[:1])}
+    places = {"first": (3, 3, n), "middle": (40, 42, n + 6), "last": (68, 17, 2 * n - 4)}
+    for block, (row, u_column, v_column) in places.items():
+        for value in (np.nan, np.inf, -np.inf):
+            for side, column in (("full-u", u_column), ("full-v", v_column), ("reduced", 1)):
+                states = {"full": full.copy(), "reduced": reduced.copy()}
+                states[side.split("-")[0]][row, column] = value
+                cases[f"{value}-{side}-{block}"] = (states["full"], states["reduced"])
+    return cases
+
+
+@pytest.fixture(scope="module")
+def shifted_model():
+    rng = np.random.default_rng(7)
+    cfg = WaveConfig(n=43)
+    basis = PodBasis(random_orthonormal(rng, cfg.n, 4), np.ones(4),
+                     shift_ref=1e3 * rng.standard_normal(cfg.n))
+    return build_rom(RomVariant.from_tag("sp-pod-2"), basis, basis, assemble_wave_fom(cfg))
+
+
+def test_compiled_e_inf_is_numpy_e_inf_bitwise(shifted_model, e_inf_numpy, monkeypatch, rng,
+                                              tmp_path):
+    # the states are also passed F-ordered and as strided views, and the
+    # full ones as a trajectory file, as `online` reads them
+    if _native.checked() is None:
+        pytest.skip("the compiled AVF loops are unavailable here")
+
+    def numpy_path(*args):
+        raise AssertionError("e_inf took the numpy path")
+
+    for label, (full, reduced) in e_inf_cases(shifted_model, rng).items():
+        times = np.arange(len(full)) * 0.01
+        layouts = {
+            "C": (Trajectory(full, times), Trajectory(reduced, times)),
+            "F": (Trajectory(np.asfortranarray(full), times),
+                  Trajectory(np.repeat(reduced, 2, axis=1)[:, ::2], times)),
+        }
+        path = tmp_path / f"{label}.bin"
+        save_trajectory(layouts["C"][0], path)
+        expected = e_inf_numpy(*layouts["C"], shifted_model)
+        with open_trajectory(path) as fom_file:
+            layouts["file"] = (fom_file, layouts["C"][1])
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "_numpy_mismatch", numpy_path)
+                got = {layout: e_inf(*trajs, shifted_model) for layout, trajs in layouts.items()}
+            got["numpy-F"] = e_inf_numpy(*layouts["F"], shifted_model)
+            got["numpy-file"] = e_inf_numpy(*layouts["file"], shifted_model)
+        for layout, value in got.items():
+            assert (value == expected or math.isnan(value) and math.isnan(expected)), (label,
+                                                                                      layout)
+        if "nan" in label or "reduced" in label:
+            assert math.isnan(expected) or math.isinf(expected), label
+        elif "inf" in label:
+            assert expected == math.inf, label
+        else:
+            assert 0 < expected < math.inf, label
+
+
+def test_e_inf_refuses_states_of_another_size(shifted_model):
+    full = Trajectory(np.zeros((3, 84)), np.arange(3.0))
+    reduced = Trajectory(np.zeros((3, 8)), np.arange(3.0))
+    with pytest.raises(ValueError, match="84 values, not 2 n = 86"):
+        e_inf(full, reduced, shifted_model)
 
 
 def test_e_inf_length_mismatch_rejected(identity_setup):
@@ -200,3 +301,71 @@ def test_series_csv_roundtrip_is_bit_exact(rows):
         back = read_series_csv(path, times)
     assert back.dtype == np.float64
     assert back.tobytes() == values.tobytes()
+
+
+# a well-formed series of four rows, and files made from it
+SERIES = "t,value\n0.0,1.25\n0.01,-2.5e-07\n0.02,3.0\n0.03,0.1\n"
+SERIES_FILES = {
+    "as-written": SERIES,
+    "underscore": SERIES.replace("3.0", "3_0.0"),
+    "padded": SERIES.replace("0.01,-2.5e-07", " 0.01 , -2.5e-07 "),
+    "plus-sign": SERIES.replace("1.25", "+1.25"),
+    "no-final-newline": SERIES.rstrip("\n"),
+    "carriage-returns": SERIES.replace("\n", "\r\n"),
+    "bad-header": SERIES.replace("t,value", "t,energy"),
+    "one-row-short": SERIES.replace("0.03,0.1\n", ""),
+    "one-row-more": SERIES + "0.04,0.2\n",
+    "blank-row": SERIES.replace("0.02,3.0\n", "\n"),
+    "blank-rows-only": "t,value\n" + "\n" * 4,  # loadtxt warns that it found no data
+    "non-numeric": SERIES.replace("3.0", "x3.0"),
+    "bad-exponent": SERIES.replace("-2.5e-07", "-2.5e-"),
+    "two-points": SERIES.replace("1.25", "1.2.5"),
+    "nan-value": SERIES.replace("3.0", "nan"),
+    "infinite-value": SERIES.replace("1.25", "-inf"),
+    "overflowing-value": SERIES.replace("1.25", "1e999"),
+    "another-time": SERIES.replace("0.02,", "0.04,"),
+    "nan-time": SERIES.replace("0.02,", "nan,"),
+    "three-columns": SERIES.replace("3.0\n", "3.0,4.0\n"),
+    "three-columns-everywhere": "t,value\n0.0,1.25,5\n0.01,-2.5e-07,5\n0.02,3.0,5\n0.03,0.1,5\n",
+    "one-column": "t,value\n0.0\n0.01\n0.02\n0.03\n",
+    "row-split-in-two": SERIES.replace("-2.5e-07\n0.02,", "-2.5e-07,0.02\n"),
+    "not-ascii": SERIES.replace("1.25", "1.2\u00e95"),
+    "file-separator": SERIES.replace("3.0", "\x1c3.0"),  # space to loadtxt, not to float
+}
+
+
+@pytest.mark.parametrize("case", SERIES_FILES)
+def test_series_csv_array_parse_is_the_row_loop(tmp_path, monkeypatch, case):
+    # the reference is the same function with the array parse switched off,
+    # which reads every file one row at a time
+    path = tmp_path / "series.csv"
+    path.write_bytes(SERIES_FILES[case].encode("utf-8"))
+    times = np.arange(4) * 0.01
+
+    def outcome():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return read_series_csv(path, times).tobytes()
+            except metrics.FileFormatError as exc:
+                return str(exc)
+
+    got = outcome()
+    monkeypatch.setattr(metrics, "_SERIES_CHARACTERS", re.compile(r"(?!)"))
+    assert got == outcome()
+    if case in ("as-written", "underscore", "padded", "plus-sign", "no-final-newline",
+                "carriage-returns"):
+        assert isinstance(got, bytes), got
+    else:
+        assert str(path) in got
+
+
+def test_series_csv_as_written_takes_the_array_parse(tmp_path, monkeypatch, rng):
+    def row_loop(*args):
+        raise AssertionError("read_series_csv read the rows one at a time")
+
+    times, values = np.arange(300) * 0.01, rng.standard_normal(300)
+    path = tmp_path / "series.csv"
+    write_series_csv(path, times, values)
+    monkeypatch.setattr(metrics, "_parse_series_rows", row_loop)
+    assert read_series_csv(path, times).tobytes() == values.tobytes()

@@ -32,18 +32,23 @@ def test_avf_source_compiles_without_a_warning(tmp_path):
 
 def test_the_build_caches_one_shared_object_and_needs_a_compiler(tmp_path, monkeypatch):
     # a source of its own misses the package's cache: the first call builds
-    # into tmp_path/__pycache__, a later one reads the cache without a
-    # compiler, and with neither a compiler nor a cached build `load()` is None
+    # into tmp_path/__pycache__ and removes the builds of other sources
+    # there, a later one reads the cache without a compiler, and with
+    # neither a compiler nor a cached build `load()` is None
     if shutil.which("cc") is None and shutil.which("gcc") is None:
         pytest.skip("no C compiler on PATH")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "user-cache"))
     source = tmp_path / "built" / "_avf.c"
-    source.parent.mkdir()
+    cache = source.parent / "__pycache__"
+    cache.mkdir(parents=True)
+    for name in ("_avf-0123456789abcdef.so", "_avf-fedcba9876543210.so", "other.so"):
+        (cache / name).write_bytes(b"an earlier build")
     source.write_bytes(Path(_native._SOURCE).read_bytes())
     monkeypatch.setattr(_native, "_SOURCE", str(source))
     assert _native._shared_object().avf_integrate_full
-    [built] = (source.parent / "__pycache__").iterdir()
+    [built] = cache.glob("_avf-*.so")
     assert re.fullmatch(r"_avf-[0-9a-f]{16}\.so", built.name)
+    assert sorted(path.name for path in cache.iterdir()) == [built.name, "other.so"]
     monkeypatch.setattr(_native.shutil, "which", lambda name: None)
     assert _native._shared_object().avf_integrate_full
     unbuilt = tmp_path / "unbuilt" / "_avf.c"
