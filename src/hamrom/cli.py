@@ -11,6 +11,12 @@ reproduce  full pipeline over all requested (variant, rank) pairs
 Configuration comes from defaults, overridden by an optional key=value
 config file (--config), overridden by command-line flags.  Exit codes:
 0 success, 2 configuration error, 3 numerical failure, 4 I/O failure.
+
+fom and online each run their compiled integration, which releases the
+GIL, on one worker thread while the main thread does the bookkeeping:
+fom stores each block while the next one integrates, and online measures
+its first run while the two timing repeats run.  The worker is joined
+before the command returns or fails.
 """
 
 import argparse
@@ -18,6 +24,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -52,6 +59,7 @@ from .metrics import (
     write_series_csv,
 )
 from .pod import (
+    PodBasis,
     RankDeficientError,
     compute_pod,
     save_basis,  # noqa: F401
@@ -272,12 +280,17 @@ def cmd_fom(cfg: PipelineConfig) -> dict:
     """Run the full-order model (AVF steps) and persist trajectory + energy
     series.
 
-    The run goes in blocks of `_BLOCK` states through one window: each
-    block's energies are taken and the block is appended to a temporary
-    file in `--out`, or beside it when it does not exist yet, which
-    becomes `fom_trajectory.bin` once the run has succeeded; only then is
-    `--out` created.  `online_seconds` is the integration time of the
-    blocks."""
+    The run goes in blocks of `_BLOCK` states through one window, which
+    one worker thread integrates in the compiled loop, without the GIL.
+    While it integrates a block, the main thread stores a copy of the
+    block before it: it takes the copy's energies and appends it to a
+    temporary file in `--out`, or beside it when it does not exist yet.
+    One block at most is in flight, and the errors come in the order of
+    one thread: a block that fails to integrate or to store ends the run
+    before any later one is stored.  The file becomes
+    `fom_trajectory.bin` once the run has succeeded; only then is `--out`
+    created.  `online_seconds` is the integration time of the blocks,
+    each integrated while the block before it is stored."""
     wcfg = cfg.wave_config()
     icfg = cfg.integrator_config()
     fom = assemble_wave_fom(wcfg)
@@ -290,11 +303,21 @@ def cmd_fom(cfg: PipelineConfig) -> dict:
     # another directory to write in
     directory = out if out.is_dir() else out.parent
     directory.mkdir(parents=True, exist_ok=True)
+    # the worker integrates and this thread stores: the temporaries of the
+    # energies, 32 x n arrays, then stay in the main malloc arena, where a
+    # worker's own arena would keep them resident after the command
     with trajectory_writer(out / "fom_trajectory.bin", fom.dim, count, cfg.dt,
-                           directory=directory) as append:
+                           directory=directory) as append, ThreadPoolExecutor(1) as pool:
+
+        def integrate_block():
+            return _timed_run(lambda: next(blocks), "the full-order model")
+
+        pending = pool.submit(integrate_block)
         for start in range(0, count, _BLOCK):
-            (states, iters), block_seconds = _timed_run(lambda: next(blocks),
-                                                        "the full-order model")
+            (states, iters), block_seconds = pending.result()
+            if start + _BLOCK < count:  # the next block overwrites the window
+                states = states.copy()
+                pending = pool.submit(integrate_block)
             block = Trajectory(states, times[start : start + _BLOCK])
             series.append(energy_series_of_states(fom.energy, block, wcfg.dx))
             iterations.append(iters)
@@ -345,6 +368,13 @@ def _offline_step(what, build, *args):
         raise type(exc)(f"offline stage, {what}: {exc}") from None
 
 
+def _same_columns(a, b):
+    """Whether two snapshot sets hold the same matrix bit for bit; compared
+    as integers, so that -0.0 differs from 0.0."""
+    return a.columns.shape == b.columns.shape and np.array_equal(
+        a.columns.view(np.int64), b.columns.view(np.int64))
+
+
 def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
     """Build bases, interpolation models, and reduced-model artifacts."""
     n = cfg.n
@@ -382,19 +412,25 @@ def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
         set_g_shift = shift(set_g, G_fn(u0)) if deim_for[True] else None
         sets[True] = (shift(set_u, u0), shift(set_v, v0), set_g_shift)
 
-    # one decomposition per snapshot set, at the largest rank or size it
-    # serves; every rank takes leading columns and indices (bases are
-    # nested and greedy selection is prefix-stable), so all failures come
-    # before the first artifact is written
+    # one decomposition per distinct snapshot matrix, at the largest rank
+    # or size it serves; every rank takes leading columns and indices
+    # (bases are nested and greedy selection is prefix-stable), so all
+    # failures come before the first artifact is written
     largest = {}
     for flag, needs_deim in deim_for.items():
         label = "shifted " if flag else ""
         snaps_u, snaps_v, snaps_g = sets[flag]
-        bu, bv = (
-            _offline_step(f"POD of {label}{snaps.kind} snapshots at r={r_max}", compute_pod,
-                          snaps, r_max)
-            for snaps in (snaps_u, snaps_v)
-        )
+        bases = []
+        for i, snaps in enumerate((snaps_u, snaps_v)):
+            if False in largest and _same_columns(sets[False][i], snaps):
+                # a zero reference shifts nothing (fom starts at v = 0): the
+                # plain basis serves, with the shift reference attached
+                plain = largest[False][i]
+                bases.append(PodBasis(plain.phi, plain.singular_values, snaps.shift_ref))
+            else:
+                bases.append(_offline_step(f"POD of {label}{snaps.kind} snapshots at r={r_max}",
+                                           compute_pod, snaps, r_max))
+        bu, bv = bases
         deim = None
         if needs_deim:
             what = f"interpolation of {label}{snaps_g.kind} snapshots at s={s_max} (r={r_max})"
@@ -435,6 +471,16 @@ _TIMING_REPEATS = 3
 
 
 def _online_run(cfg, model, fom_traj, z0, fom_series):
+    """Integrate `model` from the reduced coordinates of z0 and measure the
+    run against the full-order trajectory and energy series.
+
+    The integration is deterministic, so its two repeats serve only the
+    timing: `online_seconds` is the least of the three times, the least
+    contention-polluted estimate of online cost, and the first run runs
+    alone.  One worker thread runs the repeats in the compiled loop,
+    which releases the GIL, while the main thread takes the first run's
+    energy series and `e_inf`; the pool's shutdown joins the worker
+    before the times are read."""
     icfg = cfg.integrator_config()
     dx = cfg.wave_config().dx
     coeffs0 = model.initial_coefficients(z0)
@@ -442,18 +488,20 @@ def _online_run(cfg, model, fom_traj, z0, fom_series):
     def run():
         return model.integrate(coeffs0, icfg)
 
-    # the integration is deterministic, so repeats only serve the timing:
-    # the minimum is the least contention-polluted estimate of online cost
+    def repeat():
+        return time_online(run)[1]
+
     rom_traj, seconds = _timed_run(run, f"{model.tag} r={model.r_u}")
-    for _ in range(_TIMING_REPEATS - 1):
-        _, again = time_online(run)
-        seconds = min(seconds, again)
-    series, offset, drift = hamiltonian_series(model, rom_traj, dx, fom_series)
+    with ThreadPoolExecutor(1) as pool:
+        repeats = [pool.submit(repeat) for _ in range(_TIMING_REPEATS - 1)]
+        series, offset, drift = hamiltonian_series(model, rom_traj, dx, fom_series)
+        error = e_inf(fom_traj, rom_traj, model)
+    seconds = min(seconds, *(again.result() for again in repeats))
     report = RunReport(
         variant=model.tag,
         r=model.r_u,
         s=model.s,
-        e_inf=e_inf(fom_traj, rom_traj, model),
+        e_inf=error,
         h_offset_max=offset,
         h_drift_max=drift,
         online_seconds=seconds,

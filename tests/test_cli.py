@@ -1,5 +1,9 @@
 import ast
+import contextlib
+import dataclasses
+import errno
 import importlib.util
+import itertools
 import json
 import os
 import re
@@ -8,6 +12,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PROPERTY
-from hamrom import cli, rom
+from hamrom import cli, rom, wave
 from hamrom.cli import (
     _CONFIG_PARSERS,
     ConfigError,
@@ -32,11 +37,25 @@ from hamrom.cli import (
     main,
     parse_config_file,
 )
-from hamrom.integrator import IntegratorConfig, Trajectory, load_trajectory, save_trajectory
-from hamrom.metrics import EvalCounter, energy_series_of_states, read_series_csv
+from hamrom.integrator import (
+    IntegratorConfig,
+    Trajectory,
+    integrate_steps,
+    load_trajectory,
+    open_trajectory,
+    save_trajectory,
+)
+from hamrom.metrics import (
+    EvalCounter,
+    e_inf,
+    energy_series_of_states,
+    hamiltonian_series,
+    read_series_csv,
+    write_series_csv,
+)
 from hamrom.pod import PodBasis
 from hamrom.rom import VARIANT_TAGS, RomVariant, build_rom, load_rom, save_rom
-from hamrom.wave import WaveConfig, assemble_wave_fom
+from hamrom.wave import WaveConfig, assemble_wave_fom, initial_state
 
 SMALL = dict(n=32, t_final=1.0, stride=10, r_list=(3,), variants=("sp-pod-2", "sp-deim-2"))
 
@@ -546,14 +565,43 @@ def test_offline_decomposes_each_snapshot_set_once(three_rank_run, tmp_path, mon
     pods = record_calls(monkeypatch, "compute_pod")
     deims = record_calls(monkeypatch, "build_deim")
     assert main(["offline", *tail, "--out", str(tmp_path)]) == 0
-    # six sets, plain and shifted, each at the largest rank (4) or size (8)
+    # six sets, plain and shifted, each at the largest rank (4) or size (8);
+    # fom starts at v = 0, so the shifted v set is the plain one and is not
+    # decomposed again
     decomposed = sorted((snaps.kind, snaps.shift_ref is not None, r) for snaps, r in pods)
     assert decomposed == sorted(
         (kind, shifted, 8 if kind == "nonlinear-G" else 4)
         for kind in ("state-u", "state-v", "nonlinear-G")
         for shifted in (False, True)
+        if (kind, shifted) != ("state-v", True)
     )
     assert sorted(basis.r for basis, _ in deims) == [8, 8]
+
+
+@pytest.mark.parametrize("v0", ("zero", "minus-zero", "nonzero"))
+def test_offline_decomposes_a_shifted_set_unless_it_is_the_plain_one(three_rank_run, tmp_path,
+                                                                     monkeypatch, v0):
+    # the shifted v set is decomposed unless its matrix is the plain one bit
+    # for bit: a reference of -0.0 turns the -0.0 entries of the first
+    # column into 0.0, which compare equal as floats
+    out, tail = three_rank_run
+    traj = load_trajectory(out / "fom_trajectory.bin")
+    states = np.array(traj.states)
+    if v0 == "minus-zero":
+        states[0, 32:] = -0.0
+    elif v0 == "nonzero":
+        states[:, 32:] += 0.25
+    save_trajectory(Trajectory(states, traj.times), tmp_path / "traj.bin", dt=traj.dt)
+    pods = record_calls(monkeypatch, "compute_pod")
+    argv = ["offline", *tail, "--traj", str(tmp_path / "traj.bin"), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    shifted = [snaps.kind for snaps, _ in pods if snaps.shift_ref is not None]
+    assert shifted.count("state-v") == (v0 != "zero")
+    # the artifacts are those of a decomposition of every set
+    monkeypatch.setattr(cli, "_same_columns", lambda a, b: False)
+    assert main([*argv[:-1], str(tmp_path / "every")]) == 0
+    for path in (tmp_path / "every").glob("rom_*.bin"):
+        assert path.read_bytes() == (tmp_path / path.name).read_bytes(), path.name
 
 
 @pytest.mark.parametrize("variants", ("sp-pod-1", "g-rom,sp-pod-2"))
@@ -784,6 +832,159 @@ def test_nan_result_is_a_numerical_failure_without_a_report(deim_run, tmp_path, 
     assert main(["online", "--rom", rom, "--traj", traj, *tail, "--out", str(tmp_path)]) == 3
     assert "report_sp-deim-1_r2.json" in capsys.readouterr().err
     assert not list(tmp_path.glob("report_*.json"))
+
+
+# ---------------------------------------------------------------------------
+# The worker thread of fom and online: the results and failures of one
+# thread, and no thread left behind.
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every microsecond, so that the worker and the main
+    thread interleave as finely as the interpreter lets them."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("tag", VARIANT_TAGS)
+def test_online_run_reports_what_direct_calls_give(three_rank_run, fast_switching, tag):
+    out, tail = three_rank_run
+    cfg = build_config(build_parser().parse_args(["offline", *tail]))
+    wcfg = cfg.wave_config()
+    model = load_rom(out / f"rom_{tag}_r4.bin", assemble_wave_fom(wcfg))
+    with open_trajectory(out / "fom_trajectory.bin") as fom_traj:
+        fom_series = read_series_csv(out / "fom_energy.csv", fom_traj.times)
+        [z0] = fom_traj.rows([0])
+        threads = threading.active_count()
+        report, rom_traj, series = cli._online_run(cfg, model, fom_traj, z0, fom_series)
+        assert threading.active_count() == threads
+        expected = model.integrate(model.initial_coefficients(z0), cfg.integrator_config())
+        error = e_inf(fom_traj, expected, model)
+    assert np.array_equal(rom_traj.states, expected.states)
+    energies, offset, drift = hamiltonian_series(model, expected, wcfg.dx, fom_series)
+    assert series.tobytes() == energies.tobytes()
+    assert (report.e_inf, report.h_offset_max, report.h_drift_max) == (error, offset, drift)
+    assert (report.steps, report.picard_avg_iters) == (
+        expected.steps, float(np.mean(expected.picard_iters)))
+
+
+@pytest.mark.parametrize("states", (1, 31, 32, 33, 65))
+def test_fom_writes_what_one_thread_would(tmp_path, fast_switching, states):
+    # around the blocks of 32 states that the worker stores
+    out = tmp_path / "out"
+    cfg = small_config(out, t_final=round(0.01 * (states - 1), 2))
+    threads = threading.active_count()
+    summary = cmd_fom(cfg)
+    assert threading.active_count() == threads
+    wcfg = cfg.wave_config()
+    fom = assemble_wave_fom(wcfg)
+    traj = fom.integrate(initial_state(wcfg), cfg.integrator_config())
+    assert len(traj) == states
+    series = energy_series_of_states(fom.energy, traj, wcfg.dx)
+    save_trajectory(traj, tmp_path / "fom_trajectory.bin")
+    write_series_csv(tmp_path / "fom_energy.csv", traj.times, series)
+    for name in ("fom_trajectory.bin", "fom_energy.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert scrub_timing(summary) == {
+        "h_dx": float(series[0]),
+        "h_dx_drift_max": float(np.max(np.abs(series - series[0]))),
+        "steps": states - 1,
+        "picard_avg_iters": float(np.mean(traj.picard_iters)) if states > 1 else 0.0,
+    }
+    assert json.loads((out / "fom_summary.json").read_text()) == summary
+
+
+def test_online_on_a_trajectory_truncated_after_its_check_writes_no_report(
+        deim_run, tmp_path, monkeypatch, capsys):
+    # e_inf, which runs while the worker repeats the integration, is the
+    # first to read the last states
+    out, tail = deim_run
+    for name in ("fom_trajectory.bin", "fom_energy.csv"):
+        (tmp_path / name).write_bytes((out / name).read_bytes())
+    traj = tmp_path / "fom_trajectory.bin"
+    check = cli._check_fom_trajectory
+
+    def check_then_truncate(cfg, fom_traj):
+        check(cfg, fom_traj)
+        os.truncate(traj, traj.stat().st_size - 8)
+
+    monkeypatch.setattr(cli, "_check_fom_trajectory", check_then_truncate)
+    fresh = tmp_path / "out"
+    rom = str(out / "rom_sp-deim-1_r2.bin")
+    threads = threading.active_count()
+    assert main(["online", "--rom", rom, "--traj", str(traj), *tail, "--out", str(fresh)]) == 4
+    assert threading.active_count() == threads
+    assert "truncated file" in capsys.readouterr().err
+    assert list(fresh.iterdir()) == []
+
+
+@pytest.mark.parametrize("failing", (1, 4))  # a block inside the run, and the last one
+def test_fom_whose_disk_fills_leaves_no_file(tmp_path, monkeypatch, capsys, failing):
+    # 101 states in 4 blocks: each is appended while the worker integrates
+    # the next one, but the last
+    writer = cli.trajectory_writer
+
+    @contextlib.contextmanager
+    def filling_writer(*args, **kwargs):
+        with writer(*args, **kwargs) as append:
+            blocks = itertools.count(1)
+
+            def append_until_full(states):
+                if next(blocks) == failing:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                append(states)
+
+            yield append_until_full
+
+    monkeypatch.setattr(cli, "trajectory_writer", filling_writer)
+    threads = threading.active_count()
+    out = tmp_path / "out"
+    assert main(["fom", "--n", "16", "--t-final", "1", "--out", str(out)]) == 4
+    assert threading.active_count() == threads
+    assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # neither --out nor a temporary file
+
+
+def test_a_picard_failure_in_a_later_fom_block_names_its_step(tmp_path, monkeypatch, capsys):
+    # the worker integrates the blocks.  A segment mean that turns NaN at
+    # its call `limit`, the first call of step 70 (in the third block), on
+    # the numpy path that every g_avg but sin_average takes; the
+    # construction checks call it too
+    wcfg = WaveConfig(n=16)
+    calls = itertools.count()
+
+    def counted(x0, x1):
+        next(calls)
+        return wave.sin_average(x0, x1)
+
+    probe = dataclasses.replace(assemble_wave_fom(wcfg), g_avg=counted)
+    probe.integrate(initial_state(wcfg), IntegratorConfig(dt=0.01, t_final=0.7))
+    limit = next(calls)
+
+    def failing_system(wcfg):
+        calls = itertools.count()
+
+        def g_avg(x0, x1):
+            mean = wave.sin_average(x0, x1)
+            return mean * np.nan if next(calls) >= limit else mean
+
+        return dataclasses.replace(assemble_wave_fom(wcfg), g_avg=g_avg)
+
+    config = IntegratorConfig(dt=0.01, t_final=1.0)
+    with pytest.raises(cli.PicardDivergenceError, match="at step 70"):
+        integrate_steps(failing_system(wcfg).make_step(config), initial_state(wcfg), config)
+    monkeypatch.setattr(cli, "assemble_wave_fom", failing_system)
+    threads = threading.active_count()
+    out = tmp_path / "out"
+    assert main(["fom", "--n", "16", "--t-final", "1", "--out", str(out)]) == 3
+    assert threading.active_count() == threads
+    assert "in the full-order model at step 70" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_names_the_benchmark_uses_exist():

@@ -50,6 +50,26 @@ def test_hamiltonian_matches_scalar_loop_oracle(rng):
     assert_allclose(system.energy(stack), [system.energy(row) for row in stack], rtol=1e-14)
 
 
+@pytest.mark.parametrize("n", (40, 500))
+def test_energy_takes_the_product_with_A_from_the_left_bit_for_bit(rng, n):
+    # (A u^T)^T and u A add the same terms in the same order for the
+    # symmetric CSR A of the wave: random states, and every block of an
+    # AVF run
+    system = assemble_wave_fom(WaveConfig(n=n))
+    config = IntegratorConfig(dt=0.01, t_final=1.0)
+    run = system.integrate(initial_state(WaveConfig(n=n)), config).states
+
+    def from_the_right(z):
+        u, v = z[..., :n], z[..., n:]
+        uAu = np.sum(u * (u @ system.A), axis=-1)
+        return 0.5 * np.sum(v * v, axis=-1) - 0.5 * uAu + system.G(u) @ system.c_u
+
+    stacks = [rng.standard_normal((32, 2 * n)), rng.standard_normal((1, 2 * n))]
+    stacks += [run[k : k + 32] for k in range(0, len(run), 32)]
+    for z in stacks + [run[17], rng.standard_normal(2 * n)]:
+        assert np.asarray(system.energy(z)).tobytes() == from_the_right(z).tobytes()
+
+
 def test_make_step_conserves_energy_with_non_unit_weights(rng):
     # the AVF step's nonlinear term carries the weights c_u; a step that
     # dropped them would advance another system and miss this energy
