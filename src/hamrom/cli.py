@@ -12,11 +12,12 @@ Configuration comes from defaults, overridden by an optional key=value
 config file (--config), overridden by command-line flags.  Exit codes:
 0 success, 2 configuration error, 3 numerical failure, 4 I/O failure.
 
-fom and online each run their compiled integration, which releases the
-GIL, on one worker thread while the main thread does the bookkeeping:
-fom stores each block while the next one integrates, and online measures
-its first run while the two timing repeats run.  The worker is joined
-before the command returns or fails.
+fom and online run their compiled integrations, which release the GIL,
+on worker threads while the main thread does the bookkeeping: fom
+integrates each block on one worker while the main thread stores the
+block before it, and online, after its first run, runs its two timing
+repeats on two workers at once while the main thread measures that run.
+The workers are joined before the command returns or fails.
 """
 
 import argparse
@@ -475,12 +476,13 @@ def _online_run(cfg, model, fom_traj, z0, fom_series):
     run against the full-order trajectory and energy series.
 
     The integration is deterministic, so its two repeats serve only the
-    timing: `online_seconds` is the least of the three times, the least
-    contention-polluted estimate of online cost, and the first run runs
-    alone.  One worker thread runs the repeats in the compiled loop,
-    which releases the GIL, while the main thread takes the first run's
-    energy series and `e_inf`; the pool's shutdown joins the worker
-    before the times are read."""
+    timing: `online_seconds` is the least of the three times.  The first
+    run runs alone, so that one timed run has the machine to itself.  Two
+    worker threads then run the two repeats at the same time, each in the
+    compiled loop, which releases the GIL, with its own window and work
+    array, while the main thread takes the first run's energy series and
+    `e_inf`; the pool's shutdown joins the workers before the times are
+    read or a failure propagates."""
     icfg = cfg.integrator_config()
     dx = cfg.wave_config().dx
     coeffs0 = model.initial_coefficients(z0)
@@ -492,7 +494,7 @@ def _online_run(cfg, model, fom_traj, z0, fom_series):
         return time_online(run)[1]
 
     rom_traj, seconds = _timed_run(run, f"{model.tag} r={model.r_u}")
-    with ThreadPoolExecutor(1) as pool:
+    with ThreadPoolExecutor(_TIMING_REPEATS - 1) as pool:
         repeats = [pool.submit(repeat) for _ in range(_TIMING_REPEATS - 1)]
         series, offset, drift = hamiltonian_series(model, rom_traj, dx, fom_series)
         error = e_inf(fom_traj, rom_traj, model)

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -58,6 +59,21 @@ from hamrom.rom import VARIANT_TAGS, RomVariant, build_rom, load_rom, save_rom
 from hamrom.wave import WaveConfig, assemble_wave_fom, initial_state
 
 SMALL = dict(n=32, t_final=1.0, stride=10, r_list=(3,), variants=("sp-pod-2", "sp-deim-2"))
+
+
+@pytest.fixture(autouse=True)
+def no_new_thread():
+    """Fail a test that leaves a thread running: fom and online join their
+    workers before they return or fail.  A test that asks for the fixture
+    gets the check itself, to make right after a command returns."""
+    before = set(threading.enumerate())
+
+    def check():
+        left = set(threading.enumerate()) - before
+        assert not left, f"threads left running: {sorted(t.name for t in left)}"
+
+    yield check
+    check()
 
 
 def small_config(out, **overrides):
@@ -761,13 +777,29 @@ def test_online_accepts_only_the_trajectory_of_its_own_settings(tiny_runs, writt
         assert main(argv) == (0 if configured == written else 2)
 
 
-def test_solver_failure_names_the_model(deim_run, tmp_path, capsys):
+def test_solver_failure_names_the_model(deim_run, tmp_path, monkeypatch, capsys,
+                                        no_new_thread):
+    # the first run fails before any repeat is started
     out, tail = deim_run
-    rom = str(out / "rom_sp-deim-1_r2.bin")
-    assert main(["online", "--rom", rom, *tail, "--picard-max-iter", "1"]) == 3
+    threads = []
+    integrate = rom.ReducedModel.integrate
+
+    def recorded_integrate(self, z0, config):
+        threads.append(threading.current_thread())
+        return integrate(self, z0, config)
+
+    monkeypatch.setattr(rom.ReducedModel, "integrate", recorded_integrate)
+    model = str(out / "rom_sp-deim-1_r2.bin")
+    fresh = tmp_path / "online"
+    argv = ["online", "--rom", model, "--traj", str(out / "fom_trajectory.bin"), *tail,
+            "--out", str(fresh), "--picard-max-iter", "1"]
+    assert main(argv) == 3
+    no_new_thread()
     assert "in sp-deim-1 r=2 at step 0" in capsys.readouterr().err
-    fresh = [*tail, "--out", str(tmp_path), "--picard-max-iter", "1"]
-    assert main(["reproduce", *fresh]) == 3
+    assert threads == [threading.main_thread()]
+    assert not list(fresh.glob("report_*")) and not list(fresh.glob("energy_*"))
+    argv = [*tail, "--out", str(tmp_path / "reproduce"), "--picard-max-iter", "1"]
+    assert main(["reproduce", *argv]) == 3
     assert "in the full-order model at step 0" in capsys.readouterr().err
 
 
@@ -835,7 +867,7 @@ def test_nan_result_is_a_numerical_failure_without_a_report(deim_run, tmp_path, 
 
 
 # ---------------------------------------------------------------------------
-# The worker thread of fom and online: the results and failures of one
+# The worker threads of fom and online: the results and failures of one
 # thread, and no thread left behind.
 
 
@@ -852,7 +884,8 @@ def fast_switching():
 
 
 @pytest.mark.parametrize("tag", VARIANT_TAGS)
-def test_online_run_reports_what_direct_calls_give(three_rank_run, fast_switching, tag):
+def test_online_run_reports_what_direct_calls_give(three_rank_run, fast_switching, tag,
+                                                    no_new_thread):
     out, tail = three_rank_run
     cfg = build_config(build_parser().parse_args(["offline", *tail]))
     wcfg = cfg.wave_config()
@@ -860,9 +893,8 @@ def test_online_run_reports_what_direct_calls_give(three_rank_run, fast_switchin
     with open_trajectory(out / "fom_trajectory.bin") as fom_traj:
         fom_series = read_series_csv(out / "fom_energy.csv", fom_traj.times)
         [z0] = fom_traj.rows([0])
-        threads = threading.active_count()
         report, rom_traj, series = cli._online_run(cfg, model, fom_traj, z0, fom_series)
-        assert threading.active_count() == threads
+        no_new_thread()
         expected = model.integrate(model.initial_coefficients(z0), cfg.integrator_config())
         error = e_inf(fom_traj, expected, model)
     assert np.array_equal(rom_traj.states, expected.states)
@@ -873,14 +905,53 @@ def test_online_run_reports_what_direct_calls_give(three_rank_run, fast_switchin
         expected.steps, float(np.mean(expected.picard_iters)))
 
 
+def test_online_runs_its_repeats_together_after_its_first_run(deim_run, tmp_path, monkeypatch,
+                                                              fast_switching, no_new_thread):
+    # each repeat waits until the other has begun, or 5 s: only then do
+    # they overlap
+    out, tail = deim_run
+    begun = threading.Barrier(2, timeout=5)
+    spans, seconds = [], []
+    integrate, timed = rom.ReducedModel.integrate, cli.time_online
+
+    def integrate_alongside(self, z0, config):
+        start = time.perf_counter()
+        if threading.current_thread() is not threading.main_thread():
+            with contextlib.suppress(threading.BrokenBarrierError):
+                begun.wait()
+        traj = integrate(self, z0, config)
+        spans.append((threading.current_thread(), start, time.perf_counter()))
+        return traj
+
+    def recorded_time_online(fn):
+        result, elapsed = timed(fn)
+        seconds.append(elapsed)
+        return result, elapsed
+
+    monkeypatch.setattr(rom.ReducedModel, "integrate", integrate_alongside)
+    monkeypatch.setattr(cli, "time_online", recorded_time_online)
+    model = str(out / "rom_sp-deim-1_r2.bin")
+    argv = ["online", "--rom", model, "--traj", str(out / "fom_trajectory.bin"), *tail,
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    no_new_thread()
+    assert len(spans) == 3 and len({thread for thread, _, _ in spans}) == 3
+    (first, _, first_end), *repeats = sorted(spans, key=lambda span: span[1])
+    assert first is threading.main_thread()
+    assert all(first_end < start for _, start, _ in repeats)  # the first run runs alone
+    [(_, start_a, end_a), (_, start_b, end_b)] = repeats
+    assert start_a < end_b and start_b < end_a
+    report = json.loads((tmp_path / "report_sp-deim-1_r2.json").read_text())
+    assert len(seconds) == 3 and report["online_seconds"] == min(seconds)
+
+
 @pytest.mark.parametrize("states", (1, 31, 32, 33, 65))
-def test_fom_writes_what_one_thread_would(tmp_path, fast_switching, states):
+def test_fom_writes_what_one_thread_would(tmp_path, fast_switching, states, no_new_thread):
     # around the blocks of 32 states that the worker stores
     out = tmp_path / "out"
     cfg = small_config(out, t_final=round(0.01 * (states - 1), 2))
-    threads = threading.active_count()
     summary = cmd_fom(cfg)
-    assert threading.active_count() == threads
+    no_new_thread()
     wcfg = cfg.wave_config()
     fom = assemble_wave_fom(wcfg)
     traj = fom.integrate(initial_state(wcfg), cfg.integrator_config())
@@ -900,8 +971,8 @@ def test_fom_writes_what_one_thread_would(tmp_path, fast_switching, states):
 
 
 def test_online_on_a_trajectory_truncated_after_its_check_writes_no_report(
-        deim_run, tmp_path, monkeypatch, capsys):
-    # e_inf, which runs while the worker repeats the integration, is the
+        deim_run, tmp_path, monkeypatch, capsys, no_new_thread):
+    # e_inf, which runs while the workers repeat the integration, is the
     # first to read the last states
     out, tail = deim_run
     for name in ("fom_trajectory.bin", "fom_energy.csv"):
@@ -916,15 +987,15 @@ def test_online_on_a_trajectory_truncated_after_its_check_writes_no_report(
     monkeypatch.setattr(cli, "_check_fom_trajectory", check_then_truncate)
     fresh = tmp_path / "out"
     rom = str(out / "rom_sp-deim-1_r2.bin")
-    threads = threading.active_count()
     assert main(["online", "--rom", rom, "--traj", str(traj), *tail, "--out", str(fresh)]) == 4
-    assert threading.active_count() == threads
+    no_new_thread()
     assert "truncated file" in capsys.readouterr().err
     assert list(fresh.iterdir()) == []
 
 
 @pytest.mark.parametrize("failing", (1, 4))  # a block inside the run, and the last one
-def test_fom_whose_disk_fills_leaves_no_file(tmp_path, monkeypatch, capsys, failing):
+def test_fom_whose_disk_fills_leaves_no_file(tmp_path, monkeypatch, capsys, failing,
+                                              no_new_thread):
     # 101 states in 4 blocks: each is appended while the worker integrates
     # the next one, but the last
     writer = cli.trajectory_writer
@@ -942,15 +1013,15 @@ def test_fom_whose_disk_fills_leaves_no_file(tmp_path, monkeypatch, capsys, fail
             yield append_until_full
 
     monkeypatch.setattr(cli, "trajectory_writer", filling_writer)
-    threads = threading.active_count()
     out = tmp_path / "out"
     assert main(["fom", "--n", "16", "--t-final", "1", "--out", str(out)]) == 4
-    assert threading.active_count() == threads
+    no_new_thread()
     assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # neither --out nor a temporary file
 
 
-def test_a_picard_failure_in_a_later_fom_block_names_its_step(tmp_path, monkeypatch, capsys):
+def test_a_picard_failure_in_a_later_fom_block_names_its_step(tmp_path, monkeypatch, capsys,
+                                                              no_new_thread):
     # the worker integrates the blocks.  A segment mean that turns NaN at
     # its call `limit`, the first call of step 70 (in the third block), on
     # the numpy path that every g_avg but sin_average takes; the
@@ -979,10 +1050,9 @@ def test_a_picard_failure_in_a_later_fom_block_names_its_step(tmp_path, monkeypa
     with pytest.raises(cli.PicardDivergenceError, match="at step 70"):
         integrate_steps(failing_system(wcfg).make_step(config), initial_state(wcfg), config)
     monkeypatch.setattr(cli, "assemble_wave_fom", failing_system)
-    threads = threading.active_count()
     out = tmp_path / "out"
     assert main(["fom", "--n", "16", "--t-final", "1", "--out", str(out)]) == 3
-    assert threading.active_count() == threads
+    no_new_thread()
     assert "in the full-order model at step 70" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
