@@ -15,9 +15,12 @@ config file (--config), overridden by command-line flags.  Exit codes:
 fom and online run their compiled integrations, which release the GIL,
 on worker threads while the main thread does the bookkeeping: fom
 integrates each block on one worker while the main thread stores the
-block before it, and online, after its first run, runs its two timing
-repeats on two workers at once while the main thread measures that run.
-The workers are joined before the command returns or fails.
+block before it and formats its rows of the energy CSV, and online,
+after its first run, runs its two timing repeats on two workers at once
+while the main thread measures that run; the first worker to finish its
+repeat then shares the `e_inf` blocks with the main thread.  The workers
+are joined before the command returns or fails, and the files are
+written only after that.
 """
 
 import argparse
@@ -36,9 +39,9 @@ from ._binio import FileFormatError
 from .deim import build_deim
 
 # The pipeline does not call `integrate`, `load_trajectory`,
-# `save_trajectory`, `save_basis`, `make_wave_rhs` or `make_wave_energy`;
-# they stay in this namespace because perfbench calls them or its tracer
-# wraps them.
+# `save_trajectory`, `save_basis`, `make_wave_rhs`, `make_wave_energy` or
+# `write_series_csv`; they stay in this namespace because perfbench calls
+# them or its tracer wraps them.
 from .integrator import (
     IntegratorConfig,
     PicardDivergenceError,
@@ -56,8 +59,10 @@ from .metrics import (
     energy_series_of_states,
     hamiltonian_series,
     read_series_csv,
+    series_rows,
     time_online,
-    write_series_csv,
+    write_series_csv,  # noqa: F401
+    write_series_rows,
 )
 from .pod import (
     PodBasis,
@@ -66,7 +71,7 @@ from .pod import (
     save_basis,  # noqa: F401
 )
 from .rom import VARIANT_TAGS, RomVariant, build_rom, load_rom, save_rom
-from .snapshots import collect, shift
+from .snapshots import SampledStates, collect, shift
 from .wave import (
     WaveConfig,
     assemble_wave_fom,
@@ -284,14 +289,16 @@ def cmd_fom(cfg: PipelineConfig) -> dict:
     The run goes in blocks of `_BLOCK` states through one window, which
     one worker thread integrates in the compiled loop, without the GIL.
     While it integrates a block, the main thread stores a copy of the
-    block before it: it takes the copy's energies and appends it to a
-    temporary file in `--out`, or beside it when it does not exist yet.
-    One block at most is in flight, and the errors come in the order of
-    one thread: a block that fails to integrate or to store ends the run
-    before any later one is stored.  The file becomes
-    `fom_trajectory.bin` once the run has succeeded; only then is `--out`
-    created.  `online_seconds` is the integration time of the blocks,
-    each integrated while the block before it is stored."""
+    block before it: it takes the copy's energies, formats their rows of
+    `fom_energy.csv` and appends the copy to a temporary file in `--out`,
+    or beside it when it does not exist yet.  One block at most is in
+    flight, and the errors come in the order of one thread: a block that
+    fails to integrate or to store ends the run before any later one is
+    stored.  The file becomes `fom_trajectory.bin` once the run has
+    succeeded; only then is `--out` created, and `fom_summary.json` and
+    `fom_energy.csv` are written, in that order.  `online_seconds` is
+    the integration time of the blocks, each integrated while the block
+    before it is stored."""
     wcfg = cfg.wave_config()
     icfg = cfg.integrator_config()
     fom = assemble_wave_fom(wcfg)
@@ -299,7 +306,7 @@ def cmd_fom(cfg: PipelineConfig) -> dict:
     count = icfg.step_count() + 1
     times = np.arange(count) * cfg.dt
     blocks = fom.integrate_blocks(initial_state(wcfg), icfg, _BLOCK)
-    series, iterations, seconds = [], [], 0.0
+    series, rows, iterations, seconds = [], [], [], 0.0
     # the file grows in --out when it exists, else beside it, which may be
     # another directory to write in
     directory = out if out.is_dir() else out.parent
@@ -321,13 +328,13 @@ def cmd_fom(cfg: PipelineConfig) -> dict:
                 pending = pool.submit(integrate_block)
             block = Trajectory(states, times[start : start + _BLOCK])
             series.append(energy_series_of_states(fom.energy, block, wcfg.dx))
+            rows.append(series_rows(block.times, series[-1]))
             iterations.append(iters)
             append(states)
             seconds += block_seconds
         out.mkdir(exist_ok=True)
     series = np.concatenate(series)
     iterations = np.concatenate(iterations)
-    write_series_csv(out / "fom_energy.csv", times, series)
     summary = {
         "h_dx": float(series[0]),
         "h_dx_drift_max": float(np.max(np.abs(series - series[0]))),
@@ -336,6 +343,7 @@ def cmd_fom(cfg: PipelineConfig) -> dict:
         "picard_avg_iters": float(np.mean(iterations)) if count > 1 else 0.0,
     }
     _write_json(out / "fom_summary.json", summary)
+    write_series_rows(out / "fom_energy.csv", "".join(rows))
     return summary
 
 
@@ -391,22 +399,24 @@ def cmd_offline(cfg: PipelineConfig, traj_path=None) -> dict:
     s_max = cfg.deim_mult * r_max
     needs_g = any(deim_for.values())
 
-    # only the sampled states are read
+    # only the sampled states are read, once for every snapshot set
     with open_trajectory(_fom_trajectory_path(cfg, traj_path)) as traj:
         _check_fom_trajectory(cfg, traj)
-        set_u = collect(traj, cfg.stride, lambda z: z[:n], "state-u")
-        # each basis needs r (each interpolation basis s >= r) snapshot columns
-        what, size = f"rank r={r_max}", r_max
-        if needs_g:
-            what, size = f"interpolation size s={s_max} (r={r_max})", s_max
-        if size > min(n, set_u.count):
-            raise ConfigError(
-                f"{what} exceeds min(n, snapshot count) = min({n}, {set_u.count}): "
-                f"stride {cfg.stride} samples {set_u.count} of {len(traj)} states"
-            )
-        set_v = collect(traj, cfg.stride, lambda z: z[n:], "state-v")
-        set_g = collect(traj, cfg.stride, lambda z: G_fn(z[:n]), "nonlinear-G") if needs_g else None
-        [z0] = traj.rows([0])
+        sampled = SampledStates(traj, cfg.stride)
+    set_u = collect(sampled, cfg.stride, lambda z: z[:n], "state-u")
+    # each basis needs r (each interpolation basis s >= r) snapshot columns
+    what, size = f"rank r={r_max}", r_max
+    if needs_g:
+        what, size = f"interpolation size s={s_max} (r={r_max})", s_max
+    if size > min(n, set_u.count):
+        raise ConfigError(
+            f"{what} exceeds min(n, snapshot count) = min({n}, {set_u.count}): "
+            f"stride {cfg.stride} samples {set_u.count} of {len(sampled)} states"
+        )
+    set_v = collect(sampled, cfg.stride, lambda z: z[n:], "state-v")
+    set_g = collect(sampled, cfg.stride, lambda z: G_fn(z[:n]), "nonlinear-G") if needs_g else None
+    [z0] = sampled.rows([0])
+    del sampled  # freed: the sets hold what the decompositions need
     sets = {False: (set_u, set_v, set_g)}
     if True in deim_for:
         u0, v0 = z0[:n], z0[n:]
@@ -480,9 +490,13 @@ def _online_run(cfg, model, fom_traj, z0, fom_series):
     run runs alone, so that one timed run has the machine to itself.  Two
     worker threads then run the two repeats at the same time, each in the
     compiled loop, which releases the GIL, with its own window and work
-    array, while the main thread takes the first run's energy series and
-    `e_inf`; the pool's shutdown joins the workers before the times are
-    read or a failure propagates."""
+    array, while the main thread takes the first run's energy series,
+    then `e_inf`, then the rows of its energy CSV.  `e_inf` queues one
+    more task on the pool, which claims blocks beside the main thread
+    once a worker has finished its repeat (see `metrics.e_inf`).  The
+    pool's shutdown joins the workers before the times are read or a
+    failure propagates.  Returns the report, the reduced trajectory and
+    the CSV rows (`series_rows`) of the energy series."""
     icfg = cfg.integrator_config()
     dx = cfg.wave_config().dx
     coeffs0 = model.initial_coefficients(z0)
@@ -497,7 +511,8 @@ def _online_run(cfg, model, fom_traj, z0, fom_series):
     with ThreadPoolExecutor(_TIMING_REPEATS - 1) as pool:
         repeats = [pool.submit(repeat) for _ in range(_TIMING_REPEATS - 1)]
         series, offset, drift = hamiltonian_series(model, rom_traj, dx, fom_series)
-        error = e_inf(fom_traj, rom_traj, model)
+        error = e_inf(fom_traj, rom_traj, model, pool)
+        rows = series_rows(rom_traj.times, series)
     seconds = min(seconds, *(again.result() for again in repeats))
     report = RunReport(
         variant=model.tag,
@@ -510,13 +525,15 @@ def _online_run(cfg, model, fom_traj, z0, fom_series):
         steps=rom_traj.steps,
         picard_avg_iters=float(np.mean(rom_traj.picard_iters)) if rom_traj.steps else 0.0,
     )
-    return report, rom_traj, series
+    return report, rom_traj, rows
 
 
-def _write_report(out, report, times, series):
+def _write_report(out, report, rows):
+    """Write the report, then its energy series, `rows` of `series_rows`:
+    a report that is not finite fails before either file is written."""
     name = f"{report.variant}_r{report.r}"
     _write_json(out / f"report_{name}.json", asdict(report))
-    write_series_csv(out / f"energy_{name}.csv", times, series)
+    write_series_rows(out / f"energy_{name}.csv", rows)
 
 
 def _online_stage(cfg, rom_paths, traj_path=None):
@@ -550,8 +567,8 @@ def _online_stage(cfg, rom_paths, traj_path=None):
         out.mkdir(parents=True, exist_ok=True)
         reports = []
         for model in models:
-            report, rom_traj, series = _online_run(cfg, model, fom_traj, z0, fom_series)
-            _write_report(out, report, rom_traj.times, series)
+            report, _, rows = _online_run(cfg, model, fom_traj, z0, fom_series)
+            _write_report(out, report, rows)
             reports.append(report)
     return reports
 

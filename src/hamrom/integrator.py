@@ -196,6 +196,11 @@ class Trajectory:
         for start in range(0, len(self), size):
             yield start, self.states[start : start + size]
 
+    def read(self, start, out) -> np.ndarray:
+        """Copy states start, start + 1, ... into `out`; returns out."""
+        out[...] = self.states[start : start + len(out)]
+        return out
+
 
 def picard_converged(update, x, iteration, config: IntegratorConfig) -> bool:
     """The stopping rule of every Picard solve, after update `iteration`.
@@ -389,11 +394,12 @@ class TrajectoryFile:
     """A trajectory file opened for reading a few states at a time.
 
     `open_trajectory` checks the header and the payload size before any
-    state is read.  `rows` and `blocks` read states with pread, so a
+    state is read.  `rows` and `read` read states with pread, so a
     process holds only the states it has asked for: a mapping of the file
     would bring whole large folios of the page cache into its resident set
-    around every page it touches.  Use it as a context manager, or close
-    it.
+    around every page it touches.  pread leaves the file offset alone, so
+    threads may read one file at once.  Use it as a context manager, or
+    close it.
     """
 
     def __init__(self, path, fh, dim, count, dt, t0):
@@ -421,21 +427,12 @@ class TrajectoryFile:
         indices = np.asarray(indices, dtype=np.intp)
         out = np.empty((indices.shape[0], self.dim), dtype="<f8")
         for row, k in zip(out, indices.tolist()):
-            self._read(k, row)
+            self.read(k, row)
         return out
 
-    def blocks(self, size):
-        """Yield (start, states[start : start + size]) for start = 0, size,
-        ..., each block read with one pread into the same buffer, which the
-        next block overwrites."""
-        buffer = np.empty((min(size, len(self)), self.dim), dtype="<f8")
-        for start in range(0, len(self), size):
-            block = buffer[: min(size, len(self) - start)]
-            self._read(start, block)
-            yield start, block
-
-    def _read(self, start, out):
-        """Read states start, start + 1, ... into the C-ordered `out`."""
+    def read(self, start, out) -> np.ndarray:
+        """Read states start, start + 1, ... into `out`, a C-ordered
+        float64 array of rows of `dim` values, with pread; returns out."""
         if not 0 <= start < len(self):
             raise IndexError(f"state {start} of a trajectory of {len(self)} states")
         view = memoryview(out).cast("B")
@@ -449,6 +446,7 @@ class TrajectoryFile:
                     f"data from state {start}, got {done}"
                 )
             done += got
+        return out
 
 
 def open_trajectory(path) -> TrajectoryFile:

@@ -6,22 +6,24 @@ point of the Euclidean mismatch in the (u, v) pair,
     e_inf = max_k max_i sqrt((u_h - u_r)_i^2 + (v_h - v_r)_i^2),
 
 evaluated against the full-order trajectory in blocks of states, which
-it reads one block at a time (`Trajectory.blocks`, or
-`TrajectoryFile.blocks` for a trajectory file).  Each block takes two
-BLAS products and one pass of `_avf.c`'s `avf_max_mismatch` over its
-squared mismatches, or, without the compiled loops, the numpy sweeps
-that the pass reproduces bit for bit.  Energy series are reported
-scaled by the mesh size dx, which makes them consistent approximations
-of the continuum Hamiltonian; every series, full-order or reduced, takes
-one energy call per block of states.  A series written by
-`write_series_csv` reads back bit-exactly with `read_series_csv`, which
-parses such a file with one `np.loadtxt` call and any other one row at a
-time.
+it reads one block at a time (`Trajectory.read`, or `TrajectoryFile.read`
+for a trajectory file), on the calling thread and, given an executor,
+on one of its workers too.  Each block takes two BLAS products and one
+pass of `_avf.c`'s `avf_max_mismatch` over its squared mismatches, or,
+without the compiled loops, the numpy sweeps that the pass reproduces
+bit for bit.  Energy series are reported scaled by the mesh size dx,
+which makes them consistent approximations of the continuum
+Hamiltonian; every series, full-order or reduced, takes one energy call
+per block of states.  A series written by `write_series_csv`, or formatted
+in parts by `series_rows` and written by `write_series_rows`, reads back
+bit-exactly with `read_series_csv`, which parses such a file with one
+`np.loadtxt` call and any other one row at a time.
 """
 
 import functools
 import math
 import re
+import threading
 import time
 from dataclasses import dataclass
 
@@ -39,6 +41,8 @@ __all__ = [
     "energy_series_of_states",
     "time_online",
     "write_series_csv",
+    "series_rows",
+    "write_series_rows",
     "read_series_csv",
 ]
 
@@ -79,7 +83,7 @@ class EvalCounter:
         return self.fn(x)
 
 
-def e_inf(fom_traj, rom_traj: Trajectory, model) -> float:
+def e_inf(fom_traj, rom_traj: Trajectory, model, pool=None) -> float:
     """Spatio-temporal max error of a reduced run against the full one.
 
     Every stored full-order state of `fom_traj`, a `Trajectory` or an
@@ -92,25 +96,86 @@ def e_inf(fom_traj, rom_traj: Trajectory, model) -> float:
     trajectory makes the result NaN.
 
     When `_native.checked()` gives the compiled loops, the two products
-    of a block are written into buffers allocated once per call and
-    `_avf.c`'s `avf_max_mismatch` forms and reduces the squares in one
-    pass, rounding each as the numpy sweeps of `_numpy_mismatch` do, so
-    the result is theirs bit for bit; otherwise those sweeps run.
+    of a block are written into two buffers and `_avf.c`'s
+    `avf_max_mismatch` forms and reduces the squares in one pass,
+    rounding each as the numpy sweeps of `_numpy_mismatch` do, so the
+    result is theirs bit for bit; otherwise those sweeps run.
+
+    Each block goes to one claimant, the next block to the next claim
+    (`_Blocks`).  With `pool`, an executor, and the compiled loops, one
+    task of `pool` claims blocks beside the calling thread as soon as a
+    worker of the pool is free; it is cancelled if it has not started by
+    the time the calling thread finds no block left.  Each claimant reads
+    the full-order states into a buffer of its own and forms its products
+    in a pair of its own, all allocated by the calling thread.  The
+    result is the larger of the two largest squares, NaN if either is,
+    so it is one claimant's bit for bit.  A block that fails to read
+    stops the claims, and once the task has ended the call raises the
+    error of the first block that failed, as one claimant would.  The
+    numpy sweeps allocate per block, so they stay on the calling thread.
     """
     if len(fom_traj) != len(rom_traj):
         raise ValueError("trajectories have different step counts")
     if fom_traj.dim != 2 * model.n:
         raise ValueError(f"full-order states have {fom_traj.dim} values, not 2 n = {2 * model.n}")
+    blocks = _Blocks(fom_traj, rom_traj)
     loops = _native.checked()
     if loops is None:
-        mismatch = functools.partial(_numpy_mismatch, model)
+        worst = blocks.claimant(functools.partial(_numpy_mismatch, model))()
     else:
-        mismatch = _compiled_mismatch(loops, model)
-    worst = 0.0
-    for start, block in fom_traj.blocks(_BLOCK):
-        coeffs = rom_traj.states[start : start + _BLOCK]
-        worst = np.maximum(worst, mismatch(coeffs, block))  # propagates NaN, unlike max()
+        mine = blocks.claimant(_compiled_mismatch(loops, model))
+        helper = None if pool is None else pool.submit(
+            blocks.claimant(_compiled_mismatch(loops, model)))
+        worst = mine()
+        if helper is not None and not helper.cancel():
+            worst = np.maximum(worst, helper.result())  # propagates NaN, unlike max()
+    blocks.raise_first_failure()
     return math.sqrt(worst)
+
+
+class _Blocks:
+    """The blocks of `_BLOCK` states of one `e_inf` call, each claimed by
+    one of the threads that share them, in order."""
+
+    def __init__(self, fom_traj, rom_traj):
+        self._fom_traj = fom_traj
+        self._coeffs = rom_traj.states
+        self._starts = iter(range(0, len(fom_traj), _BLOCK))
+        self._failures = []  # (start, error) of each block that failed to read
+        self._lock = threading.Lock()
+
+    def _claim(self):
+        """The start of the next block, or None once none is left or a
+        block has failed."""
+        with self._lock:
+            return None if self._failures else next(self._starts, None)
+
+    def claimant(self, mismatch):
+        """A task that claims blocks until none is left and returns the
+        largest `mismatch(coeffs, states)` among them, NaN where one is
+        NaN, or 0.0 for no block.  Its read buffer is allocated here."""
+        fom_traj, coeffs = self._fom_traj, self._coeffs
+        count = len(fom_traj)
+        buffer = np.empty((min(_BLOCK, count), fom_traj.dim))
+
+        def claim():
+            worst = 0.0
+            while (start := self._claim()) is not None:
+                try:
+                    block = fom_traj.read(start, buffer[: min(_BLOCK, count - start)])
+                except (OSError, FileFormatError) as exc:
+                    with self._lock:
+                        self._failures.append((start, exc))
+                    break
+                worst = np.maximum(worst, mismatch(coeffs[start : start + _BLOCK], block))
+            return worst
+
+        return claim
+
+    def raise_first_failure(self):
+        """Raise the error of the first block that failed to read, if any."""
+        if self._failures:
+            raise min(self._failures, key=lambda failure: failure[0])[1]
 
 
 def _numpy_mismatch(model, coeffs, block):
@@ -132,15 +197,15 @@ def _numpy_mismatch(model, coeffs, block):
 
 
 def _compiled_mismatch(loops, model):
-    """`_numpy_mismatch` of `model` as the same two products and one call
-    of the loops' `max_mismatch`."""
+    """`_numpy_mismatch` of `model`, for C-ordered float64 blocks, as the
+    same two products, into two buffers allocated here, and one call of
+    the loops' `max_mismatch`."""
     n, r_u = model.n, model.r_u
     gu, gv = np.empty((_BLOCK, n)), np.empty((_BLOCK, n))
     operands = [a.ctypes.data for a in (gu, gv, model.u_ref, model.v_ref)]
 
     def mismatch(coeffs, block):
         rows = len(block)
-        block = np.ascontiguousarray(block, dtype=float)
         np.matmul(coeffs[:, :r_u], model.phi_u.T, out=gu[:rows])
         np.matmul(coeffs[:, r_u:], model.phi_v.T, out=gv[:rows])
         return loops.max_mismatch(rows, n, *operands, block.ctypes.data)
@@ -181,12 +246,24 @@ def time_online(fn):
 
 
 def write_series_csv(path, times, values):
-    """Write a `t,value` CSV; each number is the shortest repr that
-    round-trips its float64 value."""
+    """Write a `t,value` CSV: `write_series_rows` of `series_rows(times,
+    values)`."""
+    write_series_rows(path, series_rows(times, values))
+
+
+def series_rows(times, values) -> str:
+    """The rows of a `t,value` CSV, one per time; each number is the
+    shortest repr that round-trips its float64 value.  The rows of
+    consecutive parts of a series, joined, are the rows of the whole."""
     times, values = (np.asarray(a, dtype=float).tolist() for a in (times, values))
-    text = "".join([f"{t!r},{v!r}\n" for t, v in zip(times, values)])
+    return "".join([f"{t!r},{v!r}\n" for t, v in zip(times, values)])
+
+
+def write_series_rows(path, rows):
+    """Write a `t,value` CSV: its header, then `rows`, text of
+    `series_rows`."""
     with open(path, "w") as fh:
-        fh.write("t,value\n" + text)
+        fh.write("t,value\n" + rows)
 
 
 # the characters of the rows that write_series_csv writes

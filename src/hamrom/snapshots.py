@@ -7,7 +7,7 @@ which makes reduced bases exact at the reference state.
 
 import numpy as np
 
-__all__ = ["SnapshotSet", "SNAPSHOT_KINDS", "collect", "shift"]
+__all__ = ["SnapshotSet", "SNAPSHOT_KINDS", "SampledStates", "collect", "sample_steps", "shift"]
 
 SNAPSHOT_KINDS = ("state-u", "state-v", "nonlinear-G")
 
@@ -42,24 +42,52 @@ class SnapshotSet:
         return self.columns.shape[1]
 
 
-def collect(traj, stride, extractor, kind) -> SnapshotSet:
-    """Sample a trajectory at steps 0, stride, 2*stride, ..., final inclusive.
-
-    `traj` is a `Trajectory` or an `integrator.TrajectoryFile`, which reads
-    only the sampled states.  The extractor maps a full state row to the
-    sampled vector (for example a block slice, or a nonlinear function of
-    it).
-    """
-    if len(traj) < 1:
+def sample_steps(count, stride) -> list:
+    """Steps 0, stride, 2*stride, ... of a trajectory of `count` states,
+    and its last step."""
+    if count < 1:
         raise ValueError("cannot collect snapshots from an empty trajectory")
     if stride < 1:
         raise ValueError("stride must be a positive integer")
-    last = len(traj) - 1
-    steps = list(range(0, last + 1, stride))
-    if steps[-1] != last:
-        steps.append(last)
+    steps = list(range(0, count, stride))
+    if steps[-1] != count - 1:
+        steps.append(count - 1)
+    return steps
+
+
+def collect(traj, stride, extractor, kind) -> SnapshotSet:
+    """Sample a trajectory at steps 0, stride, 2*stride, ..., final inclusive.
+
+    `traj` is a `Trajectory`, an `integrator.TrajectoryFile`, which reads
+    only the sampled states, or the `SampledStates` of a trajectory at
+    this stride.  The extractor maps a full state row to the sampled
+    vector (for example a block slice, or a nonlinear function of it).
+    """
+    steps = sample_steps(len(traj), stride)
     cols = np.column_stack([extractor(z) for z in traj.rows(steps)])
     return SnapshotSet(cols, steps, kind)
+
+
+class SampledStates:
+    """The states of a trajectory at `sample_steps(len(traj), stride)`,
+    read once, so that several `collect` calls at that stride read the
+    trajectory once; `rows` gives those states alone."""
+
+    def __init__(self, traj, stride):
+        steps = sample_steps(len(traj), stride)
+        self._count = len(traj)
+        self._row = {step: row for row, step in enumerate(steps)}
+        self._states = traj.rows(steps)
+
+    def __len__(self):
+        return self._count
+
+    def rows(self, indices) -> np.ndarray:
+        """The states at `indices`, each a sampled step: the stored states
+        themselves, not a copy, when `indices` are all the sampled steps
+        in order."""
+        rows = [self._row[k] for k in indices]
+        return self._states if rows == list(self._row.values()) else self._states[rows]
 
 
 def shift(snapshots: SnapshotSet, ref) -> SnapshotSet:

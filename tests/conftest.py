@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -51,6 +53,18 @@ def random_orthonormal(rng, n, r):
 def random_skew(rng, n):
     m = rng.standard_normal((n, n))
     return m - m.T
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every microsecond, so that worker threads and the
+    main thread interleave as finely as the interpreter lets them."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PROPERTY
-from hamrom import cli, rom, wave
+from hamrom import _native, cli, rom, wave
 from hamrom.cli import (
     _CONFIG_PARSERS,
     ConfigError,
@@ -41,6 +41,7 @@ from hamrom.cli import (
 from hamrom.integrator import (
     IntegratorConfig,
     Trajectory,
+    TrajectoryFile,
     integrate_steps,
     load_trajectory,
     open_trajectory,
@@ -52,6 +53,7 @@ from hamrom.metrics import (
     energy_series_of_states,
     hamiltonian_series,
     read_series_csv,
+    series_rows,
     write_series_csv,
 )
 from hamrom.pod import PodBasis
@@ -871,18 +873,6 @@ def test_nan_result_is_a_numerical_failure_without_a_report(deim_run, tmp_path, 
 # thread, and no thread left behind.
 
 
-@pytest.fixture
-def fast_switching():
-    """Switch threads every microsecond, so that the worker and the main
-    thread interleave as finely as the interpreter lets them."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
 @pytest.mark.parametrize("tag", VARIANT_TAGS)
 def test_online_run_reports_what_direct_calls_give(three_rank_run, fast_switching, tag,
                                                     no_new_thread):
@@ -893,13 +883,13 @@ def test_online_run_reports_what_direct_calls_give(three_rank_run, fast_switchin
     with open_trajectory(out / "fom_trajectory.bin") as fom_traj:
         fom_series = read_series_csv(out / "fom_energy.csv", fom_traj.times)
         [z0] = fom_traj.rows([0])
-        report, rom_traj, series = cli._online_run(cfg, model, fom_traj, z0, fom_series)
+        report, rom_traj, rows = cli._online_run(cfg, model, fom_traj, z0, fom_series)
         no_new_thread()
         expected = model.integrate(model.initial_coefficients(z0), cfg.integrator_config())
         error = e_inf(fom_traj, expected, model)
     assert np.array_equal(rom_traj.states, expected.states)
     energies, offset, drift = hamiltonian_series(model, expected, wcfg.dx, fom_series)
-    assert series.tobytes() == energies.tobytes()
+    assert rows == series_rows(expected.times, energies)  # repr tells finite floats apart
     assert (report.e_inf, report.h_offset_max, report.h_drift_max) == (error, offset, drift)
     assert (report.steps, report.picard_avg_iters) == (
         expected.steps, float(np.mean(expected.picard_iters)))
@@ -991,6 +981,120 @@ def test_online_on_a_trajectory_truncated_after_its_check_writes_no_report(
     no_new_thread()
     assert "truncated file" in capsys.readouterr().err
     assert list(fresh.iterdir()) == []
+
+
+def test_online_shares_e_inf_with_a_finished_repeat(deim_run, monkeypatch, fast_switching,
+                                                    no_new_thread, tmp_path):
+    # 51 states in two blocks: each thread's first block read waits until
+    # the other thread has begun one, or 5 s, so a worker freed by a
+    # repeat must claim a block
+    out, tail = deim_run
+    begun = threading.Barrier(2, timeout=5)
+    readers = []
+    read = TrajectoryFile.read
+
+    def read_together(self, start, buffer):
+        if buffer.ndim == 2 and threading.current_thread() not in readers:  # a block of e_inf
+            readers.append(threading.current_thread())
+            begun.wait()
+        return read(self, start, buffer)
+
+    monkeypatch.setattr(TrajectoryFile, "read", read_together)
+    rom_path = out / "rom_sp-deim-1_r2.bin"
+    traj_path = out / "fom_trajectory.bin"
+    argv = ["online", "--rom", str(rom_path), "--traj", str(traj_path), *tail,
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    no_new_thread()
+    assert len(readers) == 2 and readers[0] is not readers[1]
+    assert threading.main_thread() in readers
+    monkeypatch.undo()
+    cfg = build_config(build_parser().parse_args(argv))
+    model = load_rom(rom_path, assemble_wave_fom(cfg.wave_config()))
+    with open_trajectory(traj_path) as fom_traj:
+        [z0] = fom_traj.rows([0])
+        rom_traj = model.integrate(model.initial_coefficients(z0), cfg.integrator_config())
+        expected = e_inf(fom_traj, rom_traj, model)
+    report = json.loads((tmp_path / "report_sp-deim-1_r2.json").read_text())
+    assert struct.pack("<d", report["e_inf"]) == struct.pack("<d", expected)
+
+
+def test_online_on_a_trajectory_truncated_under_its_helper_writes_no_report(
+        deim_run, tmp_path, monkeypatch, capsys, fast_switching, no_new_thread):
+    # the repeats start once the main thread has claimed the first of the
+    # two blocks, whose read waits until a worker has tried the second,
+    # truncated one, or 5 s
+    out, tail = deim_run
+    for name in ("fom_trajectory.bin", "fom_energy.csv"):
+        (tmp_path / name).write_bytes((out / name).read_bytes())
+    traj = tmp_path / "fom_trajectory.bin"
+    check = cli._check_fom_trajectory
+
+    def check_then_truncate(cfg, fom_traj):
+        check(cfg, fom_traj)
+        os.truncate(traj, traj.stat().st_size - 8)
+
+    claimed, tried = threading.Event(), threading.Event()
+    failed = []
+    integrate, read = rom.ReducedModel.integrate, TrajectoryFile.read
+
+    def integrate_after_the_first_claim(self, z0, config):
+        if threading.current_thread() is not threading.main_thread():
+            assert claimed.wait(5)
+        return integrate(self, z0, config)
+
+    def read_in_turn(self, start, buffer):
+        if buffer.ndim == 2 and threading.current_thread() is threading.main_thread():
+            claimed.set()
+            assert tried.wait(5)
+        elif buffer.ndim == 2 and start == 32:
+            tried.set()
+            failed.append(threading.current_thread())
+        return read(self, start, buffer)
+
+    monkeypatch.setattr(cli, "_check_fom_trajectory", check_then_truncate)
+    monkeypatch.setattr(rom.ReducedModel, "integrate", integrate_after_the_first_claim)
+    monkeypatch.setattr(TrajectoryFile, "read", read_in_turn)
+    fresh = tmp_path / "out"
+    rom_path = str(out / "rom_sp-deim-1_r2.bin")
+    assert main(["online", "--rom", rom_path, "--traj", str(traj), *tail,
+                 "--out", str(fresh)]) == 4
+    no_new_thread()
+    assert len(failed) == 1 and failed[0] is not threading.main_thread()
+    assert "truncated file" in capsys.readouterr().err
+    assert list(fresh.iterdir()) == []
+
+
+def test_reproduce_writes_the_same_files_with_and_without_the_loops(tmp_path, monkeypatch):
+    # the byte-identity proof of a refactor, on a small grid: every file
+    # alike but for the timings, `online_seconds` and the times of table.txt
+    if _native.checked() is None:
+        pytest.skip("the compiled AVF loops are unavailable here")
+    flags = ["--n", "32", "--t-final", "1", "--stride", "5", "--r", "3,4"]
+    assert main(["reproduce", *flags, "--out", str(tmp_path / "loops")]) == 0
+    monkeypatch.setattr(_native, "load", lambda: None)
+    _native.checked.cache_clear()
+    try:
+        assert _native.checked() is None
+        assert main(["reproduce", *flags, "--out", str(tmp_path / "numpy")]) == 0
+    finally:
+        _native.checked.cache_clear()
+
+    def untimed(path):
+        text = path.read_bytes()
+        if path.suffix == ".json":
+            return re.sub(rb'"online_seconds": [^,\n]+', b"", text)
+        if path.name == "table.txt":
+            lines = text.split(b"\n")
+            lines[0] = re.sub(rb"steps, .* s$", b"steps", lines[0])
+            return b"\n".join(line for line in lines if not line.startswith(b"t_cpu"))
+        return text
+
+    names = sorted(path.name for path in (tmp_path / "loops").iterdir())
+    assert len(names) == 40
+    assert sorted(path.name for path in (tmp_path / "numpy").iterdir()) == names
+    for name in names:
+        assert untimed(tmp_path / "loops" / name) == untimed(tmp_path / "numpy" / name), name
 
 
 @pytest.mark.parametrize("failing", (1, 4))  # a block inside the run, and the last one

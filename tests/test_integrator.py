@@ -279,9 +279,10 @@ def test_a_trajectory_file_reads_the_states_it_is_asked_for(tmp_path, rng):
         assert (len(traj), traj.dim, traj.dt) == (10, 4, 0.25)
         assert np.array_equal(traj.times, load_trajectory(path).times)
         assert traj.rows([9, 0, 4]).tobytes() == states[[9, 0, 4]].tobytes()
-        starts, blocks = zip(*((start, block.copy()) for start, block in traj.blocks(4)))
-        assert starts == (0, 4, 8) and [len(b) for b in blocks] == [4, 4, 2]
+        buffer = np.empty((4, 4))
+        blocks = [traj.read(start, buffer[: min(4, 10 - start)]).copy() for start in (0, 4, 8)]
         assert np.concatenate(blocks).tobytes() == states.tobytes()
+        assert traj.read(8, buffer[:2]).base is buffer
         with pytest.raises(IndexError):
             traj.rows([10])
 
@@ -295,7 +296,7 @@ def test_a_file_truncated_after_its_check_fails_to_read_naming_the_file(tmp_path
         with pytest.raises(FileFormatError, match=f"{path}: truncated file.*state 5"):
             traj.rows([5])
         with pytest.raises(FileFormatError, match=f"{path}: truncated file.*state 4"):
-            list(traj.blocks(2))
+            traj.read(4, np.empty((2, 3)))
 
 
 def test_trajectory_truncation_detected(tmp_path, rng):

@@ -1,8 +1,13 @@
+import contextlib
 import json
 import math
+import os
 import re
+import struct
 import tempfile
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -14,6 +19,7 @@ from numpy.testing import assert_allclose
 
 from conftest import PROPERTY, random_orthonormal
 from hamrom import _native, metrics
+from hamrom._binio import FileFormatError
 from hamrom.integrator import (
     IntegratorConfig,
     Trajectory,
@@ -187,6 +193,112 @@ def test_compiled_e_inf_is_numpy_e_inf_bitwise(shifted_model, e_inf_numpy, monke
             assert expected == math.inf, label
         else:
             assert 0 < expected < math.inf, label
+
+
+def e_inf_with_a_helper(fom_traj, rom_traj, model, block):
+    """e_inf(fom_traj, rom_traj, model, pool) with a pool of one worker,
+    whose task reads block `block` >= 2: each read of the calling thread
+    waits until the worker has tried that block, and each read of the
+    worker until the calling thread has begun one, or 5 s, so the calling
+    thread claims one of the first two blocks and the worker the next
+    ones.  Returns the value and the blocks that the worker read."""
+    read = fom_traj.read
+    begun, tried = threading.Event(), threading.Event()
+    helped = []
+
+    def read_in_turn(start, out):
+        if threading.current_thread() is threading.main_thread():
+            begun.set()
+            assert tried.wait(5)
+        else:
+            assert begun.wait(5)
+            helped.append(start // metrics._BLOCK)
+            if helped[-1] == block:
+                tried.set()
+        return read(start, out)
+
+    fom_traj.read = read_in_turn
+    try:
+        with ThreadPoolExecutor(1) as pool:
+            return e_inf(fom_traj, rom_traj, model, pool), helped
+    finally:
+        del fom_traj.read
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+@pytest.mark.parametrize("block", (32, 5))
+@pytest.mark.parametrize("layout", ("memory", "file"))
+def test_e_inf_shared_with_a_helper_is_one_threads_bitwise(shifted_model, rng, tmp_path,
+                                                           monkeypatch, fast_switching, block,
+                                                           layout):
+    # 70 states; the helper claims the block of state 68, the ragged last
+    # one of 32-state blocks, where NaN or +-inf stands in a case
+    if _native.checked() is None:
+        pytest.skip("the compiled AVF loops are unavailable here")
+    monkeypatch.setattr(metrics, "_BLOCK", block)
+    cases = e_inf_cases(shifted_model, rng)
+    one_state = cases.pop("one-state")
+    for label, (full, reduced) in cases.items():
+        if label != "ragged" and not label.endswith("-last"):
+            continue
+        times = np.arange(len(full)) * 0.01
+        fom, rom = Trajectory(full, times), Trajectory(reduced, times)
+        with contextlib.ExitStack() as stack:
+            if layout == "file":
+                save_trajectory(fom, tmp_path / f"{label}.bin")
+                fom = stack.enter_context(open_trajectory(tmp_path / f"{label}.bin"))
+            expected = e_inf(fom, rom, shifted_model)
+            got, helped = e_inf_with_a_helper(fom, rom, shifted_model, 68 // block)
+        assert bits(got) == bits(expected), label
+        assert 68 // block in helped, label
+    full, reduced = (Trajectory(states, [0.0]) for states in one_state)
+    with ThreadPoolExecutor(1) as pool:
+        assert bits(e_inf(full, reduced, shifted_model, pool)) == bits(
+            e_inf(full, reduced, shifted_model))
+
+
+def test_e_inf_raises_the_read_error_of_its_helper(shifted_model, rng, tmp_path,
+                                                   fast_switching):
+    # 70 states in blocks of 32, 32 and 6; the last, which the helper
+    # claims, is cut short after the file's check
+    if _native.checked() is None:
+        pytest.skip("the compiled AVF loops are unavailable here")
+    full, reduced = e_inf_cases(shifted_model, rng)["ragged"]
+    times = np.arange(70) * 0.01
+    path = tmp_path / "traj.bin"
+    save_trajectory(Trajectory(full, times), path)
+    with open_trajectory(path) as fom:
+        os.truncate(path, path.stat().st_size - 8)
+        with pytest.raises(FileFormatError, match="truncated file.*from state 64"):
+            e_inf_with_a_helper(fom, Trajectory(reduced, times), shifted_model, 2)
+
+
+def test_every_block_is_claimed_once(monkeypatch, fast_switching):
+    # four claimants on two cores, which start together, one state per block
+    monkeypatch.setattr(metrics, "_BLOCK", 1)
+    traj = Trajectory(np.arange(2000.0)[:, None] * np.ones(2), np.arange(2000.0))
+    blocks = metrics._Blocks(traj, traj)
+    start = threading.Barrier(4, timeout=5)
+    read = []
+
+    def mismatch(coeffs, states):
+        read.append((threading.current_thread(), int(states[0, 0])))
+        return states[0, 0]
+
+    def together(claim):
+        start.wait()
+        return claim()
+
+    claimants = [blocks.claimant(mismatch) for _ in range(4)]
+    with ThreadPoolExecutor(4) as pool:
+        worst = [task.result(timeout=10) for task in
+                 [pool.submit(together, claim) for claim in claimants]]
+    assert sorted(k for _, k in read) == list(range(2000))
+    assert max(worst) == 1999.0
+    assert len({thread for thread, _ in read}) > 1
 
 
 def test_e_inf_refuses_states_of_another_size(shifted_model):
