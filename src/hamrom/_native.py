@@ -7,12 +7,17 @@ file) in this package's `__pycache__`, or where that cannot be written
 in the user's cache, `$XDG_CACHE_HOME/hamrom` (default `~/.cache/hamrom`),
 and returns its `Loops`: the reduced and full-order loops, the
 elementwise pass of `metrics.e_inf`, numpy's own cblas dgemv and the
-LAPACK dpttrs of the OpenBLAS that scipy bundles (the one
-`scipy.linalg.lapack` calls), or None when anything is missing (a
-compiler, a writable cache, either bundled OpenBLAS) or fails.
-`checked()`, run once per process, returns them only when both loops pass
-their probe; otherwise every integration, and `metrics.e_inf`, takes the
-numpy path.
+dpttrs of `lapack()`, or None when anything is missing (a compiler, a
+writable cache, either bundled OpenBLAS) or fails.  `checked()`, run
+once per process, returns them only when both loops pass their probe;
+otherwise every integration, and `metrics.e_inf`, takes the numpy path.
+
+`lapack()` binds, without a compiler, the LAPACK routines of the OpenBLAS
+that scipy bundles, the library that `scipy.linalg` calls.  `pttrf`,
+`pttrs`, `lu_factor` and `lu_solve_transposed` call them and return what
+their `scipy.linalg` namesakes return, bit for bit and in the same
+layout, without importing `scipy.linalg`, which they call only where
+the library is missing.
 
 `blocks` runs an AVF integration, for the full-order system and the
 reduced models alike, and is the one place that chooses between a loop
@@ -65,6 +70,90 @@ def _symbols(package, pattern, *names):
     [path] = glob.glob(os.path.join(libs, pattern))
     lib = ctypes.CDLL(path)
     return [ctypes.cast(getattr(lib, name), ctypes.c_void_p).value for name in names]
+
+
+class Lapack(NamedTuple):
+    """dpttrf, dpttrs, dgetrf and dgetrs: every argument a pointer, every
+    integer 32 bits; dgetrs also takes the hidden length of its TRANS."""
+
+    pttrf: object
+    pttrs: object
+    getrf: object
+    getrs: object
+
+
+@functools.cache
+def lapack():
+    """The `Lapack` of scipy's bundled OpenBLAS, or None where it is missing."""
+    try:
+        addresses = _symbols(scipy, "libscipy_openblas-*.so",
+                             *(f"scipy_d{name}_" for name in Lapack._fields))
+    except _LOAD_ERRORS:
+        return None
+    arguments = ([_P] * 4, [_P] * 7, [_P] * 6, [_P] * 9 + [ctypes.c_size_t])
+    return Lapack(*(ctypes.CFUNCTYPE(None, *types)(address)
+                    for types, address in zip(arguments, addresses)))
+
+
+def _refs(*args):
+    """Pointers to the data of each array in args, which they keep alive,
+    and to each int as a 32-bit integer."""
+    return [a.ctypes if isinstance(a, np.ndarray) else ctypes.byref(ctypes.c_int(a))
+            for a in args]
+
+
+def pttrf(d, e):
+    """`scipy.linalg.lapack.dpttrf(d, e)[:2]`."""
+    if lapack() is None:
+        from scipy.linalg import lapack as scipy_lapack
+        return scipy_lapack.dpttrf(d, e)[:2]
+    d, e = np.array(d, dtype=float), np.array(e, dtype=float)
+    if d.ndim != 1 or e.shape != (d.size - 1,):
+        raise ValueError(f"dpttrf takes n and n - 1 entries, not {d.shape} and {e.shape}")
+    lapack().pttrf(*_refs(d.size, d, e, 0))
+    return d, e
+
+
+def pttrs(d, e, b):
+    """`scipy.linalg.lapack.dpttrs(d, e, b)[0]`, Fortran-ordered."""
+    if lapack() is None:
+        from scipy.linalg import lapack as scipy_lapack
+        return scipy_lapack.dpttrs(d, e, b)[0]
+    d, e = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(e, dtype=float)
+    x = np.array(b, dtype=float, order="F")
+    if d.ndim != 1 or e.shape != (d.size - 1,) or x.shape[:1] != d.shape or x.ndim > 2:
+        raise ValueError(f"dpttrs takes n, n - 1 and n rows, not {d.shape}, {e.shape}, {x.shape}")
+    lapack().pttrs(*_refs(d.size, x.size // d.size, d, e, x, d.size, 0))
+    return x
+
+
+def lu_factor(a):
+    """`scipy.linalg.lu_factor(a)`: a Fortran-ordered LU and 0-based pivots."""
+    if lapack() is None:
+        from scipy.linalg import lu_factor
+        return lu_factor(a)
+    lu = np.array(np.asarray_chkfinite(a), dtype=float, order="F")
+    if lu.ndim != 2:
+        raise ValueError(f"dgetrf takes a matrix, not shape {lu.shape}")
+    piv = np.empty(min(lu.shape), dtype=np.int32)
+    lapack().getrf(*_refs(*lu.shape, lu, lu.shape[0], piv, 0))
+    return lu, piv - 1
+
+
+def lu_solve_transposed(lu_and_piv, b):
+    """`scipy.linalg.lu_solve(lu_and_piv, b, trans=1)`."""
+    if lapack() is None:
+        from scipy.linalg import lu_solve
+        return lu_solve(lu_and_piv, b, trans=1)
+    lu = np.asfortranarray(lu_and_piv[0], dtype=float)
+    piv = np.asarray(lu_and_piv[1], dtype=np.int32) + 1
+    x = np.array(np.asarray_chkfinite(b), dtype=float, order="F")
+    n = lu.shape[0]
+    if lu.shape != (n, n) or piv.shape != (n,) or x.shape[:1] != (n,) or x.ndim > 2:
+        raise ValueError(f"dgetrs takes an n x n LU, n pivots and n rows, not {lu.shape}, "
+                         f"{piv.shape}, {x.shape}")
+    lapack().getrs(b"T", *_refs(n, x.size // n, lu, n, piv, x, n, 0), 1)
+    return x
 
 
 def _cache_dirs():
@@ -122,7 +211,7 @@ def load():
     """The `Loops` of _avf.c, or None when any entry point is unavailable."""
     try:
         [gemv] = _symbols(np, "libscipy_openblas64_*.so", "scipy_cblas_dgemv64_")
-        [pttrs] = _symbols(scipy, "libscipy_openblas-*.so", "scipy_dpttrs_")
+        pttrs = ctypes.cast(lapack().pttrs, ctypes.c_void_p).value
         lib = _shared_object()
         loops = Loops(lib.avf_integrate, lib.avf_integrate_full, lib.avf_max_mismatch, gemv,
                       pttrs)

@@ -491,9 +491,11 @@ def _online_run(cfg, model, fom_traj, z0, fom_series):
     worker threads then run the two repeats at the same time, each in the
     compiled loop, which releases the GIL, with its own window and work
     array, while the main thread takes the first run's energy series,
-    then `e_inf`, then the rows of its energy CSV.  `e_inf` queues one
+    then the rows of its energy CSV, then `e_inf`.  `e_inf` queues one
     more task on the pool, which claims blocks beside the main thread
-    once a worker has finished its repeat (see `metrics.e_inf`).  The
+    once a worker has finished its repeat (see `metrics.e_inf`): the
+    rows, pure Python under the GIL, come first, while the repeats still
+    hold both cores, so that a freed core finds `e_inf` left.  The
     pool's shutdown joins the workers before the times are read or a
     failure propagates.  Returns the report, the reduced trajectory and
     the CSV rows (`series_rows`) of the energy series."""
@@ -511,8 +513,8 @@ def _online_run(cfg, model, fom_traj, z0, fom_series):
     with ThreadPoolExecutor(_TIMING_REPEATS - 1) as pool:
         repeats = [pool.submit(repeat) for _ in range(_TIMING_REPEATS - 1)]
         series, offset, drift = hamiltonian_series(model, rom_traj, dx, fom_series)
-        error = e_inf(fom_traj, rom_traj, model, pool)
         rows = series_rows(rom_traj.times, series)
+        error = e_inf(fom_traj, rom_traj, model, pool)
     seconds = min(seconds, *(again.result() for again in repeats))
     report = RunReport(
         variant=model.tag,

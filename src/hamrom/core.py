@@ -11,7 +11,9 @@ D = [[0, I], [-I, 0]] and the energy
 
 A is a sparse symmetric n x n matrix, G an elementwise scalar
 nonlinearity with derivative g = G', and c_u a weight vector.  No dense
-n x n (or 2n x 2n) operator is ever formed.
+n x n (or 2n x 2n) operator is ever formed.  The wave's A is a
+`PeriodicStencil`; any other A is stored as CSR, with `scipy.sparse`
+imported for it alone.
 
 Like a reduced model, the record has an AVF `make_step`, an `integrate`
 that runs it over a time grid and a stacked `energy`.  It is immutable
@@ -19,24 +21,60 @@ after construction and its methods are pure.  The AVF step solves with
 I - dt^2/4 A, which for a periodic tridiagonal A is factored as a
 `PeriodicFactor`.  For the wave's `sin_average`, `integrate` runs the
 steps in the compiled loop of `_avf.c`, which calls the same LAPACK and
-BLAS routines on the same factor, with the same result bit for bit.
+BLAS routines on the same factor, with the same result bit for bit;
+both take LAPACK from `_native.lapack`.
 """
 
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.linalg import lapack
 
 from . import _native
 from .integrator import IntegratorConfig, Trajectory, picard_solve
 
-__all__ = ["TwoBlockSystem", "PeriodicFactor"]
+__all__ = ["TwoBlockSystem", "PeriodicFactor", "PeriodicStencil"]
 
 # entries of W below this are set to zero: W decays geometrically away
 # from the corners, and a subnormal entry would slow every solve
 _FLUSH = 1e-290
+
+
+@dataclass(frozen=True)
+class PeriodicStencil:
+    """The symmetric periodic three-point stencil on n >= 3 points: the
+    n x n matrix with `diagonal` on its diagonal and `off` beside it and
+    in its corners.  `@` takes a vector or the columns of a block and
+    gives the product of the matrix in CSR with sorted columns, bit for
+    bit and C-ordered: each row sums its products in column order from 0.0."""
+
+    n: int
+    diagonal: float
+    off: float
+
+    @property
+    def shape(self):
+        return (self.n, self.n)
+
+    def toarray(self) -> np.ndarray:
+        rows, a = np.arange(self.n), np.zeros(self.shape)
+        a[rows, rows], a[rows, rows - 1], a[rows - 1, rows] = self.diagonal, self.off, self.off
+        return a
+
+    def __matmul__(self, x):
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.shape[:1] != (self.n,) or x.ndim > 2:
+            raise ValueError(f"dimension mismatch: {self.shape} @ {x.shape}")
+        # row i is (d x_i + e x_{i-1}) + e x_{i+1}, CSR's (e x_{i-1} + d x_i) + e x_{i+1};
+        # rows 0 and n-1 take their columns in the order (0, 1, n-1) and (0, n-2, n-1)
+        y, t = x * self.diagonal, x * self.off
+        y[1:-1] += t[:-2]
+        y[1:-1] += t[2:]
+        y[0] += t[1]
+        y[0] += t[-1]
+        y[-1] = t[0] + t[-2] + y[-1]
+        y += 0.0  # CSR's sum from 0.0 is +0.0 where all three products are -0.0
+        return y
 
 
 class PeriodicFactor(NamedTuple):
@@ -63,19 +101,25 @@ class PeriodicFactor(NamedTuple):
 
     @classmethod
     def of(cls, m):
-        """The factor of the sparse or dense matrix m.  Raises ValueError
-        where m has a nonzero entry outside the periodic tridiagonal
-        pattern, or where T is not positive definite."""
-        m = sparse.csr_matrix(m, dtype=float)
-        n = m.shape[0]
-        coo = m.tocoo()
-        offset = np.abs(coo.row.astype(np.int64) - coo.col)
-        if np.any(coo.data[(offset > 1) & (offset != n - 1)] != 0):
-            raise ValueError("the AVF step needs a periodic tridiagonal A")
-        d, e = m.diagonal(), m.diagonal(1)
-        s = m[0, n - 1] if n > 2 else 0.0
+        """The factor of m, a `PeriodicStencil` or a sparse or dense matrix.
+        Raises ValueError where m has a nonzero entry outside the periodic
+        tridiagonal pattern, or where T is not positive definite."""
+        if isinstance(m, PeriodicStencil):
+            n, s = m.n, m.off
+            d, e = np.full(n, m.diagonal), np.full(n - 1, m.off)
+        else:
+            import scipy.sparse as sparse  # only for a matrix that is not a stencil
+
+            m = sparse.csr_matrix(m, dtype=float)
+            n = m.shape[0]
+            coo = m.tocoo()
+            offset = np.abs(coo.row.astype(np.int64) - coo.col)
+            if np.any(coo.data[(offset > 1) & (offset != n - 1)] != 0):
+                raise ValueError("the AVF step needs a periodic tridiagonal A")
+            d, e = m.diagonal(), m.diagonal(1)
+            s = m[0, n - 1] if n > 2 else 0.0
         if e.any() or s != 0:
-            d, e, _ = lapack.dpttrf(d, e)  # it stops at a pivot <= 0, which stays in d
+            d, e = _native.pttrf(d, e)  # it stops at a pivot <= 0, which stays in d
         else:
             e = None
         if np.any(d <= 0):
@@ -84,7 +128,7 @@ class PeriodicFactor(NamedTuple):
             return cls(d, None, None)
         corner_columns = np.zeros((n, 2))
         corner_columns[[0, n - 1], [0, 1]] = 1.0
-        w, _ = lapack.dpttrs(d, e, corner_columns)
+        w = _native.pttrs(d, e, corner_columns)
         w[np.abs(w) < _FLUSH] = 0.0
         corners = np.array([[0.0, s], [s, 0.0]])
         c = np.linalg.solve(np.eye(2) + corners @ w[[0, n - 1]], corners)
@@ -94,7 +138,7 @@ class PeriodicFactor(NamedTuple):
         """x = M^-1 b, a new array."""
         if self.e is None:
             return b / self.d
-        y, _ = lapack.dpttrs(self.d, self.e, b)
+        y = _native.pttrs(self.d, self.e, b)
         return y - np.dot(self.wc, y[[0, -1]])
 
 
@@ -104,8 +148,9 @@ class TwoBlockSystem:
 
     Parameters
     ----------
-    A : (n, n) sparse matrix
-        Symmetric linear part; stored as CSR.
+    A : PeriodicStencil, or an (n, n) sparse or dense matrix
+        Symmetric linear part; a stencil is kept as it is, any other
+        matrix is stored as CSR.
     c_u : (n,) array_like
         Weight vector of the nonlinear part.
     G : callable
@@ -120,18 +165,22 @@ class TwoBlockSystem:
         against G at construction.
     """
 
-    A: sparse.csr_matrix
+    A: "PeriodicStencil | scipy.sparse.csr_matrix"
     c_u: np.ndarray
     G: Callable
     g: Callable
     g_avg: Optional[Callable] = None
 
     def __post_init__(self):
-        A = sparse.csr_matrix(self.A, dtype=float)
-        if A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got shape {A.shape}")
-        if abs(A - A.T).max() > 1e-12:
-            raise ValueError("A is not symmetric within 1e-12")
+        A = self.A
+        if not isinstance(A, PeriodicStencil):  # square and symmetric as it is
+            import scipy.sparse as sparse
+
+            A = sparse.csr_matrix(A, dtype=float)
+            if A.shape[0] != A.shape[1]:
+                raise ValueError(f"A must be square, got shape {A.shape}")
+            if abs(A - A.T).max() > 1e-12:
+                raise ValueError("A is not symmetric within 1e-12")
         c_u = np.asarray(self.c_u, dtype=float)
         if c_u.shape != (A.shape[0],):
             raise ValueError(
@@ -163,7 +212,7 @@ class TwoBlockSystem:
         """H(z) = 0.5 v^T v - 0.5 u^T A u + c_u . G(u), or H of each row of a stack."""
         u, v = self._blocks(z, stack=True)
         # (A u^T)^T is u A for a symmetric A, bit for bit where A is exactly
-        # symmetric, and a CSR matrix multiplies faster from the left
+        # symmetric, and a CSR matrix or a stencil multiplies from the left
         uAu = np.sum(u * (self.A @ u.T).T, axis=-1)
         h = 0.5 * np.sum(v * v, axis=-1) - 0.5 * uAu + self.G(u) @ self.c_u
         return h if u.ndim == 2 else float(h)
@@ -213,8 +262,14 @@ class TwoBlockSystem:
     def _avf_operators(self, dt):
         """qc = dt^2/4 c_u and the `PeriodicFactor` of I - dt^2/4 A of the
         AVF step at dt."""
-        q = 0.25 * dt * dt
-        return q * self.c_u, PeriodicFactor.of(sparse.identity(self.n) - q * self.A)
+        q, A = 0.25 * dt * dt, self.A
+        if isinstance(A, PeriodicStencil):  # the entries of CSR's identity(n) - q A
+            m = PeriodicStencil(A.n, 1.0 - q * A.diagonal, 0.0 - q * A.off)
+        else:
+            import scipy.sparse as sparse
+
+            m = sparse.identity(self.n) - q * A
+        return q * self.c_u, PeriodicFactor.of(m)
 
     def integrate(self, z0, config: IntegratorConfig) -> Trajectory:
         """AVF integration from z0 over config's steps; see `_native.integrate`."""

@@ -15,10 +15,14 @@ Greedy selection is prefix-stable: the first s indices depend only on the
 first s columns of Psi.  With the nested POD bases of one snapshot set, one
 selection at the largest size therefore serves every smaller size through
 `DeimModel.truncated`, bit for bit.
+
+P^T Psi is factored and solved by `_native`'s bindings of LAPACK, as
+`scipy.linalg.lu_factor` and `lu_solve` do, bit for bit.
 """
 
 import numpy as np
-import scipy.linalg
+
+from . import _native
 
 __all__ = ["DeimModel", "deim_select", "build_deim", "precompute_weights"]
 
@@ -63,7 +67,7 @@ class DeimModel:
         interp = psi[indices, :]  # s x s matrix P^T Psi
         self.psi = psi
         self.indices = indices
-        self.lu = scipy.linalg.lu_factor(interp)
+        self.lu = _native.lu_factor(interp)  # scipy's (lu, piv), 0-based pivots
         self.cond = float(np.linalg.cond(interp))
         self.weights_full = np.asarray(weights_full, dtype=float)
         self.weights = precompute_weights(self, self.weights_full)
@@ -101,7 +105,7 @@ def precompute_weights(model: DeimModel, c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.shape != (model.n,):
         raise ValueError(f"weight vector has shape {c.shape}, expected ({model.n},)")
-    return scipy.linalg.lu_solve(model.lu, model.psi.T @ c, trans=1)
+    return _native.lu_solve_transposed(model.lu, model.psi.T @ c)
 
 
 def build_deim(basis, c) -> DeimModel:

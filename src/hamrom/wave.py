@@ -3,8 +3,8 @@
 The PDE u_tt = c^2 u_xx - sin(u) on a periodic domain [0, l] is
 semi-discretized with a three-point stencil on n grid points x_i = i*dx.
 In first-order form z = (u, v) it is a `core.TwoBlockSystem` with the
-sparse periodic Laplacian A, weights c_u = 1 and G(x) = 1 - cos(x), so
-that H(z) = 0.5 v^T v - 0.5 u^T A u + sum_i (1 - cos u_i).
+periodic Laplacian A, a `core.PeriodicStencil`, weights c_u = 1 and
+G(x) = 1 - cos(x), so that H(z) = 0.5 v^T v - 0.5 u^T A u + sum_i (1 - cos u_i).
 
 The assembled system carries `sin_average`, the exact mean of sin over a
 step, so `TwoBlockSystem.make_step` advances it with the
@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
-from .core import TwoBlockSystem
+from .core import PeriodicStencil, TwoBlockSystem
 
 __all__ = [
     "WaveConfig",
@@ -64,16 +63,11 @@ class WaveConfig:
         return self.dx * np.arange(self.n)
 
 
-def build_laplacian(cfg: WaveConfig) -> sparse.csr_matrix:
-    """Periodic second-difference matrix c^2/dx^2 * (1, -2, 1), as CSR
-    with sorted column indices."""
-    n = cfg.n
+def build_laplacian(cfg: WaveConfig) -> PeriodicStencil:
+    """Periodic second-difference matrix c^2/dx^2 * (1, -2, 1) as a
+    stencil, whose products are those of its CSR form bit for bit."""
     k = cfg.c_speed**2 / cfg.dx**2
-    rows = np.arange(n)[:, None]
-    cols = np.sort(np.hstack([(rows - 1) % n, rows, (rows + 1) % n]), axis=1)
-    data = np.where(cols == rows, -2.0 * k, k)
-    indptr = 3 * np.arange(n + 1)
-    return sparse.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(n, n))
+    return PeriodicStencil(cfg.n, -2.0 * k, k)
 
 
 def bump_spline(s):
@@ -98,7 +92,7 @@ def initial_state(cfg: WaveConfig) -> np.ndarray:
 
 
 def assemble_wave_fom(cfg: WaveConfig) -> TwoBlockSystem:
-    """The 2n-dimensional wave system: sparse Laplacian, unit weights,
+    """The 2n-dimensional wave system: periodic Laplacian, unit weights,
     G = 1 - cos with its AVF segment mean `sin_average`."""
     return TwoBlockSystem(
         build_laplacian(cfg), np.ones(cfg.n), lambda x: 1.0 - np.cos(x), np.sin, sin_average

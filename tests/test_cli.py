@@ -1067,16 +1067,19 @@ def test_online_on_a_trajectory_truncated_under_its_helper_writes_no_report(
 
 def test_reproduce_writes_the_same_files_with_and_without_the_loops(tmp_path, monkeypatch):
     # the byte-identity proof of a refactor, on a small grid: every file
-    # alike but for the timings, `online_seconds` and the times of table.txt
+    # alike but for the timings, `online_seconds` and the times of table.txt,
+    # with the loops, without them, and also without `_native.lapack`, where
+    # scipy.linalg factors and solves
     if _native.checked() is None:
         pytest.skip("the compiled AVF loops are unavailable here")
     flags = ["--n", "32", "--t-final", "1", "--stride", "5", "--r", "3,4"]
     assert main(["reproduce", *flags, "--out", str(tmp_path / "loops")]) == 0
-    monkeypatch.setattr(_native, "load", lambda: None)
-    _native.checked.cache_clear()
     try:
-        assert _native.checked() is None
-        assert main(["reproduce", *flags, "--out", str(tmp_path / "numpy")]) == 0
+        for run, unavailable in (("numpy", "load"), ("scipy", "lapack")):
+            monkeypatch.setattr(_native, unavailable, lambda: None)
+            _native.checked.cache_clear()
+            assert _native.checked() is None
+            assert main(["reproduce", *flags, "--out", str(tmp_path / run)]) == 0
     finally:
         _native.checked.cache_clear()
 
@@ -1092,9 +1095,34 @@ def test_reproduce_writes_the_same_files_with_and_without_the_loops(tmp_path, mo
 
     names = sorted(path.name for path in (tmp_path / "loops").iterdir())
     assert len(names) == 40
-    assert sorted(path.name for path in (tmp_path / "numpy").iterdir()) == names
-    for name in names:
-        assert untimed(tmp_path / "loops" / name) == untimed(tmp_path / "numpy" / name), name
+    for run in ("numpy", "scipy"):
+        assert sorted(path.name for path in (tmp_path / run).iterdir()) == names
+        for name in names:
+            assert untimed(tmp_path / "loops" / name) == untimed(tmp_path / run / name), name
+
+
+def test_no_command_imports_scipy_sparse_or_scipy_linalg(tmp_path):
+    # fom, offline and online in one fresh interpreter: with scipy's bundled
+    # OpenBLAS the stencil, `_native.lapack` and numpy do all of their work
+    if _native.lapack() is None:
+        pytest.skip("scipy's bundled OpenBLAS is unavailable here")
+    script = (
+        "import sys\n"
+        "from hamrom import cli\n"
+        "flags = ['--n', '32', '--t-final', '1', '--stride', '5', '--r', '3', '--out', 'run']\n"
+        "for stage in ('fom', 'offline', 'online'):\n"
+        "    rom = ['--rom', 'run/rom_sp-deim-2_r3.bin'] if stage == 'online' else []\n"
+        "    assert cli.main([stage, *flags, *rom]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg'))))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get(
+        "PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "run" / "energy_sp-deim-2_r3.csv").exists()
 
 
 @pytest.mark.parametrize("failing", (1, 4))  # a block inside the run, and the last one

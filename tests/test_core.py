@@ -53,15 +53,16 @@ def test_hamiltonian_matches_scalar_loop_oracle(rng):
 @pytest.mark.parametrize("n", (40, 500))
 def test_energy_takes_the_product_with_A_from_the_left_bit_for_bit(rng, n):
     # (A u^T)^T and u A add the same terms in the same order for the
-    # symmetric CSR A of the wave: random states, and every block of an
-    # AVF run
+    # symmetric A of the wave, here in CSR from the right: random states,
+    # and every block of an AVF run
     system = assemble_wave_fom(WaveConfig(n=n))
+    csr = sparse.csr_matrix(system.A.toarray())
     config = IntegratorConfig(dt=0.01, t_final=1.0)
     run = system.integrate(initial_state(WaveConfig(n=n)), config).states
 
     def from_the_right(z):
         u, v = z[..., :n], z[..., n:]
-        uAu = np.sum(u * (u @ system.A), axis=-1)
+        uAu = np.sum(u * (u @ csr), axis=-1)
         return 0.5 * np.sum(v * v, axis=-1) - 0.5 * uAu + system.G(u) @ system.c_u
 
     stacks = [rng.standard_normal((32, 2 * n)), rng.standard_normal((1, 2 * n))]
@@ -94,7 +95,7 @@ def test_make_step_needs_segment_mean():
 def test_avf_stepping_needs_a_positive_definite_periodic_tridiagonal_step_matrix(case):
     n = 12
     if case == "pentadiagonal":
-        lap = build_laplacian(WaveConfig(n=n))
+        lap = sparse.csr_matrix(build_laplacian(WaveConfig(n=n)).toarray())
         system = TwoBlockSystem(lap + 0.1 * lap @ lap, np.ones(n), **COS_SPLIT,
                                 g_avg=sin_average)
         icfg, match = IntegratorConfig(dt=0.01, t_final=0.1), "periodic tridiagonal"
@@ -250,7 +251,7 @@ def test_periodic_solve_is_superlu_solve_to_rounding(n, dt):
     # every wave step matrix; W C keeps no subnormal entry, also where W
     # decays far below the smallest normal float (n = 8000)
     _, factor = assemble_wave_fom(WaveConfig(n=n))._avf_operators(dt)
-    m = sparse.identity(n) - 0.25 * dt * dt * build_laplacian(WaveConfig(n=n))
+    m = np.eye(n) - 0.25 * dt * dt * build_laplacian(WaveConfig(n=n)).toarray()
     assert factor.e is not None and factor.wc is not None and factor.wc.flags.c_contiguous
     assert np.all((factor.wc == 0) | (np.abs(factor.wc) >= np.finfo(float).tiny))
     assert_solves_as_superlu(factor, m, right_hand_sides(n, seed=n))
@@ -286,6 +287,58 @@ def test_periodic_solve_agrees_with_superlu(n, kind, seed):
     if factor.e is None:  # a division, which keeps an infinite entry infinite
         rhs[0, 0] = np.inf
         assert all(np.array_equal(factor.solve(b), b / m.diagonal()) for b in rhs)
+
+
+# ---------------------------------------------------------------------------
+# PeriodicStencil: the wave's Laplacian, against the CSR matrix it replaces.
+
+
+def csr_laplacian(cfg):
+    """The periodic Laplacian c^2/dx^2 (1, -2, 1) in CSR with sorted
+    column indices, as `build_laplacian` returned it before the stencil."""
+    n, k = cfg.n, cfg.c_speed**2 / cfg.dx**2
+    rows = np.arange(n)[:, None]
+    cols = np.sort(np.hstack([(rows - 1) % n, rows, (rows + 1) % n]), axis=1)
+    data = np.where(cols == rows, -2.0 * k, k)
+    return sparse.csr_matrix((data.ravel(), cols.ravel(), 3 * np.arange(n + 1)), shape=(n, n))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 40, 500, 2000))
+def test_the_stencil_multiplies_as_its_csr_matrix_bitwise(rng, n):
+    # vectors and 1- and 7-column blocks, C-ordered, F-ordered and strided,
+    # with entries of either sign over 1e-30..1e30 and zeros of either sign,
+    # among them rows whose three products are all -0.0; each product is a
+    # new C-ordered array, as CSR's
+    lap, csr = build_laplacian(WaveConfig(n=n)), csr_laplacian(WaveConfig(n=n))
+    assert lap.shape == csr.shape and lap.toarray().tobytes() == csr.toarray().tobytes()
+    for shape in ((n,), (n, 1), (n, 7)):
+        for _ in range(10):
+            x = 10.0 ** rng.uniform(-30.0, 30.0, shape)
+            x[rng.random(shape) < 0.5] = 0.0
+            x = np.copysign(x, rng.choice([-1.0, 1.0], shape))
+            signs = np.where(np.arange(n) % 2, 1.0, -1.0).reshape(n, *[1] * (len(shape) - 1))
+            zeros = np.copysign(np.zeros(shape), signs)  # rows 1, 3, ... sum three -0.0
+            for operand in (x, zeros, np.asfortranarray(x), np.repeat(x, 2, axis=-1)[..., ::2]):
+                expected, got = csr @ operand, lap @ operand
+                assert got.flags.c_contiguous and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), (shape, operand.strides)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        lap @ np.ones(n + 1)
+
+
+@pytest.mark.parametrize("dt", (0.01, 0.0025))
+@pytest.mark.parametrize("n", (3, 4, 40, 500))
+def test_the_stencil_step_factor_is_the_csr_step_factor_bitwise(n, dt):
+    # the stencil's I - dt^2/4 A carries the rounding of CSR's identity(n) - q A,
+    # and a system keeps the stencil while it stores any other matrix as CSR
+    lap = build_laplacian(WaveConfig(n=n))
+    stencil = TwoBlockSystem(lap, np.ones(n), **COS_SPLIT, g_avg=sin_average)
+    csr = TwoBlockSystem(lap.toarray(), np.ones(n), **COS_SPLIT, g_avg=sin_average)
+    assert stencil.A is lap and isinstance(csr.A, sparse.csr_matrix)
+    (qc, factor), (csr_qc, csr_factor) = stencil._avf_operators(dt), csr._avf_operators(dt)
+    for got, expected in ((qc, csr_qc), *zip(factor, csr_factor)):
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.c_contiguous == expected.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
+from scipy.linalg import lapack
 
-from hamrom import _native
+from hamrom import _native, wave
 from hamrom.core import TwoBlockSystem
 from hamrom.integrator import IntegratorConfig, PicardDivergenceError, integrate_steps
 from hamrom.wave import WaveConfig, assemble_wave_fom, sin_average
@@ -244,3 +246,77 @@ def test_a_non_finite_initial_state_is_refused(pipe, run):
     }
     with pytest.raises(ValueError, match="non-finite"):
         runs[run]()
+
+
+# ---------------------------------------------------------------------------
+# `lapack()`: the LAPACK of scipy's bundled OpenBLAS, without scipy.linalg.
+
+
+@pytest.fixture
+def bound():
+    if _native.lapack() is None:
+        pytest.skip("scipy's bundled OpenBLAS is unavailable here")
+
+
+def same(got, expected):
+    """The same bits, dtype, shape and memory order."""
+    return (got.tobytes() == expected.tobytes() and got.dtype == expected.dtype
+            and got.shape == expected.shape
+            and got.flags.f_contiguous == expected.flags.f_contiguous
+            and got.flags.c_contiguous == expected.flags.c_contiguous)
+
+
+def tridiagonal_cases(n):
+    """(d, e) of the wave's step matrices at two time steps, of a random
+    positive definite matrix and of one that is not, where dpttrf stops."""
+    rng = np.random.default_rng(n)
+    lap = wave.build_laplacian(WaveConfig(n=n))
+    for q in (0.25e-4, 0.25 * 0.0025**2):
+        yield np.full(n, 1.0 - q * lap.diagonal), np.full(n - 1, 0.0 - q * lap.off)
+    e = rng.uniform(-1.0, 1.0, n - 1)
+    yield rng.uniform(2.0, 3.0, n), e
+    yield np.concatenate([[1.0, -1.0], rng.uniform(2.0, 3.0, n - 2)]), e
+
+
+@pytest.mark.parametrize("n", (3, 4, 40, 500, 2000))
+def test_the_tridiagonal_bindings_are_scipy_lapack_bitwise(bound, n):
+    rng = np.random.default_rng(n)
+    for d, e in tridiagonal_cases(n):
+        factor = lapack.dpttrf(d, e)[:2]
+        assert all(same(got, expected) for got, expected in zip(_native.pttrf(d, e), factor))
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 2)),
+                  np.asfortranarray(rng.standard_normal((n, 7)))):
+            assert same(_native.pttrs(*factor, b), lapack.dpttrs(*factor, b)[0])
+
+
+@pytest.mark.parametrize("s", (1, 2, 4, 20, 40))
+@pytest.mark.parametrize("n", (40, 500, 2000))
+def test_the_lu_bindings_are_scipy_lu_factor_and_lu_solve_bitwise(bound, n, s):
+    # DEIM's interpolation matrix P^T Psi of an orthonormal Psi, and its
+    # weights (P^T Psi)^-T (Psi^T c)
+    rng = np.random.default_rng(100 * n + s)
+    psi = np.linalg.qr(rng.standard_normal((n, s)))[0]
+    interp = psi[rng.choice(n, s, replace=False)]
+    expected = scipy.linalg.lu_factor(interp)
+    got = _native.lu_factor(interp)
+    assert same(got[0], expected[0]) and same(got[1], expected[1])
+    b = psi.T @ rng.standard_normal(n)
+    assert same(_native.lu_solve_transposed(got, b),
+                scipy.linalg.lu_solve(expected, b, trans=1))
+
+
+def test_without_the_bundled_library_the_bindings_call_scipy_linalg(bound, monkeypatch):
+    # and without it the compiled loops, which call its dpttrs, are unavailable
+    rng = np.random.default_rng(5)
+    d, e = next(tridiagonal_cases(40))
+    b, interp, c = rng.standard_normal(40), rng.standard_normal((6, 6)), rng.standard_normal(6)
+    factor = scipy.linalg.lu_factor(interp)
+
+    def results():
+        return [*_native.pttrf(d, e), _native.pttrs(d, e, b), *_native.lu_factor(interp),
+                _native.lu_solve_transposed(factor, c)]
+
+    bound_results = results()
+    monkeypatch.setattr(_native, "lapack", lambda: None)
+    assert _native.load() is None
+    assert all(same(got, expected) for got, expected in zip(results(), bound_results))

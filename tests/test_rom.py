@@ -444,7 +444,7 @@ def _reference_fom_step(fom, config):
     qc = q * fom.c_u
     # M = T + s (e_0 e_{n-1}^T + e_{n-1} e_0^T): dpttrs with T, then the
     # Sherman-Morrison-Woodbury correction for the corners
-    m = (sparse.identity(n) - q * fom.A).toarray()
+    m = (sparse.identity(n) - q * sparse.csr_matrix(fom.A.toarray())).toarray()
     d, e, _ = lapack.dpttrf(np.diag(m).copy(), np.diag(m, 1).copy())
     w = lapack.dpttrs(d, e, np.eye(n)[:, [0, n - 1]])[0]
     w[np.abs(w) < 1e-290] = 0.0
