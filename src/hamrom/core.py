@@ -52,6 +52,10 @@ class PeriodicStencil:
     diagonal: float
     off: float
 
+    def __post_init__(self):
+        if self.n < 3:  # fewer points would repeat a column in a row
+            raise ValueError(f"a periodic three-point stencil needs n >= 3 points, not {self.n}")
+
     @property
     def shape(self):
         return (self.n, self.n)

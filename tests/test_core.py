@@ -9,7 +9,7 @@ from scipy.sparse.linalg import splu
 
 from conftest import PROPERTY, check_skew, dense_operators, random_orthonormal, random_skew
 from hamrom import _native
-from hamrom.core import PeriodicFactor, TwoBlockSystem
+from hamrom.core import PeriodicFactor, PeriodicStencil, TwoBlockSystem
 from hamrom.integrator import IntegratorConfig, PicardDivergenceError, integrate_steps
 from hamrom.wave import WaveConfig, assemble_wave_fom, build_laplacian, initial_state, sin_average
 
@@ -251,7 +251,7 @@ def test_periodic_solve_is_superlu_solve_to_rounding(n, dt):
     # every wave step matrix; W C keeps no subnormal entry, also where W
     # decays far below the smallest normal float (n = 8000)
     _, factor = assemble_wave_fom(WaveConfig(n=n))._avf_operators(dt)
-    m = np.eye(n) - 0.25 * dt * dt * build_laplacian(WaveConfig(n=n)).toarray()
+    m = sparse.identity(n) - 0.25 * dt * dt * csr_laplacian(WaveConfig(n=n))
     assert factor.e is not None and factor.wc is not None and factor.wc.flags.c_contiguous
     assert np.all((factor.wc == 0) | (np.abs(factor.wc) >= np.finfo(float).tiny))
     assert_solves_as_superlu(factor, m, right_hand_sides(n, seed=n))
@@ -324,6 +324,8 @@ def test_the_stencil_multiplies_as_its_csr_matrix_bitwise(rng, n):
                 assert got.tobytes() == expected.tobytes(), (shape, operand.strides)
     with pytest.raises(ValueError, match="dimension mismatch"):
         lap @ np.ones(n + 1)
+    with pytest.raises(ValueError, match="n >= 3"):
+        PeriodicStencil(2, lap.diagonal, lap.off)
 
 
 @pytest.mark.parametrize("dt", (0.01, 0.0025))
