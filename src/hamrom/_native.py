@@ -105,8 +105,8 @@ def _refs(*args):
 def pttrf(d, e):
     """`scipy.linalg.lapack.dpttrf(d, e)[:2]`."""
     if lapack() is None:
-        from scipy.linalg import lapack as scipy_lapack
-        return scipy_lapack.dpttrf(d, e)[:2]
+        import scipy.linalg
+        return scipy.linalg.lapack.dpttrf(d, e)[:2]
     d, e = np.array(d, dtype=float), np.array(e, dtype=float)
     if d.ndim != 1 or e.shape != (d.size - 1,):
         raise ValueError(f"dpttrf takes n and n - 1 entries, not {d.shape} and {e.shape}")
@@ -117,8 +117,8 @@ def pttrf(d, e):
 def pttrs(d, e, b):
     """`scipy.linalg.lapack.dpttrs(d, e, b)[0]`, Fortran-ordered."""
     if lapack() is None:
-        from scipy.linalg import lapack as scipy_lapack
-        return scipy_lapack.dpttrs(d, e, b)[0]
+        import scipy.linalg
+        return scipy.linalg.lapack.dpttrs(d, e, b)[0]
     d, e = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(e, dtype=float)
     x = np.array(b, dtype=float, order="F")
     if d.ndim != 1 or e.shape != (d.size - 1,) or x.shape[:1] != d.shape or x.ndim > 2:
@@ -130,8 +130,8 @@ def pttrs(d, e, b):
 def lu_factor(a):
     """`scipy.linalg.lu_factor(a)`: a Fortran-ordered LU and 0-based pivots."""
     if lapack() is None:
-        from scipy.linalg import lu_factor
-        return lu_factor(a)
+        import scipy.linalg
+        return scipy.linalg.lu_factor(a)
     lu = np.array(np.asarray_chkfinite(a), dtype=float, order="F")
     if lu.ndim != 2:
         raise ValueError(f"dgetrf takes a matrix, not shape {lu.shape}")
@@ -143,8 +143,8 @@ def lu_factor(a):
 def lu_solve_transposed(lu_and_piv, b):
     """`scipy.linalg.lu_solve(lu_and_piv, b, trans=1)`."""
     if lapack() is None:
-        from scipy.linalg import lu_solve
-        return lu_solve(lu_and_piv, b, trans=1)
+        import scipy.linalg
+        return scipy.linalg.lu_solve(lu_and_piv, b, trans=1)
     lu = np.asfortranarray(lu_and_piv[0], dtype=float)
     piv = np.asarray(lu_and_piv[1], dtype=np.int32) + 1
     x = np.array(np.asarray_chkfinite(b), dtype=float, order="F")
