@@ -13,11 +13,12 @@ once per process, returns them only when both loops pass their probe;
 otherwise every integration, and `metrics.e_inf`, takes the numpy path.
 
 `lapack()` binds, without a compiler, the LAPACK routines of the OpenBLAS
-that scipy bundles, the library that `scipy.linalg` calls.  `pttrf`,
-`pttrs`, `lu_factor` and `lu_solve_transposed` call them and return what
-their `scipy.linalg` namesakes return, bit for bit and in the same
-layout, without importing `scipy.linalg`, which they call only where
-the library is missing.
+that scipy bundles, the library that `scipy.linalg` calls; it finds the
+library beside the installed scipy without importing any scipy module.
+`pttrf`, `pttrs`, `lu_factor` and `lu_solve_transposed` call them and
+return what their `scipy.linalg` namesakes return, bit for bit and in
+the same layout, without importing `scipy.linalg`, which they call only
+where the library is missing.
 
 `blocks` runs an AVF integration, for the full-order system and the
 reduced models alike, and is the one place that chooses between a loop
@@ -31,6 +32,7 @@ import ctypes
 import functools
 import glob
 import hashlib
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -38,7 +40,6 @@ import tempfile
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from .integrator import (
     _EXTRAPOLATION,
@@ -65,8 +66,10 @@ class Loops(NamedTuple):
 
 
 def _symbols(package, pattern, *names):
-    """Addresses of `names` in the one library `<package>.libs/<pattern>`."""
-    libs = os.path.join(os.path.dirname(package.__file__), os.pardir, package.__name__ + ".libs")
+    """Addresses of `names` in the one library `<package>.libs/<pattern>`,
+    found beside the installed `package` without importing it."""
+    origin = importlib.util.find_spec(package).origin
+    libs = os.path.join(os.path.dirname(origin), os.pardir, package + ".libs")
     [path] = glob.glob(os.path.join(libs, pattern))
     lib = ctypes.CDLL(path)
     return [ctypes.cast(getattr(lib, name), ctypes.c_void_p).value for name in names]
@@ -86,7 +89,7 @@ class Lapack(NamedTuple):
 def lapack():
     """The `Lapack` of scipy's bundled OpenBLAS, or None where it is missing."""
     try:
-        addresses = _symbols(scipy, "libscipy_openblas-*.so",
+        addresses = _symbols("scipy", "libscipy_openblas-*.so",
                              *(f"scipy_d{name}_" for name in Lapack._fields))
     except _LOAD_ERRORS:
         return None
@@ -210,7 +213,7 @@ _RUN_ARGS = [_D, _I, _I, _I, _P, _P, _P, _P]
 def load():
     """The `Loops` of _avf.c, or None when any entry point is unavailable."""
     try:
-        [gemv] = _symbols(np, "libscipy_openblas64_*.so", "scipy_cblas_dgemv64_")
+        [gemv] = _symbols("numpy", "libscipy_openblas64_*.so", "scipy_cblas_dgemv64_")
         pttrs = ctypes.cast(lapack().pttrs, ctypes.c_void_p).value
         lib = _shared_object()
         loops = Loops(lib.avf_integrate, lib.avf_integrate_full, lib.avf_max_mismatch, gemv,

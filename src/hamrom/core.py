@@ -1,4 +1,4 @@
-"""Canonical two-block Hamiltonian systems with a sparse linear part.
+"""Canonical two-block Hamiltonian systems with a periodic stencil as linear part.
 
 A state z = (u, v) of length 2n evolves by
 
@@ -9,16 +9,15 @@ D = [[0, I], [-I, 0]] and the energy
 
     H(z) = 0.5 v^T v - 0.5 u^T A u + sum_i c_u[i] G(u_i).
 
-A is a sparse symmetric n x n matrix, G an elementwise scalar
-nonlinearity with derivative g = G', and c_u a weight vector.  No dense
-n x n (or 2n x 2n) operator is ever formed.  The wave's A is a
-`PeriodicStencil`; any other A is stored as CSR, with `scipy.sparse`
-imported for it alone.
+A is a `PeriodicStencil`, the symmetric periodic three-point stencil of
+the wave's Laplacian, G an elementwise scalar nonlinearity with
+derivative g = G', and c_u a weight vector.  No dense n x n (or 2n x 2n)
+operator is ever formed.
 
 Like a reduced model, the record has an AVF `make_step`, an `integrate`
 that runs it over a time grid and a stacked `energy`.  It is immutable
 after construction and its methods are pure.  The AVF step solves with
-I - dt^2/4 A, which for a periodic tridiagonal A is factored as a
+I - dt^2/4 A, itself a periodic stencil, factored as a
 `PeriodicFactor`.  For the wave's `sin_average`, `integrate` runs the
 steps in the compiled loop of `_avf.c`, which calls the same LAPACK and
 BLAS routines on the same factor, with the same result bit for bit;
@@ -82,9 +81,9 @@ class PeriodicStencil:
 
 
 class PeriodicFactor(NamedTuple):
-    """Solver of M x = b for a symmetric periodic tridiagonal M: its
-    tridiagonal part T, which must be positive definite, plus the corner
-    entries s = M[0, n-1] = M[n-1, 0].
+    """Solver of M x = b for M a `PeriodicStencil`: its tridiagonal part
+    T, which must be positive definite, plus the corner entries
+    s = M[0, n-1] = M[n-1, 0] = M.off.
 
     T = L D L^T is factored by LAPACK's dpttrf, and `d`, `e` hold D and
     the subdiagonal of L.  The corners enter by Sherman-Morrison-Woodbury:
@@ -96,7 +95,6 @@ class PeriodicFactor(NamedTuple):
     `wc` is the C-ordered n x 2 product W C, which is zero where s = 0.
     A diagonal M (e and wc None) is solved by division, where dpttrs's
     update with a zero off-diagonal would turn an infinite entry into NaN.
-    Only M's upper triangle is read.
     """
 
     d: np.ndarray
@@ -104,25 +102,12 @@ class PeriodicFactor(NamedTuple):
     wc: Optional[np.ndarray]
 
     @classmethod
-    def of(cls, m):
-        """The factor of m, a `PeriodicStencil` or a sparse or dense matrix.
-        Raises ValueError where m has a nonzero entry outside the periodic
-        tridiagonal pattern, or where T is not positive definite."""
-        if isinstance(m, PeriodicStencil):
-            n, s = m.n, m.off
-            d, e = np.full(n, m.diagonal), np.full(n - 1, m.off)
-        else:
-            import scipy.sparse as sparse  # only for a matrix that is not a stencil
-
-            m = sparse.csr_matrix(m, dtype=float)
-            n = m.shape[0]
-            coo = m.tocoo()
-            offset = np.abs(coo.row.astype(np.int64) - coo.col)
-            if np.any(coo.data[(offset > 1) & (offset != n - 1)] != 0):
-                raise ValueError("the AVF step needs a periodic tridiagonal A")
-            d, e = m.diagonal(), m.diagonal(1)
-            s = m[0, n - 1] if n > 2 else 0.0
-        if e.any() or s != 0:
+    def of(cls, stencil: PeriodicStencil):
+        """The factor of the stencil.  Raises ValueError where T is not
+        positive definite."""
+        n, s = stencil.n, stencil.off
+        d, e = np.full(n, stencil.diagonal), np.full(n - 1, s)
+        if s != 0:
             d, e = _native.pttrf(d, e)  # it stops at a pivot <= 0, which stays in d
         else:
             e = None
@@ -152,9 +137,8 @@ class TwoBlockSystem:
 
     Parameters
     ----------
-    A : PeriodicStencil, or an (n, n) sparse or dense matrix
-        Symmetric linear part; a stencil is kept as it is, any other
-        matrix is stored as CSR.
+    A : PeriodicStencil
+        Symmetric linear part.
     c_u : (n,) array_like
         Weight vector of the nonlinear part.
     G : callable
@@ -169,37 +153,27 @@ class TwoBlockSystem:
         against G at construction.
     """
 
-    A: "PeriodicStencil | scipy.sparse.csr_matrix"
+    A: PeriodicStencil
     c_u: np.ndarray
     G: Callable
     g: Callable
     g_avg: Optional[Callable] = None
 
     def __post_init__(self):
-        A = self.A
-        if not isinstance(A, PeriodicStencil):  # square and symmetric as it is
-            import scipy.sparse as sparse
-
-            A = sparse.csr_matrix(A, dtype=float)
-            if A.shape[0] != A.shape[1]:
-                raise ValueError(f"A must be square, got shape {A.shape}")
-            if abs(A - A.T).max() > 1e-12:
-                raise ValueError("A is not symmetric within 1e-12")
+        if not isinstance(self.A, PeriodicStencil):
+            raise TypeError(f"A must be a PeriodicStencil, not {type(self.A).__name__}")
         c_u = np.asarray(self.c_u, dtype=float)
-        if c_u.shape != (A.shape[0],):
-            raise ValueError(
-                f"weight vector has shape {c_u.shape}, expected ({A.shape[0]},)"
-            )
+        if c_u.shape != (self.n,):
+            raise ValueError(f"weight vector has shape {c_u.shape}, expected ({self.n},)")
         _check_elementwise_derivative(self.G, self.g)
         if self.g_avg is not None:
             _check_segment_mean(self.G, self.g, self.g_avg)
-        object.__setattr__(self, "A", A)
         object.__setattr__(self, "c_u", c_u)
 
     @property
     def n(self) -> int:
         """Block dimension; states have length 2n."""
-        return self.A.shape[0]
+        return self.A.n
 
     @property
     def dim(self) -> int:
@@ -215,8 +189,8 @@ class TwoBlockSystem:
     def energy(self, z):
         """H(z) = 0.5 v^T v - 0.5 u^T A u + c_u . G(u), or H of each row of a stack."""
         u, v = self._blocks(z, stack=True)
-        # (A u^T)^T is u A for a symmetric A, bit for bit where A is exactly
-        # symmetric, and a CSR matrix or a stencil multiplies from the left
+        # the stencil multiplies from the left, and (A u^T)^T is u A bit for
+        # bit, as the stencil is symmetric
         uAu = np.sum(u * (self.A @ u.T).T, axis=-1)
         h = 0.5 * np.sum(v * v, axis=-1) - 0.5 * uAu + self.G(u) @ self.c_u
         return h if u.ndim == 2 else float(h)
@@ -236,8 +210,7 @@ class TwoBlockSystem:
             (I - dt^2/4 A) u_m = u0 + dt/2 v0 - dt^2/4 c_u g_avg(u0, 2 u_m - u0).
 
         Then u1 = 2 u_m - u0 and v1 = 4 (u_m - u0) / dt - v0.  Raises
-        ValueError without `g_avg`, for an A outside the periodic
-        tridiagonal pattern, or where the tridiagonal part of
+        ValueError without `g_avg`, or where the tridiagonal part of
         I - dt^2/4 A is not positive definite.
 
         `_avf.c` repeats this step's arithmetic operation by operation for
@@ -267,12 +240,8 @@ class TwoBlockSystem:
         """qc = dt^2/4 c_u and the `PeriodicFactor` of I - dt^2/4 A of the
         AVF step at dt."""
         q, A = 0.25 * dt * dt, self.A
-        if isinstance(A, PeriodicStencil):  # the entries of CSR's identity(n) - q A
-            m = PeriodicStencil(A.n, 1.0 - q * A.diagonal, 0.0 - q * A.off)
-        else:
-            import scipy.sparse as sparse
-
-            m = sparse.identity(self.n) - q * A
+        # the entries of CSR's identity(n) - q A: a zero off-diagonal gives +0.0, not -0.0
+        m = PeriodicStencil(A.n, 1.0 - q * A.diagonal, 0.0 - q * A.off)
         return q * self.c_u, PeriodicFactor.of(m)
 
     def integrate(self, z0, config: IntegratorConfig) -> Trajectory:

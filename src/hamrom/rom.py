@@ -1,7 +1,7 @@
 """Assembly of the five reduced models for two-block wave systems.
 
 The full-order system is a `core.TwoBlockSystem`: z = (u, v) with
-u' = v, v' = A u - c_u g(u), A sparse and symmetric.  The
+u' = v, v' = A u - c_u g(u), A a symmetric periodic stencil.  The
 `ReducedModel` constructor derives every reduced operator from the
 system and the model's defining data (block bases, reference state and,
 for sp-deim, interpolation indices and weights), so that the online

@@ -1103,7 +1103,8 @@ def test_reproduce_writes_the_same_files_with_and_without_the_loops(tmp_path, mo
 
 def test_no_command_imports_scipy_sparse_or_scipy_linalg(tmp_path):
     # fom, offline and online in one fresh interpreter: with scipy's bundled
-    # OpenBLAS the stencil, `_native.lapack` and numpy do all of their work
+    # OpenBLAS the stencil, `_native.lapack` and numpy do all of their work,
+    # and no scipy module is loaded at all, not even the top-level package
     if _native.lapack() is None:
         pytest.skip("scipy's bundled OpenBLAS is unavailable here")
     script = (
@@ -1114,6 +1115,7 @@ def test_no_command_imports_scipy_sparse_or_scipy_linalg(tmp_path):
         "    rom = ['--rom', 'run/rom_sp-deim-2_r3.bin'] if stage == 'online' else []\n"
         "    assert cli.main([stage, *flags, *rom]) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.linalg'))))\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get(
@@ -1121,7 +1123,7 @@ def test_no_command_imports_scipy_sparse_or_scipy_linalg(tmp_path):
     run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    assert run.stdout.splitlines()[-2:] == ["[]", "[]"]
     assert (tmp_path / "run" / "energy_sp-deim-2_r3.csv").exists()
 
 
@@ -1209,7 +1211,9 @@ def test_names_the_benchmark_uses_exist():
 def test_the_traced_benchmark_path_runs(tmp_path):
     # perfbench's tracer calls integrate(f, z0, config, observer) and
     # save_trajectory(traj, path, dt=dt) through its wrappers, which only
-    # a traced benchmark run reaches otherwise
+    # a traced benchmark run reaches otherwise; after the commands, the
+    # calls of the sweep's set-up and of its queries (workloads.setup_sweep
+    # and workloads.query), with their keywords
     root = Path(__file__).resolve().parents[1] / "perfbench"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", root / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
@@ -1217,19 +1221,29 @@ def test_the_traced_benchmark_path_runs(tmp_path):
     before = {name: getattr(cli, name) for name in tracer.SPANNED}
     make_rhs = rom.ReducedModel.make_rhs
     recorder = tracer.Tracer()
+    replayed = ("wave.make_wave_energy", "rom.load_rom", "integrator.load_trajectory",
+                "integrator.integrate", "metrics.hamiltonian_series", "metrics.e_inf")
     undo = tracer.install(recorder, cli, rom, EvalCounter)
     try:
         out = tmp_path / "run"
         assert main(["reproduce", "--n", "32", "--t-final", "0.5", "--stride", "5", "--r", "3",
                      "--variants", "sp-deim-2", "--out", str(out)]) == 0
+        spans = {name: len(recorder.durations(name)) for name in replayed}
         wcfg = WaveConfig(n=32)
-        model = cli.load_rom(out / "rom_sp-deim-2_r3.bin", cli.assemble_wave_fom(wcfg))
-        a0 = model.initial_coefficients(cli.initial_state(wcfg))
+        model = cli.load_rom(out / "rom_sp-deim-2_r3.bin", cli.assemble_wave_fom(wcfg),
+                             state_energy=cli.make_wave_energy(wcfg))
+        fom_traj = cli.load_trajectory(out / "fom_trajectory.bin")
+        a0 = model.initial_coefficients(fom_traj.states[0])
         traj = cli.integrate(model.make_rhs(), a0, IntegratorConfig(dt=0.01, t_final=0.1))
+        _, _, drift = cli.hamiltonian_series(model, traj, wcfg.dx)
+        error = cli.e_inf(Trajectory(fom_traj.states[:11], fom_traj.times[:11]), traj, model)
         cli.save_trajectory(traj, tmp_path / "rom.bin", dt=0.01)
     finally:
         undo()
     assert len(recorder.durations("cli.cmd_fom")) == 1
+    assert {name: len(recorder.durations(name)) - spans[name] for name in replayed} == dict.fromkeys(
+        replayed, 1)
+    assert np.isfinite(drift) and 0.0 < error < 1.0
     assert recorder.picard["sp-deim-2"][1] == 10
     assert recorder.traj_bytes >= traj.states.nbytes > 0
     assert {name: getattr(cli, name) for name in tracer.SPANNED} == before

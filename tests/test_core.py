@@ -4,7 +4,6 @@ import scipy.sparse as sparse
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from conftest import PROPERTY, check_skew, dense_operators, random_orthonormal, random_skew
@@ -18,32 +17,33 @@ COS_SPLIT = dict(G=lambda x: 1.0 - np.cos(x), g=np.sin)
 
 def quadratic_only(n):
     # A = -I and no nonlinearity: H(z) = 0.5 |z|^2, z' = (v, -u)
-    return TwoBlockSystem(-sparse.identity(n), np.zeros(n), lambda x: 0.0 * x, lambda x: 0.0 * x)
+    return TwoBlockSystem(PeriodicStencil(n, -1.0, 0.0), np.zeros(n), lambda x: 0.0 * x,
+                          lambda x: 0.0 * x)
 
 
-def random_symmetric(rng, n):
-    m = rng.standard_normal((n, n))
-    return m + m.T
+def random_stencil(rng, n):
+    return PeriodicStencil(n, rng.standard_normal(), rng.standard_normal())
 
 
 def test_hamiltonian_quadratic_identity():
-    system = quadratic_only(1)
-    assert system.energy(np.array([1.0, 0.0])) == 0.5
+    system = quadratic_only(3)
+    assert system.energy(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])) == 0.5
 
 
 def test_hamiltonian_matches_scalar_loop_oracle(rng):
-    n = 5
-    A = random_symmetric(rng, n)
-    system = TwoBlockSystem(A, np.ones(n), **COS_SPLIT)
+    n = int(rng.integers(3, 12))
+    A, c = random_stencil(rng, n), rng.standard_normal(n)
+    system = TwoBlockSystem(A, c, **COS_SPLIT)
     z = rng.standard_normal(2 * n)
     u, v = z[:n], z[n:]
-    # independent elementwise accumulation
+    # independent elementwise accumulation over the dense matrix
+    dense = A.toarray()
     expected = 0.0
     for i in range(n):
         expected += 0.5 * v[i] * v[i]
         for j in range(n):
-            expected -= 0.5 * u[i] * A[i, j] * u[j]
-        expected += 1.0 - np.cos(u[i])
+            expected -= 0.5 * u[i] * dense[i, j] * u[j]
+        expected += c[i] * (1.0 - np.cos(u[i]))
     assert_allclose(system.energy(z), expected, rtol=1e-14)
     # a stack of states gives one energy per row
     stack = np.vstack([z, rng.standard_normal((3, 2 * n))])
@@ -88,24 +88,21 @@ def test_make_step_conserves_energy_with_non_unit_weights(rng):
 
 def test_make_step_needs_segment_mean():
     with pytest.raises(ValueError, match="g_avg"):
-        quadratic_only(2).make_step(IntegratorConfig())
+        quadratic_only(3).make_step(IntegratorConfig())
 
 
-@pytest.mark.parametrize("case", ("pentadiagonal", "not-positive-definite"))
+@pytest.mark.parametrize("case", ("not-positive-definite", "not-positive-definite-periodic"))
 def test_avf_stepping_needs_a_positive_definite_periodic_tridiagonal_step_matrix(case):
+    # I - dt^2/4 * 36000 I = -0.089 I is solved by division; with an
+    # off-diagonal, dpttrf stops at the first pivot
     n = 12
-    if case == "pentadiagonal":
-        lap = sparse.csr_matrix(build_laplacian(WaveConfig(n=n)).toarray())
-        system = TwoBlockSystem(lap + 0.1 * lap @ lap, np.ones(n), **COS_SPLIT,
-                                g_avg=sin_average)
-        icfg, match = IntegratorConfig(dt=0.01, t_final=0.1), "periodic tridiagonal"
-    else:  # I - dt^2/4 * 36000 I = -0.089 I
-        system = TwoBlockSystem(36000.0 * sparse.identity(n), np.ones(n), **COS_SPLIT,
-                                g_avg=sin_average)
-        icfg, match = IntegratorConfig(dt=0.011, t_final=0.11), "positive definite"
-    with pytest.raises(ValueError, match=match):
+    off = 0.0 if case == "not-positive-definite" else 1.0
+    system = TwoBlockSystem(PeriodicStencil(n, 36000.0, off), np.ones(n), **COS_SPLIT,
+                            g_avg=sin_average)
+    icfg = IntegratorConfig(dt=0.011, t_final=0.11)
+    with pytest.raises(ValueError, match="positive definite"):
         system.make_step(icfg)
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match="positive definite"):
         system.integrate(np.zeros(2 * n), icfg)
 
 
@@ -113,7 +110,7 @@ def test_gradient_identity_and_zero_cases():
     system = quadratic_only(3)
     z = np.array([0.3, -1.2, 2.0, 0.5, 0.1, -0.7])
     assert_allclose(system.rhs(z), np.concatenate([z[3:], -z[:3]]))
-    cos_system = TwoBlockSystem(-sparse.identity(3), np.ones(3), **COS_SPLIT)
+    cos_system = TwoBlockSystem(PeriodicStencil(3, -1.0, 0.0), np.ones(3), **COS_SPLIT)
     assert_allclose(cos_system.rhs(np.zeros(6)), np.zeros(6))
 
 
@@ -132,7 +129,7 @@ def fd_skew_gradient(system, z, indices, step=1e-6):
 
 def test_gradient_matches_finite_differences(rng):
     n = 8
-    system = TwoBlockSystem(random_symmetric(rng, n), rng.standard_normal(n), **COS_SPLIT)
+    system = TwoBlockSystem(random_stencil(rng, n), rng.standard_normal(n), **COS_SPLIT)
     z = rng.standard_normal(2 * n)
     fd = fd_skew_gradient(system, z, range(2 * n))
     assert_allclose(system.rhs(z), fd, rtol=1e-6)
@@ -140,10 +137,8 @@ def test_gradient_matches_finite_differences(rng):
 
 def test_gradient_fd_property_across_dimensions(rng):
     for _ in range(50):
-        n = int(rng.integers(2, 51))
-        system = TwoBlockSystem(
-            random_symmetric(rng, n), rng.standard_normal(n), **COS_SPLIT
-        )
+        n = int(rng.integers(3, 51))
+        system = TwoBlockSystem(random_stencil(rng, n), rng.standard_normal(n), **COS_SPLIT)
         z = rng.standard_normal(2 * n)
         idx = int(rng.integers(2 * n))  # one random component per draw keeps this fast
         fd = fd_skew_gradient(system, z, [idx])[0]
@@ -151,24 +146,30 @@ def test_gradient_fd_property_across_dimensions(rng):
 
 
 def test_hamiltonian_permutation_invariance(rng):
+    # the grid permutations that map a periodic stencil to itself: cyclic
+    # shifts, the reversal, and shifts of the reversal
     n = 7
-    A = random_symmetric(rng, n)
+    A = random_stencil(rng, n)
     c = rng.standard_normal(n)
     z = rng.standard_normal(2 * n)
-    perm = rng.permutation(n)
-    P = np.eye(n)[perm]
     system = TwoBlockSystem(A, c, **COS_SPLIT)
-    permuted = TwoBlockSystem(P @ A @ P.T, P @ c, **COS_SPLIT)
-    zp = np.concatenate([P @ z[:n], P @ z[n:]])
-    assert_allclose(permuted.energy(zp), system.energy(z), rtol=1e-13)
+    for shift in range(n):
+        for perm in (np.roll(np.arange(n), shift), np.roll(np.arange(n)[::-1], shift)):
+            P = np.eye(n)[perm]
+            assert np.array_equal(P @ A.toarray() @ P.T, A.toarray())
+            permuted = TwoBlockSystem(A, P @ c, **COS_SPLIT)
+            zp = np.concatenate([P @ z[:n], P @ z[n:]])
+            assert_allclose(permuted.energy(zp), system.energy(z), rtol=1e-13)
 
 
 def test_rhs_zero_operator_and_oscillator():
     # a zero linear part without nonlinearity leaves v constant
-    free = TwoBlockSystem(sparse.csr_matrix((1, 1)), np.zeros(1), **COS_SPLIT)
-    assert_allclose(free.rhs(np.array([3.0, -4.0])), np.array([-4.0, 0.0]))
-    osc = quadratic_only(1)
-    assert_allclose(osc.rhs(np.array([1.0, 0.0])), np.array([0.0, -1.0]))
+    free = TwoBlockSystem(PeriodicStencil(3, 0.0, 0.0), np.zeros(3), **COS_SPLIT)
+    assert_allclose(free.rhs(np.array([3.0, 1.0, 2.0, -4.0, 5.0, 6.0])),
+                    np.array([-4.0, 5.0, 6.0, 0.0, 0.0, 0.0]))
+    osc = quadratic_only(3)
+    assert_allclose(osc.rhs(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])),
+                    np.array([0.0, 0.0, 0.0, -1.0, 0.0, 0.0]))
 
 
 def test_check_skew_examples():
@@ -194,25 +195,25 @@ def test_skew_quadratic_form_vanishes(rng):
 
 
 def test_skew_operator_rejects_non_skew():
-    # the coupling [[0, I], [-I, 0]] is fixed; what the record checks is A
-    with pytest.raises(ValueError):  # not symmetric
-        TwoBlockSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), **COS_SPLIT)
-    with pytest.raises(ValueError):  # not square
-        TwoBlockSystem(np.zeros((2, 3)), np.ones(2), **COS_SPLIT)
-    D, _, _ = dense_operators(quadratic_only(2))
+    # the coupling [[0, I], [-I, 0]] is fixed; what the record checks is
+    # that A is a stencil, symmetric by construction
+    with pytest.raises(TypeError, match="ndarray"):
+        TwoBlockSystem(np.eye(3), np.ones(3), **COS_SPLIT)
+    with pytest.raises(TypeError, match="csr_matrix"):
+        TwoBlockSystem(sparse.csr_matrix(np.eye(3)), np.ones(3), **COS_SPLIT)
+    D, _, _ = dense_operators(quadratic_only(3))
     assert check_skew(D, 0.0)
     assert not check_skew(np.eye(2), 1e-14)
 
 
 def test_split_hamiltonian_validation():
-    with pytest.raises(ValueError):
-        TwoBlockSystem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2), **COS_SPLIT)
+    identity = PeriodicStencil(3, 1.0, 0.0)
     with pytest.raises(ValueError):  # g is not the derivative of G
-        TwoBlockSystem(np.eye(2), np.ones(2), G=lambda x: 1.0 - np.cos(x), g=np.cos)
+        TwoBlockSystem(identity, np.ones(3), G=lambda x: 1.0 - np.cos(x), g=np.cos)
     with pytest.raises(ValueError):  # weight length mismatch
-        TwoBlockSystem(np.eye(2), np.ones(3), **COS_SPLIT)
+        TwoBlockSystem(identity, np.ones(4), **COS_SPLIT)
     with pytest.raises(ValueError, match="segment mean"):  # sin at the midpoint
-        TwoBlockSystem(np.eye(2), np.ones(2), **COS_SPLIT,
+        TwoBlockSystem(identity, np.ones(3), **COS_SPLIT,
                        g_avg=lambda x0, x1: np.sin(0.5 * (x0 + x1)))
 
 
@@ -258,35 +259,23 @@ def test_periodic_solve_is_superlu_solve_to_rounding(n, dt):
 
 
 @PROPERTY
-@given(n=st.integers(3, 64), kind=st.sampled_from(["random", "tridiagonal", "-I", "36000 I"]),
+@given(n=st.integers(3, 64), kind=st.sampled_from(["periodic", "diagonal"]),
        seed=st.integers(0, 2**32 - 1))
 def test_periodic_solve_agrees_with_superlu(n, kind, seed):
-    # random diagonally dominant periodic tridiagonal matrices, the same
-    # without corner entries, and the step matrices of the diagonal
-    # systems, for which no correction enters
+    # random diagonally dominant periodic stencils over ten decades, and
+    # diagonal ones (off = 0), for which no correction enters
     rng = np.random.default_rng(seed)
-    if kind in ("random", "tridiagonal"):
-        off = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 0.0, n)
-        if kind == "tridiagonal":
-            off[-1] = 0.0  # the corner entry M[n-1, 0]
-        rows = np.arange(n)
-        m = sparse.coo_matrix((off, (rows, (rows + 1) % n)), shape=(n, n))
-        diagonal = rng.uniform(1.5, 4.0, n) * (np.abs(off) + np.abs(np.roll(off, 1)))
-        m = 10.0 ** rng.uniform(-5.0, 5.0) * (m + m.T + sparse.diags(diagonal))
-    else:
-        scale = -1.0 if kind == "-I" else 36000.0
-        m = sparse.identity(n) - 0.25e-4 * scale * sparse.identity(n)
+    off = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 0.0) if kind == "periodic" else 0.0
+    diagonal = rng.uniform(1.5, 4.0) * (2.0 * abs(off) if off else 1.0)
+    scale = 10.0 ** rng.uniform(-5.0, 5.0)
+    m = PeriodicStencil(n, scale * diagonal, scale * off)
     factor = PeriodicFactor.of(m)
-    assert (factor.wc is None) == (factor.e is None) == (kind not in ("random", "tridiagonal"))
+    assert (factor.wc is None) == (factor.e is None) == (kind == "diagonal")
     rhs = right_hand_sides(n, seed=seed % 1000)
-    assert_solves_as_superlu(factor, m, rhs)
-    if kind == "tridiagonal":  # C = 0, so the correction leaves dpttrs's solve as it is
-        assert not factor.wc.any()
-        assert all(factor.solve(b).tobytes() == lapack.dpttrs(factor.d, factor.e, b)[0].tobytes()
-                   for b in rhs)
+    assert_solves_as_superlu(factor, m.toarray(), rhs)
     if factor.e is None:  # a division, which keeps an infinite entry infinite
         rhs[0, 0] = np.inf
-        assert all(np.array_equal(factor.solve(b), b / m.diagonal()) for b in rhs)
+        assert all(np.array_equal(factor.solve(b), b / m.diagonal) for b in rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +319,19 @@ def test_the_stencil_multiplies_as_its_csr_matrix_bitwise(rng, n):
 
 @pytest.mark.parametrize("dt", (0.01, 0.0025))
 @pytest.mark.parametrize("n", (3, 4, 40, 500))
-def test_the_stencil_step_factor_is_the_csr_step_factor_bitwise(n, dt):
-    # the stencil's I - dt^2/4 A carries the rounding of CSR's identity(n) - q A,
-    # and a system keeps the stencil while it stores any other matrix as CSR
+def test_the_stencil_step_factor_is_the_csr_step_factor_bitwise(monkeypatch, n, dt):
+    # the step stencil I - dt^2/4 A that the factor reads carries the
+    # rounding of CSR's identity(n) - q A entry for entry
     lap = build_laplacian(WaveConfig(n=n))
-    stencil = TwoBlockSystem(lap, np.ones(n), **COS_SPLIT, g_avg=sin_average)
-    csr = TwoBlockSystem(lap.toarray(), np.ones(n), **COS_SPLIT, g_avg=sin_average)
-    assert stencil.A is lap and isinstance(csr.A, sparse.csr_matrix)
-    (qc, factor), (csr_qc, csr_factor) = stencil._avf_operators(dt), csr._avf_operators(dt)
-    for got, expected in ((qc, csr_qc), *zip(factor, csr_factor)):
-        assert got.tobytes() == expected.tobytes()
-        assert got.flags.c_contiguous == expected.flags.c_contiguous
+    system = TwoBlockSystem(lap, np.ones(n), **COS_SPLIT, g_avg=sin_average)
+    factored, of = [], PeriodicFactor.of
+    monkeypatch.setattr(PeriodicFactor, "of", lambda m: factored.append(m) or of(m))
+    qc, _ = system._avf_operators(dt)
+    q = 0.25 * dt * dt
+    assert system.A is lap and qc.tobytes() == (q * np.ones(n)).tobytes()
+    expected = (sparse.identity(n) - q * csr_laplacian(WaveConfig(n=n))).toarray()
+    [step] = factored
+    assert step.toarray().tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +361,8 @@ def test_compiled_integration_is_the_numpy_path_bitwise(compiled, n, weights, dt
 def growing_system(n=12):
     # u'' = 36000 u: the AVF step multiplies u by 19, so 1e280 overflows
     # after the extrapolated starts begin at step 7
-    return TwoBlockSystem(36000.0 * sparse.identity(n), np.ones(n), **COS_SPLIT, g_avg=sin_average)
+    return TwoBlockSystem(PeriodicStencil(n, 36000.0, 0.0), np.ones(n), **COS_SPLIT,
+                          g_avg=sin_average)
 
 
 @pytest.mark.parametrize("case", ("iteration-cap", "overflow-nan", "overflow-inf"))
@@ -436,4 +428,4 @@ def test_integrate_rejects_a_state_of_another_dimension():
     with pytest.raises(ValueError, match="expected"):
         system.integrate(np.zeros(33), IntegratorConfig(t_final=0.1))
     with pytest.raises(ValueError, match="g_avg"):
-        quadratic_only(2).integrate(np.zeros(4), IntegratorConfig(t_final=0.1))
+        quadratic_only(3).integrate(np.zeros(6), IntegratorConfig(t_final=0.1))

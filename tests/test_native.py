@@ -10,11 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy import sparse
 from scipy.linalg import lapack
 
 from hamrom import _native, wave
-from hamrom.core import TwoBlockSystem
+from hamrom.core import PeriodicStencil, TwoBlockSystem
 from hamrom.integrator import IntegratorConfig, PicardDivergenceError, integrate_steps
 from hamrom.wave import WaveConfig, assemble_wave_fom, sin_average
 
@@ -211,8 +210,8 @@ def test_a_failure_in_a_later_block_names_the_step_of_the_whole_run(path, rows):
     # u'' = 36000 u: the AVF step multiplies u by 19, so 1e250 overflows
     # at step 36, in a later block for every block size here
     n = 12
-    system = TwoBlockSystem(36000.0 * sparse.identity(n), np.ones(n), lambda x: 1.0 - np.cos(x),
-                            np.sin, sin_average)
+    system = TwoBlockSystem(PeriodicStencil(n, 36000.0, 0.0), np.ones(n),
+                            lambda x: 1.0 - np.cos(x), np.sin, sin_average)
     z0 = np.concatenate([1e250 * (1.0 + np.arange(n) / n), np.zeros(n)])
     cfg = IntegratorConfig(dt=0.01, t_final=1.0)
     failures = []
