@@ -321,17 +321,18 @@ def test_the_stencil_multiplies_as_its_csr_matrix_bitwise(rng, n):
 @pytest.mark.parametrize("n", (3, 4, 40, 500))
 def test_the_stencil_step_factor_is_the_csr_step_factor_bitwise(monkeypatch, n, dt):
     # the step stencil I - dt^2/4 A that the factor reads carries the
-    # rounding of CSR's identity(n) - q A entry for entry
-    lap = build_laplacian(WaveConfig(n=n))
-    system = TwoBlockSystem(lap, np.ones(n), **COS_SPLIT, g_avg=sin_average)
+    # rounding of CSR's identity(n) - q A entry for entry: for the wave's
+    # Laplacian, and for a diagonal A, whose zero off-diagonal stays +0.0
     factored, of = [], PeriodicFactor.of
     monkeypatch.setattr(PeriodicFactor, "of", lambda m: factored.append(m) or of(m))
-    qc, _ = system._avf_operators(dt)
     q = 0.25 * dt * dt
-    assert system.A is lap and qc.tobytes() == (q * np.ones(n)).tobytes()
-    expected = (sparse.identity(n) - q * csr_laplacian(WaveConfig(n=n))).toarray()
-    [step] = factored
-    assert step.toarray().tobytes() == expected.tobytes()
+    for A, csr in ((build_laplacian(WaveConfig(n=n)), csr_laplacian(WaveConfig(n=n))),
+                   (PeriodicStencil(n, 36000.0, 0.0), 36000.0 * sparse.identity(n))):
+        system = TwoBlockSystem(A, np.ones(n), **COS_SPLIT, g_avg=sin_average)
+        qc, _ = system._avf_operators(dt)
+        assert system.A is A and qc.tobytes() == (q * np.ones(n)).tobytes()
+        expected = (sparse.identity(n) - q * csr).toarray()
+        assert factored.pop().toarray().tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
