@@ -1,23 +1,26 @@
-/* The AVF integrations of `integrator.advance_steps` with g_avg =
- * `wave.sin_average`, each as one C loop: `avf_integrate` runs
+/* The integrations of `_native.blocks` for the wave's nonlinearity, each
+ * as one C loop.  With g_avg = `wave.sin_average`, `avf_integrate` runs
  * `ReducedModel.make_step`, `avf_integrate_full` runs
  * `TwoBlockSystem.make_step`, whose linear solve `avf_periodic_solve` is
- * exported as well.  Either loop resumes an integration in a new window
- * of states, as advance_steps does.  `avf_max_mismatch` is the elementwise
- * pass of `metrics.e_inf`.
+ * exported as well; with g = sin, `midpoint_integrate` runs the implicit
+ * midpoint rule of `integrator.integrate` over `ReducedModel.make_rhs`.
+ * Each loop resumes an integration in a new window of states, as
+ * advance_steps does.  `avf_max_mismatch` is the elementwise pass of
+ * `metrics.e_inf`.
  *
  * They do the arithmetic of the numpy path operation by operation, so
  * every state comes out bit for bit the same:
  *  - each matrix-vector product calls numpy's own cblas dgemv with the
- *    arguments np.dot passes for a C-contiguous matrix: every operand is
- *    C-ordered, which `ReducedModel`'s constructor and `PeriodicFactor.of`
- *    guarantee;
+ *    arguments np.dot passes for a C-contiguous matrix (the rhs's matmul
+ *    passes the column-major transpose, which OpenBLAS turns into the
+ *    same kernel call): every operand is C-ordered, which
+ *    `ReducedModel`'s constructor and `PeriodicFactor.of` guarantee;
  *  - the full-order linear solve is `core.PeriodicFactor.solve`: the
  *    LAPACK dpttrs of the OpenBLAS that scipy bundles (the one
  *    scipy.linalg.lapack calls), with the arguments its wrapper passes,
  *    then the corner correction through dgemv;
- *  - elementwise steps round in sin_average's order, and sin is the libm
- *    function that np.sin calls;
+ *  - elementwise steps round in the order of sin_average and of the
+ *    rhs, and sin is the libm function that np.sin calls;
  *  - every solve stops by the rule of `integrator.picard_converged`.
  * Compile without -ffast-math and with -ffp-contract=off, so that no
  * product and sum is fused.
@@ -158,6 +161,68 @@ int64_t avf_integrate(gemv_fn gemv, int64_t dim, int64_t ru, int64_t m, const do
         double *z_out = states + (row + 1) * dim;
         for (int64_t i = 0; i < dim; i++)
             z_out[i] = z1[i] - correction[i];
+    }
+    return -1;
+}
+
+/* Integrate `steps` implicit midpoint steps of the reduced form
+ *     z' = L z + c + [0; m_b sin(P z[:ru] + x_ref)]
+ * from states[history], after `history` earlier states, as avf_integrate
+ * does: `integrator._midpoint_step_map` over the rhs of
+ * `ReducedModel.make_rhs`.  Each step iterates
+ *     z1 <- z + dt f(0.5 z + 0.5 z1).
+ * L is dim x dim, m_b (dim - ru) x m and P m x ru; work holds 8 dim + 2 m
+ * doubles.  Returns as avf_integrate does. */
+int64_t midpoint_integrate(gemv_fn gemv, int64_t dim, int64_t ru, int64_t m, const double *l,
+                           const double *c, const double *m_b, const double *p,
+                           const double *x_ref, double dt, const double *extrapolation,
+                           double tol, int64_t max_iter, int64_t history, int64_t steps,
+                           double *states, int64_t *iterations, double *work, double *residual)
+{
+    double *start = work, *half = start + dim, *zm = half + dim, *out = zm + dim;
+    double *update = out + dim, *iterates[2] = {update + dim, update + 2 * dim};
+    double *m_g = update + 3 * dim, *x = m_g + dim, *g = x + m;
+
+    for (int64_t step = 0; step < steps; step++) {
+        int64_t row = history + step;
+        const double *z = states + row * dim, *z1 = z;
+        if (row >= 7) {
+            extrapolate(gemv, extrapolation, dim, z, start);
+            z1 = start;
+        }
+        for (int64_t i = 0; i < dim; i++)
+            half[i] = 0.5 * z[i];
+        int64_t it = 1;
+        for (;; it++) {
+            for (int64_t i = 0; i < dim; i++)
+                zm[i] = half[i] + 0.5 * z1[i];
+            product(gemv, dim, dim, l, zm, out);
+            for (int64_t i = 0; i < dim; i++)
+                out[i] += c[i];
+            product(gemv, m, ru, p, zm, x);
+            for (int64_t i = 0; i < m; i++)
+                g[i] = sin(x[i] + x_ref[i]);
+            product(gemv, dim - ru, m, m_b, g, m_g);
+            for (int64_t i = ru; i < dim; i++)
+                out[i] += m_g[i - ru];
+            double *z_next = iterates[it & 1];
+            for (int64_t i = 0; i < dim; i++) {
+                z_next[i] = z[i] + dt * out[i];
+                update[i] = z_next[i] - z1[i];
+            }
+            z1 = z_next;
+            int state = picard_converged(dim, update, z1, it, tol, max_iter, residual);
+            if (state > 0)
+                break;
+            if (state < 0) {
+                iterations[step] = it;
+                return step;
+            }
+        }
+        iterations[step] = it;
+        double *z_out = states + (row + 1) * dim;
+        for (int64_t i = 0; i < dim; i++)
+            z_out[i] = z1[i];
     }
     return -1;
 }

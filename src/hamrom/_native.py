@@ -1,16 +1,17 @@
-"""ctypes loader of `_avf.c`, the AVF integrations as C loops.
+"""ctypes loader of `_avf.c`, the integrations of the wave's models as C loops.
 
 `load()` compiles the source with the system C compiler once for each
 source and flag set, caches the shared object (written to a temporary
 file and renamed into place, so concurrent processes never see a partial
 file) in this package's `__pycache__`, or where that cannot be written
 in the user's cache, `$XDG_CACHE_HOME/hamrom` (default `~/.cache/hamrom`),
-and returns its `Loops`: the reduced and full-order loops, the
-elementwise pass of `metrics.e_inf`, numpy's own cblas dgemv and the
-dpttrs of `lapack()`, or None when anything is missing (a compiler, a
-writable cache, either bundled OpenBLAS) or fails.  `checked()`, run
-once per process, returns them only when both loops pass their probe;
-otherwise every integration, and `metrics.e_inf`, takes the numpy path.
+and returns its `Loops`: the reduced and full-order AVF loops, the
+reduced midpoint loop, the elementwise pass of `metrics.e_inf`, numpy's
+own cblas dgemv and the dpttrs of `lapack()`, or None when anything is
+missing (a compiler, a writable cache, either bundled OpenBLAS) or
+fails.  `checked()`, run once per process, returns them only when every
+loop passes its probe; otherwise every integration, and `metrics.e_inf`,
+takes the numpy path.
 
 `lapack()` binds, without a compiler, the LAPACK routines of the OpenBLAS
 that scipy bundles, the library that `scipy.linalg` calls; it finds the
@@ -20,11 +21,12 @@ return what their `scipy.linalg` namesakes return, bit for bit and in
 the same layout, without importing `scipy.linalg`, which they call only
 where the library is missing.
 
-`blocks` runs an AVF integration, for the full-order system and the
-reduced models alike, and is the one place that chooses between a loop
-(`run`) and the numpy step (`advance_steps`); it yields the states block
-by block from the one window of `integrator.run_blocks`.  `integrate` is
-its one-block case.
+`blocks` runs an integration by a system's `make_step`, for the
+full-order system, the reduced models' AVF steps and the midpoint rule
+over `ReducedModel.make_rhs` alike, and is the one place that chooses
+between a loop (`run`) and the numpy step (`advance_steps`); it yields
+the states block by block from the one window of
+`integrator.run_blocks`.  `integrate` is its one-block case.
 """
 
 import contextlib
@@ -56,10 +58,14 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 class Loops(NamedTuple):
-    """The entry points of _avf.c and the BLAS and LAPACK routines they call."""
+    """The entry points of _avf.c and the BLAS and LAPACK routines they
+    call: the AVF loops of `ReducedModel.make_step` (reduced) and
+    `TwoBlockSystem.make_step` (full), the midpoint loop of
+    `ReducedModel.make_rhs` (midpoint) and the pass of `metrics.e_inf`."""
 
     reduced: object
     full: object
+    midpoint: object
     max_mismatch: object
     gemv: int
     pttrs: int
@@ -205,7 +211,7 @@ def _shared_object():
 
 _LOAD_ERRORS = (OSError, ValueError, AttributeError, subprocess.SubprocessError)
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-# the trailing arguments of both loops: tol, max_iter, history, steps,
+# the trailing arguments of every loop: tol, max_iter, history, steps,
 # states, iterations, work, residual
 _RUN_ARGS = [_D, _I, _I, _I, _P, _P, _P, _P]
 
@@ -216,13 +222,14 @@ def load():
         [gemv] = _symbols("numpy", "libscipy_openblas64_*.so", "scipy_cblas_dgemv64_")
         pttrs = ctypes.cast(lapack().pttrs, ctypes.c_void_p).value
         lib = _shared_object()
-        loops = Loops(lib.avf_integrate, lib.avf_integrate_full, lib.avf_max_mismatch, gemv,
-                      pttrs)
+        loops = Loops(lib.avf_integrate, lib.avf_integrate_full, lib.midpoint_integrate,
+                      lib.avf_max_mismatch, gemv, pttrs)
     except _LOAD_ERRORS:
         return None
     loops.reduced.argtypes = [_P] + [_I] * 3 + [_P] * 9 + _RUN_ARGS
     loops.full.argtypes = [_P, _P, _I] + [_P] * 4 + [_D, _P] + _RUN_ARGS
-    loops.reduced.restype = loops.full.restype = _I
+    loops.midpoint.argtypes = [_P] + [_I] * 3 + [_P] * 5 + [_D, _P] + _RUN_ARGS
+    loops.reduced.restype = loops.full.restype = loops.midpoint.restype = _I
     loops.max_mismatch.argtypes = [_I, _I] + [_P] * 5
     loops.max_mismatch.restype = _D
     return loops
@@ -230,14 +237,16 @@ def load():
 
 @functools.cache
 def checked():
-    """`load()` when both loops reproduce `integrate_steps` bit for bit on
+    """`load()` when every loop reproduces `integrate_steps` bit for bit on
     tiny fixed models, run in blocks of 5 states that resume across the
     start of the extrapolation, else None.  The models share one n = 16
     system with weights that are not all one, whose step matrix has the
     corner entries that the full-order solve corrects for: the system
-    itself, g-rom (Galerkin L, zero references) and shifted sp-deim
-    (symplectic L, references and interpolation points).  Every operand
-    reaches the loops C-ordered, as the models build it."""
+    itself (the full-order loop), g-rom (Galerkin L, zero references) and
+    shifted sp-deim (symplectic L, references and interpolation points),
+    each reduced model through its AVF step (the reduced loop) and through
+    the midpoint rule over its `make_rhs` (the midpoint loop).  Every
+    operand reaches the loops C-ordered, as the models build it."""
     from . import core, rom, wave  # they import this module
 
     loops = load()
@@ -250,12 +259,16 @@ def checked():
     phi = np.linalg.qr(np.cos(np.outer(np.arange(n), [0.7, 1.3, 2.9]) + 0.4))[0]
     ref, zero = 0.3 * np.sin(np.arange(n)), np.zeros(n)
     config = IntegratorConfig(dt=0.01, t_final=0.2)
+    models = (rom.ReducedModel(rom.RomVariant("g-rom"), system, phi, phi, zero, zero),
+              rom.ReducedModel(rom.RomVariant("sp-deim", True), system, phi, phi, ref, ref,
+                               [1, 4, 6], [2.5] * 3))
+    a0 = np.cos(np.arange(6.0))
     for model, z0 in (
         (system, np.concatenate([np.sin(np.arange(n)), 0.3 * np.cos(np.arange(n))])),
-        (rom.ReducedModel(rom.RomVariant("g-rom"), system, phi, phi, zero, zero),
-         np.cos(np.arange(6.0))),
-        (rom.ReducedModel(rom.RomVariant("sp-deim", True), system, phi, phi, ref, ref,
-                          [1, 4, 6], [2.5] * 3), np.cos(np.arange(6.0))),
+        *((model, a0) for model in models),
+        # the vector field itself: a caller may wrap make_rhs, as the
+        # benchmark's tracer does
+        *((rom._ReducedRhs(model, model.g_fn), a0) for model in models),
     ):
         expected = integrate_steps(model.make_step(config), z0, config)
         got = [(states.copy(), iterations)
@@ -267,9 +280,10 @@ def checked():
 
 
 def integrate(system, z0, config) -> Trajectory:
-    """AVF integration of `system`, a `core.TwoBlockSystem` or a
-    `rom.ReducedModel`, from z0 over config's steps: the one block of
-    `blocks`.
+    """Integration of `system` from z0 over config's steps by its
+    make_step: the AVF step of a `core.TwoBlockSystem` or a
+    `rom.ReducedModel`, the midpoint step of `ReducedModel.make_rhs`'s
+    vector field.  The one block of `blocks`.
 
     The result, Picard failures included, is that of
     `integrate_steps(system.make_step(config), z0, config)` bit for bit.
@@ -278,32 +292,30 @@ def integrate(system, z0, config) -> Trajectory:
 
 
 def blocks(system, z0, config, rows):
-    """Yield the AVF integration of `system` from z0 over config's steps as
-    (states, iterations) for consecutive blocks of `rows` states, the last
-    one shorter: states [0, rows) with z0 first, then [rows, 2 rows), ...,
-    and the Picard iterations of the steps that made each block's states.
+    """Yield the integration of `system` (as for `integrate`) from z0 over
+    config's steps as (states, iterations) for consecutive blocks of `rows`
+    states, the last one shorter: states [0, rows) with z0 first, then
+    [rows, 2 rows), ..., and the Picard iterations of the steps that made
+    each block's states.
 
     Every block is a view of one window of rows + 8 states, which the next
     block overwrites.  The states, Picard failures included, are those of
     `integrate_steps(system.make_step(config), z0, config)` bit for bit,
-    for any `rows`.  When system.g_avg is `wave.sin_average` and
-    `checked()` returns the loops, `system._compiled` gives the loop that
-    makes the numpy, LAPACK and BLAS calls of every step of a block in
-    one call of C (`run`), unless it returns None for a system that its
-    loop does not take.  Otherwise `advance_steps` runs make_step.  Raises
-    ValueError for a z0 that is not of length system.dim, for rows < 1
-    and where make_step does, and at the first block for a z0 that is not
-    finite.
+    for any `rows`.  When `checked()` returns the loops,
+    `system._compiled` gives the loop that makes the numpy, LAPACK and
+    BLAS calls of every step of a block in one call of C (`run`), unless
+    it returns None for a system that its loop does not take: one whose
+    nonlinearity is not the wave's.  Otherwise `advance_steps` runs
+    make_step.  Raises ValueError for a z0 that is not of length
+    system.dim, for rows < 1 and where make_step does, and at the first
+    block for a z0 that is not finite.
     """
-    from .wave import sin_average  # wave imports this module through core
-
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.dim,):
         raise ValueError(f"state has shape {z0.shape}, expected ({system.dim},)")
     if rows < 1:
         raise ValueError(f"a block holds at least one state, not {rows}")
-    loops = checked() if system.g_avg is sin_average else None
-    return run_blocks(_advance(system, config, loops), z0, config, rows)
+    return run_blocks(_advance(system, config, checked()), z0, config, rows)
 
 
 def _advance(system, config, loops):
@@ -314,7 +326,7 @@ def _advance(system, config, loops):
         return functools.partial(advance_steps, system.make_step(config))
     loop, args, work = compiled
     # each array becomes a pointer that keeps it, once for every block; the
-    # weights of the degree-7 start end the leading arguments of both loops
+    # weights of the degree-7 start end the leading arguments of every loop
     args = [a.ctypes.data_as(ctypes.c_void_p) if isinstance(a, np.ndarray) else a
             for a in [*args, _EXTRAPOLATION]]
     return functools.partial(run, loop, [*args, config.picard_tol, config.picard_max_iter], work)

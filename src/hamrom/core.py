@@ -256,7 +256,12 @@ class TwoBlockSystem:
     def _compiled(self, loops, config):
         """The full-order loop of `_native.load`'s `loops`, its leading
         arguments at config.dt before the extrapolation weights, arrays for
-        pointers, and its work doubles, for `_native.run`."""
+        pointers, and its work doubles, for `_native.run`; None unless
+        g_avg is `wave.sin_average`, the mean that the loop computes."""
+        from .wave import sin_average  # wave imports this module
+
+        if self.g_avg is not sin_average:
+            return None
         qc, factor = self._avf_operators(config.dt)
         args = [loops.gemv, loops.pttrs, self.n, factor.d, factor.e, factor.wc, qc, config.dt]
         return loops.full, args, np.empty(9 * self.n + 2)

@@ -34,7 +34,9 @@ conserves every energy of the form z' = D grad H(z), and they solve with
 the stiff linear part factored once.  With no nonlinearity AVF is exactly
 the midpoint rule.  For the wave, both `integrate` methods run their
 steps in a compiled loop instead, which repeats this module's
-extrapolated start and stopping rule bit for bit.
+extrapolated start and stopping rule bit for bit; so does `integrate`
+here for the reduced vector field of `ReducedModel.make_rhs`, whose
+midpoint steps a third loop runs.
 
 Every solve stops by `picard_converged`: convergence is measured on the
 iterate update in max-norm, relative with absolute floor 1, and a
@@ -258,8 +260,15 @@ def _midpoint_step_map(f, config: IntegratorConfig):
 def integrate(f, z0, config: IntegratorConfig, observer=None) -> Trajectory:
     """Integrate z' = f(z) from z0 over round(t_final/dt) midpoint steps.
 
-    See `integrate_steps` for the observer and the error path.
+    See `integrate_steps` for the observer and the error path.  Without
+    an observer, a vector field of `ReducedModel.make_rhs` (which has
+    `_compiled`) goes to `_native.integrate`, which runs its steps in the
+    compiled loop where it can, with the same result bit for bit.
     """
+    if observer is None and hasattr(f, "_compiled"):
+        from . import _native  # it imports this module
+
+        return _native.integrate(f, z0, config)
     return integrate_steps(_midpoint_step_map(f, config), z0, config, observer)
 
 

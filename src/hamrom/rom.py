@@ -33,7 +33,9 @@ and rounding), solving each step from the first iterate that
 unfactored step equation, so that rounding does not make the energy
 drift.  `integrate` runs those steps over a whole time grid; for the
 wave's `sin_average` it runs them in the compiled loop of `_avf.c`, with
-the same result bit for bit.  Every variant also has one energy form,
+the same result bit for bit.  `integrator.integrate` runs the implicit
+midpoint steps of `make_rhs`'s field, for g = np.sin, in another loop
+of `_avf.c`, also bit for bit.  Every variant also has one energy form,
 
     H_r = -a'A_r a/2 - a'lin_u + b'b/2 + b'lin_v + W . G(P a + x_ref) + C,
 
@@ -48,7 +50,8 @@ import numpy as np
 
 from . import _native
 from ._binio import FileFormatError, check_payload, read_array, read_exact, write_array
-from .integrator import IntegratorConfig, Trajectory, picard_solve
+from .integrator import IntegratorConfig, Trajectory, _midpoint_step_map, picard_solve
+from .wave import sin_average
 
 __all__ = [
     "RomVariant",
@@ -120,8 +123,10 @@ class ReducedModel:
     u_ref otherwise.
 
     Raises ValueError when the interpolation data do not match the
-    variant, when an index is repeated or outside [0, n), when a value is
-    not finite, or when an unshifted variant has a nonzero reference.
+    variant, when the indices are not an integer array (floats and
+    booleans are refused), when an index is repeated or outside [0, n),
+    when a value is not finite, or when an unshifted variant has a
+    nonzero reference.
     """
 
     def __init__(
@@ -160,7 +165,8 @@ class ReducedModel:
             idx = np.asarray(deim_indices)
             self.deim_weights = np.asarray(deim_weights, dtype=float)
             if (
-                idx.ndim != 1
+                idx.dtype.kind not in "iu"  # not floats, which astype truncates, nor bools
+                or idx.ndim != 1
                 or idx.size == 0
                 or self.deim_weights.shape != idx.shape
                 or idx.min() < 0
@@ -168,7 +174,7 @@ class ReducedModel:
                 or np.unique(idx).size != idx.size
             ):
                 raise ValueError(
-                    f"interpolation indices must be distinct, below n = {self.n} "
+                    f"interpolation indices must be distinct integers, below n = {self.n} "
                     "and one per weight"
                 )
             self.deim_indices = idx.astype(np.int64)
@@ -233,21 +239,15 @@ class ReducedModel:
         return out
 
     def make_rhs(self, g=None):
-        """Online right-hand side closure over the reduced state (a, b).
+        """Online right-hand side over the reduced state (a, b), a callable
+        f(z) = L z + c + [0; m_b g(P a + x_ref)].
 
         Pass `g` to substitute (for example to count) the nonlinearity
         derivative; the default is the one captured at build time.
+        `integrator.integrate(f, z0, config)` runs its midpoint steps in
+        the compiled loop of `_avf.c` where `_ReducedRhs._compiled` allows.
         """
-        g_fn = self.g_fn if g is None else g
-        ru = self.r_u
-        L, c, m_b, P, x_ref = self._L, self._c, self._m_b, self._P, self._x_ref
-
-        def f(z):
-            out = L @ z + c
-            out[ru:] += m_b @ g_fn(P @ z[:ru] + x_ref)
-            return out
-
-        return f
+        return _ReducedRhs(self, self.g_fn if g is None else g)
 
     def make_step(self, config: IntegratorConfig):
         """AVF step of the reduced model for `integrate_steps`.
@@ -316,9 +316,11 @@ class ReducedModel:
     def _compiled(self, loops, config):
         """The reduced loop of `_native.load`'s `loops`, its leading arguments
         at config.dt before the extrapolation weights, arrays for pointers,
-        and its work doubles, for `_native.run`; None where an operator has
-        a single row or column, which np.dot multiplies without BLAS gemv."""
-        if min(self.r_u, self.r_v, self._P.shape[0]) < 2:
+        and its work doubles, for `_native.run`; None where g_avg is not
+        `wave.sin_average`, the mean that the loop computes, or where an
+        operator has a single row or column, which np.dot multiplies
+        without BLAS gemv."""
+        if self.g_avg is not sin_average or min(self.r_u, self.r_v, self._P.shape[0]) < 2:
             return None
         K, K_plus, k_inv, B, dt_m, dt_c = self._avf_operators(config.dt)
         m = self._P.shape[0]
@@ -360,6 +362,51 @@ class ReducedModel:
         return np.concatenate(
             [self.phi_u.T @ (z[:n] - self.u_ref), self.phi_v.T @ (z[n:] - self.v_ref)]
         )
+
+
+class _ReducedRhs:
+    """The vector field of `ReducedModel.make_rhs`,
+
+        f(z) = L z + c + [0; m_b g(P z[:r_u] + x_ref)],
+
+    with the model's operators and the nonlinearity `g`.  Like a model, it
+    has the `dim`, `make_step` and `_compiled` that `_native.blocks`
+    takes; its step is the implicit midpoint rule of
+    `integrator.integrate`.  `_avf.c`'s `midpoint_integrate` repeats that
+    step and this call operation by operation: a change here must be made
+    there too, or the probe of `_native.checked` turns the compiled loops
+    off.
+    """
+
+    def __init__(self, model, g):
+        self.dim = model.dim
+        self._ru = model.r_u
+        self._g = g
+        self._operators = model._L, model._c, model._m_b, model._P, model._x_ref
+
+    def __call__(self, z):
+        L, c, m_b, P, x_ref = self._operators
+        out = L @ z + c
+        out[self._ru :] += m_b @ self._g(P @ z[: self._ru] + x_ref)
+        return out
+
+    def make_step(self, config: IntegratorConfig):
+        """The implicit midpoint step of this field for `integrate_steps`."""
+        return _midpoint_step_map(self, config)
+
+    def _compiled(self, loops, config):
+        """The midpoint loop of `_native.load`'s `loops`, its leading
+        arguments at config.dt before the extrapolation weights, arrays for
+        pointers, and its work doubles, for `_native.run`; None where g
+        is not np.sin, whose libm sin the loop calls (a substituted g,
+        such as a counter, is not), or where an operator has a single row
+        or column, which matmul multiplies without BLAS gemv."""
+        L, c, m_b, P, x_ref = self._operators
+        m, ru = P.shape
+        if self._g is not np.sin or min(ru, self.dim - ru, m) < 2:
+            return None
+        args = [loops.gemv, self.dim, ru, m, L, c, m_b, P, x_ref, config.dt]
+        return loops.midpoint, args, np.empty(8 * self.dim + 2 * m)
 
 
 def build_rom(variant, basis_u, basis_v, fom, deim=None):

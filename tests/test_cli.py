@@ -1245,6 +1245,13 @@ def test_the_traced_benchmark_path_runs(tmp_path):
         replayed, 1)
     assert np.isfinite(drift) and 0.0 < error < 1.0
     assert recorder.picard["sp-deim-2"][1] == 10
+    # the tracer's counted g and closure keep the query on the numpy
+    # midpoint, which is counted and gives the untraced query's states
+    assert recorder.counters["rom.rhs.sp-deim-2"][0] > 0
+    assert recorder.eval_counters
+    untraced = cli.integrate(model.make_rhs(), a0, IntegratorConfig(dt=0.01, t_final=0.1))
+    assert untraced.states.tobytes() == traj.states.tobytes()
+    assert np.array_equal(untraced.picard_iters, traj.picard_iters)
     assert recorder.traj_bytes >= traj.states.nbytes > 0
     assert {name: getattr(cli, name) for name in tracer.SPANNED} == before
     assert rom.ReducedModel.make_rhs is make_rhs

@@ -1,5 +1,5 @@
 """The C source of the compiled loops, the full-order solve they share
-with the numpy path and the one gate of both loops."""
+with the numpy path and the one gate of every loop."""
 
 import ctypes
 import re
@@ -12,9 +12,9 @@ import pytest
 import scipy.linalg
 from scipy.linalg import lapack
 
-from hamrom import _native, wave
+from hamrom import _native, rom, wave
 from hamrom.core import PeriodicStencil, TwoBlockSystem
-from hamrom.integrator import IntegratorConfig, PicardDivergenceError, integrate_steps
+from hamrom.integrator import IntegratorConfig, PicardDivergenceError, integrate, integrate_steps
 from hamrom.wave import WaveConfig, assemble_wave_fom, sin_average
 
 
@@ -87,19 +87,36 @@ def test_an_unwritable_package_cache_builds_into_the_user_cache(tmp_path, monkey
     assert _native.load() is not None  # read back from the user cache
 
 
+def integrations(pipe):
+    """label -> (system, z0) of the full-order system, the five reduced
+    models and the midpoint rule over each model's make_rhs."""
+    starts = {tag: (m, m.initial_coefficients(pipe["z0"])) for tag, m in pipe["models"].items()}
+    starts.update({f"{tag} midpoint": (m.make_rhs(), z0) for tag, (m, z0) in starts.items()})
+    starts["fom"] = (pipe["fom"], pipe["z0"])
+    return starts
+
+
+def public_run(system, z0, cfg):
+    """`integrate` of a model, or `integrator.integrate` of a vector field."""
+    if hasattr(system, "integrate"):
+        return system.integrate(z0, cfg)
+    return integrate(system, z0, cfg)
+
+
 @pytest.mark.parametrize("loader", ("unavailable", "reduced-loop-wrong", "full-loop-wrong",
-                                    "reduced-loop-restarts", "full-loop-restarts"))
+                                    "midpoint-loop-wrong", "reduced-loop-restarts",
+                                    "full-loop-restarts", "midpoint-loop-restarts"))
 def test_without_the_compiled_loops_every_model_takes_the_numpy_path(pipe, compiled, monkeypatch,
                                                                      loader):
-    # the loops are on or off together: where either fails its probe, the
+    # the loops are on or off together: where any fails its probe, the
     # full-order system and all five reduced models go through make_step,
-    # with the trajectories that the loops gave.  A loop that ignores the
-    # states before its window's current one is right for a run in one
-    # block; the probe runs in blocks and must catch it.
+    # and their vector fields through the midpoint step, with the
+    # trajectories that the loops gave.  A loop that ignores the states
+    # before its window's current one is right for a run in one block;
+    # the probe runs in blocks and must catch it.
     cfg = IntegratorConfig(dt=0.01, t_final=1.0)
-    starts = {tag: (m, m.initial_coefficients(pipe["z0"])) for tag, m in pipe["models"].items()}
-    starts["fom"] = (pipe["fom"], pipe["z0"])
-    runs = {label: model.integrate(z0, cfg) for label, (model, z0) in starts.items()}
+    starts = integrations(pipe)
+    runs = {label: public_run(model, z0, cfg) for label, (model, z0) in starts.items()}
     monkeypatch.undo()  # reopens the numpy path that `compiled` closed
 
     def wrong(*args):  # returns at once and leaves the states unset
@@ -114,19 +131,34 @@ def test_without_the_compiled_loops_every_model_takes_the_numpy_path(pipe, compi
         raise AssertionError("integrate took the compiled path")
 
     loops = _native.load()
-    broken = {"unavailable": None, "reduced-loop-wrong": loops._replace(reduced=wrong),
-              "full-loop-wrong": loops._replace(full=wrong),
-              "reduced-loop-restarts": loops._replace(reduced=restarting(loops.reduced)),
-              "full-loop-restarts": loops._replace(full=restarting(loops.full))}[loader]
+    kind, _, fault = loader.partition("-loop-")
+    if kind == "unavailable":
+        broken = None
+    else:
+        loop = getattr(loops, kind)
+        broken = loops._replace(**{kind: wrong if fault == "wrong" else restarting(loop)})
     monkeypatch.setattr(_native, "load", lambda: broken)
     _native.checked.cache_clear()
     try:
         assert _native.checked() is None
         monkeypatch.setattr(_native, "run", compiled_path)
         for label, (model, z0) in starts.items():
-            traj = model.integrate(z0, cfg)
+            traj = public_run(model, z0, cfg)
             assert np.array_equal(traj.states, runs[label].states), label
             assert np.array_equal(traj.picard_iters, runs[label].picard_iters), label
+    finally:
+        _native.checked.cache_clear()
+
+
+def test_the_probe_does_not_call_a_wrapped_make_rhs(monkeypatch):
+    # the benchmark's tracer replaces ReducedModel.make_rhs with one that
+    # returns a plain closure, and the first integration under it probes
+    if _native.load() is None:
+        pytest.skip("the compiled AVF loops are unavailable here")
+    monkeypatch.setattr(rom.ReducedModel, "make_rhs", lambda self, g=None: lambda z: z)
+    _native.checked.cache_clear()
+    try:
+        assert _native.checked() is not None
     finally:
         _native.checked.cache_clear()
 
@@ -191,8 +223,7 @@ def test_an_integration_in_blocks_is_one_run_bitwise(pipe, path, rows):
     # start, and one block of all 101 states; the reference is the numpy
     # step over the whole run
     cfg = IntegratorConfig(dt=0.01, t_final=1.0)
-    starts = {tag: (m, m.initial_coefficients(pipe["z0"])) for tag, m in pipe["models"].items()}
-    starts["fom"] = (pipe["fom"], pipe["z0"])
+    starts = integrations(pipe)
     sizes = [min(rows, 101 - start) for start in range(0, 101, rows)]
     for label, (system, z0) in starts.items():
         expected = integrate_steps(system.make_step(cfg), z0, cfg)

@@ -7,9 +7,15 @@ from numpy.testing import assert_allclose
 from scipy.linalg import lapack
 
 from conftest import check_skew, dense_energy, dense_operators, dense_rhs, random_orthonormal
-from hamrom import _native
+from hamrom import _native, integrator
 from hamrom.deim import build_deim
-from hamrom.integrator import IntegratorConfig, PicardDivergenceError, integrate, integrate_steps
+from hamrom.integrator import (
+    IntegratorConfig,
+    PicardDivergenceError,
+    _midpoint_step_map,
+    integrate,
+    integrate_steps,
+)
 from hamrom.metrics import EvalCounter
 from hamrom.pod import PodBasis
 from hamrom.rom import VARIANT_TAGS, ReducedModel, RomVariant, build_rom, load_rom, save_rom
@@ -591,13 +597,17 @@ def test_compiled_picard_failure_matches_the_numpy_path(pipe, compiled, case):
         z0 = model.initial_coefficients(pipe["z0"])
         if case == "overflow":  # the states overflow to inf and nan
             z0 = np.full_like(z0, 1e308)
+        # the AVF step and the midpoint rule over make_rhs, each by the
+        # numpy step and by the compiled loop
         failures = []
         for run in (lambda: integrate_steps(model.make_step(cfg), z0, cfg),
-                    lambda: model.integrate(z0, cfg)):
+                    lambda: model.integrate(z0, cfg),
+                    lambda: _numpy_midpoint(model.make_rhs(), z0, cfg),
+                    lambda: integrate(model.make_rhs(), z0, cfg)):
             with pytest.raises(PicardDivergenceError) as info, np.errstate(all="ignore"):
                 run()
             failures.append((info.value.iterations, repr(info.value.residual), info.value.step))
-        assert failures[0] == failures[1], tag
+        assert failures[0] == failures[1] and failures[2] == failures[3], tag
 
 
 @pytest.mark.parametrize("loader", ("unavailable",))
@@ -648,8 +658,121 @@ def test_integrate_takes_the_numpy_path_where_the_loop_does_not_apply(pipe, monk
 
 def test_integrate_rejects_a_state_of_another_dimension(pipe):
     model = pipe["models"]["sp-deim-2"]
+    z0, cfg = np.zeros(model.r_u + model.r_v + 1), IntegratorConfig(t_final=0.1)
     with pytest.raises(ValueError, match="expected"):
-        model.integrate(np.zeros(model.r_u + model.r_v + 1), IntegratorConfig(t_final=0.1))
+        model.integrate(z0, cfg)
+    for observer in (None, lambda k, t, z: None):  # the midpoint loop, the numpy midpoint
+        with pytest.raises(ValueError):
+            integrate(model.make_rhs(), z0, cfg, observer)
+
+
+# ---------------------------------------------------------------------------
+# The midpoint rule over make_rhs: `integrate(model.make_rhs(), z0, cfg)`
+# runs `_avf.c`'s midpoint loop where it applies, else the numpy step.
+
+
+def _numpy_midpoint(rhs, z0, cfg):
+    return integrate_steps(_midpoint_step_map(rhs, cfg), z0, cfg)
+
+
+def _closed_midpoint(monkeypatch):
+    """Make `integrate` fail if it takes the numpy midpoint step."""
+    def numpy_path(*args, **kwargs):
+        raise AssertionError("integrate took the numpy midpoint")
+
+    monkeypatch.setattr(integrator, "integrate_steps", numpy_path)
+
+
+def _closed_loop(monkeypatch):
+    """Make `integrate` fail if it takes the compiled loop."""
+    def compiled_path(*args):
+        raise AssertionError("integrate took the compiled path")
+
+    monkeypatch.setattr(_native, "run", compiled_path)
+
+
+def test_compiled_midpoint_is_the_numpy_midpoint_bitwise(pipe, compiled, monkeypatch):
+    # past the degree-7 start, at the initial state and at a scaled one
+    cfg = IntegratorConfig(dt=0.01, t_final=1.0)
+    runs = []
+    for tag, model in pipe["models"].items():
+        for alpha in (1.0, 1.3):
+            z0 = alpha * model.initial_coefficients(pipe["z0"])
+            runs.append((tag, model, z0, _numpy_midpoint(model.make_rhs(), z0, cfg)))
+    _closed_midpoint(monkeypatch)
+    for tag, model, z0, expected in runs:
+        traj = integrate(model.make_rhs(), z0, cfg)
+        assert traj.states.tobytes() == expected.states.tobytes(), tag
+        assert np.array_equal(traj.picard_iters, expected.picard_iters), tag
+        assert traj.times.tobytes() == expected.times.tobytes() and traj.dt == cfg.dt
+
+
+@pytest.mark.parametrize("case", ("one-basis-column", "one-interpolation-point"))
+def test_midpoint_takes_the_numpy_path_where_the_loop_does_not_apply(pipe, monkeypatch, case):
+    # matmul computes a product with a single row or column without gemv
+    fom, (bu, bv) = pipe["fom"], pipe["bases"][False]
+    zero = np.zeros(fom.n)
+    if case == "one-basis-column":
+        model = ReducedModel(RomVariant.from_tag("sp-pod-1"), fom, bu.phi[:, :1], bv.phi[:, :1],
+                             zero, zero)
+    else:
+        model = ReducedModel(RomVariant.from_tag("sp-deim-1"), fom, bu.phi, bv.phi, zero, zero,
+                             [7], [float(fom.n)])
+    cfg = IntegratorConfig(dt=0.01, t_final=1.0)
+    z0 = model.initial_coefficients(pipe["z0"])
+    expected = _numpy_midpoint(model.make_rhs(), z0, cfg)
+    _native.checked()  # its probe runs the compiled path
+    _closed_loop(monkeypatch)
+    traj = integrate(model.make_rhs(), z0, cfg)
+    assert traj.states.tobytes() == expected.states.tobytes()
+    assert np.array_equal(traj.picard_iters, expected.picard_iters)
+
+
+@pytest.mark.parametrize("tag", VARIANT_TAGS)
+def test_a_counted_rhs_takes_the_numpy_path_and_counts_every_evaluation(pipe, monkeypatch, tag):
+    # the benchmark's tracer counts through make_rhs(g=EvalCounter(...)):
+    # s evaluations per call for sp-deim, n otherwise, one call per update
+    model = pipe["models"][tag]
+    cfg = IntegratorConfig(dt=0.01, t_final=0.5)
+    z0 = model.initial_coefficients(pipe["z0"])
+    expected = integrate(model.make_rhs(), z0, cfg)
+    _closed_loop(monkeypatch)
+    counter = EvalCounter(np.sin)
+    traj = integrate(model.make_rhs(g=counter), z0, cfg)
+    assert traj.states.tobytes() == expected.states.tobytes()
+    assert counter.calls == int(np.sum(traj.picard_iters)) > 0
+    assert counter.scalars == counter.calls * (model.s or model.n)
+
+
+def test_an_observer_is_called_once_per_step(pipe, monkeypatch):
+    model = pipe["models"]["sp-deim-2"]
+    cfg = IntegratorConfig(dt=0.01, t_final=0.5)
+    z0 = model.initial_coefficients(pipe["z0"])
+    expected = integrate(model.make_rhs(), z0, cfg)
+    _closed_loop(monkeypatch)
+    seen = []
+    traj = integrate(model.make_rhs(), z0, cfg, lambda k, t, z: seen.append((k, t, z.copy())))
+    assert [k for k, _, _ in seen] == list(range(1, cfg.step_count() + 1))
+    assert [t for _, t, _ in seen] == [k * cfg.dt for k, _, _ in seen]
+    assert np.array_equal(np.array([z for _, _, z in seen]), expected.states[1:])
+    assert traj.states.tobytes() == expected.states.tobytes()
+
+
+def test_interpolation_indices_must_be_distinct_integers_in_range(pipe):
+    # floats would be truncated ([1.2, 1.7, 5.0] to [1, 1, 5]) and booleans
+    # read as 0 and 1; unsigned 64-bit indices are the artifact's own
+    fom, (bu, bv) = pipe["fom"], pipe["bases"][False]
+    n, zero = fom.n, np.zeros(fom.n)
+    variant = RomVariant.from_tag("sp-deim-1")
+    for indices in ([3, 3], [-1, 4], [2, n], [], [1.2, 1.7, 5.0], [1.0, 4.0, 6.0],
+                    [True, False, True], [[1, 2]]):
+        weights = np.ones(np.size(indices))
+        with pytest.raises(ValueError, match="distinct integers"):
+            ReducedModel(variant, fom, bu.phi, bv.phi, zero, zero, indices, weights)
+    for indices in ([1, 4, 6], np.array([1, 4, 6], dtype="<u8"), np.array([1, 4, 6], np.int32)):
+        model = ReducedModel(variant, fom, bu.phi, bv.phi, zero, zero, indices, np.ones(3))
+        assert model.deim_indices.dtype == np.int64
+        assert model.deim_indices.tolist() == [1, 4, 6]
 
 
 def test_g_rom_energy_drift_is_model_level(pipe):
